@@ -3,9 +3,9 @@ package analysis
 // dataflow.go is a forward worklist fixed-point engine over a CFG.
 // Fact types are supplied by the analyzer through FlowFuncs; the
 // engine guarantees termination for monotone transfer functions over
-// finite-height lattices (both users — the symcontract taint and the
-// finstate boundedness domains — are powerset/level maps over the
-// function's objects) and applies an optional per-edge refinement so
+// finite-height lattices (its users — the symcontract taint, the
+// finstate boundedness and the lockorder held-set domains — are
+// powerset/level maps over the function's objects) and applies an optional per-edge refinement so
 // branch conditions can sharpen facts (`x > cap` false ⇒ x ≤ cap).
 
 import "go/ast"

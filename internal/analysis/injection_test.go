@@ -182,6 +182,35 @@ func label(id int) string { return fmt.Sprintf("node-%d", id) }
 	}
 }
 
+// Acceptance pin: a lock taken inside a leading branch and held across a
+// blocking send must fail the lint gate. The entry block acquires
+// nothing, so a fixed point that only propagates growth from the entry
+// never visits the blocks after the branch.
+func TestInjectedLockAfterLeadingBranchIsFlagged(t *testing.T) {
+	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
+
+import "sync"
+
+type mailbox struct {
+	mu  sync.Mutex
+	out chan int
+}
+
+// Post locks only when guarded, then parks on out with the lock held.
+func (m *mailbox) Post(guarded bool, v int) {
+	if guarded {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	m.out <- v
+}
+`)
+	got := byAnalyzer(findings, "lockorder")
+	if len(got) != 1 || !strings.Contains(got[0].Message, "blocking send while holding") {
+		t.Fatalf("findings = %v, want one lockorder blocking-send diagnostic", findings)
+	}
+}
+
 // shardBody wraps one worker-round body in the minimum scaffolding that
 // makes it a real func(pool *shardPool, worker int) literal under the
 // engine's import path.

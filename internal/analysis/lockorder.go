@@ -233,16 +233,27 @@ func (h heldState) clone() heldState {
 	return out
 }
 
-// merge unions o into h (write dominates read), reporting growth.
-func (h heldState) merge(o heldState) bool {
-	changed := false
+// join unions o into h (write dominates read) and returns h.
+func (h heldState) join(o heldState) heldState {
 	for k, v := range o {
 		if cur, ok := h[k]; !ok || (cur == lockRead && v == lockWrite) {
 			h[k] = v
-			changed = true
 		}
 	}
-	return changed
+	return h
+}
+
+// equal reports whether two held-sets hold the same locks in the same modes.
+func (h heldState) equal(o heldState) bool {
+	if len(h) != len(o) {
+		return false
+	}
+	for k, v := range h {
+		if cur, ok := o[k]; !ok || cur != v {
+			return false
+		}
+	}
+	return true
 }
 
 // checkBody runs the may-held dataflow over one function body and
@@ -270,30 +281,27 @@ func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos
 		return true
 	})
 
-	// Fixed point of the may-held states at block entry.
-	entry := make(map[*Block]heldState)
-	for _, b := range cfg.Blocks {
-		entry[b] = make(heldState)
-	}
-	work := []*Block{cfg.Entry}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := entry[b].clone()
-		for _, n := range b.Nodes {
-			lc.transfer(n, out, nil)
-		}
-		for _, e := range b.Succs {
-			if entry[e.To].merge(out) {
-				work = append(work, e.To)
-			}
-		}
-	}
+	// Fixed point of the may-held states at block entry, on the shared
+	// engine: a block's first visit always propagates, so locks taken in a
+	// later block (inside a leading if, say) reach every block after it.
+	flow := Forward(cfg, heldState{}, FlowFuncs[heldState]{
+		Clone: heldState.clone,
+		Join:  heldState.join,
+		Equal: heldState.equal,
+		Transfer: func(n ast.Node, held heldState) heldState {
+			lc.transfer(n, held, nil)
+			return held
+		},
+	})
 
 	// Reporting pass over the stabilized states.
 	firstLock := make(map[types.Object]token.Pos)
 	for _, b := range cfg.Blocks {
-		held := entry[b].clone()
+		in, reached := flow.In[b]
+		if !reached {
+			continue
+		}
+		held := in.clone()
 		for _, n := range b.Nodes {
 			lc.transfer(n, held, func(op mutexOp, held heldState) {
 				lc.checkNode(op, held, firstLock, report)
@@ -306,7 +314,7 @@ func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos
 	// release means some path returns still holding the lock.
 	if cfg.Exit != nil {
 		var leaked []types.Object
-		for obj := range entry[cfg.Exit] {
+		for obj := range flow.In[cfg.Exit] {
 			if !deferred[obj] {
 				leaked = append(leaked, obj)
 			}

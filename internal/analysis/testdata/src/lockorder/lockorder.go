@@ -51,6 +51,29 @@ func (s *store) forget(k string, really bool) {
 	}
 }
 
+// condLeak locks only inside a leading branch and returns still holding:
+// the entry block acquires nothing, so the held set must still reach
+// the blocks after the branch.
+func (s *store) condLeak(really bool) {
+	if really {
+		s.mu.Lock() // want `lock "s.mu" may be held at function exit on some path: unlock on every path or defer the unlock`
+		return
+	}
+}
+
+// condBlock locks in a leading branch, then blocks after the join. The
+// analysis is path-insensitive, so the unlock under a second, correlated
+// branch does not discharge the lock either.
+func (s *store) condBlock(really bool) {
+	if really {
+		s.mu.Lock() // want `lock "s.mu" may be held at function exit on some path: unlock on every path or defer the unlock`
+	}
+	s.out <- 1 // want `blocking send while holding "s.mu": the lock is held for the full park`
+	if really {
+		s.mu.Unlock()
+	}
+}
+
 // relock acquires a lock it may already hold.
 func (s *store) relock() {
 	s.mu.Lock()

@@ -66,7 +66,7 @@ const (
 	// switches from the linear scan to the aggregate tree. Chosen by
 	// bench (see EXPERIMENTS.md): below ~128 neighbours the linear scan's
 	// streaming pass beats the tree's pointer math plus its share of the
-	// commit-time change diff.
+	// commit-time leaf marking.
 	AggDefaultCutoff = 128
 
 	// aggLeafSpan is the number of neighbours summarized per tree leaf.
@@ -185,9 +185,9 @@ type hubTree[S comparable] struct {
 // aggState is a network's aggregation bookkeeping for one CSR snapshot:
 // the hub set, their trees, and a reverse index from node ID to the
 // (hub, leaf) pairs whose aggregate that node's state feeds — the
-// structure the commit-time change diff walks to mark leaves dirty.
-// Rebuilt from scratch whenever the snapshot pointer changes (fault
-// injection), exactly like the frontier metadata.
+// structure the round commit walks, change by change, to mark leaves
+// dirty. Rebuilt from scratch whenever the snapshot pointer changes
+// (fault injection), the same staleness rule as the frontier.
 type aggState[S comparable] struct {
 	table  *SatTable
 	cutoff int
@@ -202,8 +202,6 @@ type aggState[S comparable] struct {
 	refOff  []int32
 	refHub  []int32
 	refLeaf []int32
-
-	changed []int32 // frontier-round change buffer (marks applied at commit)
 
 	// Instrumentation for tests and benches (atomic: parallel workers sync
 	// disjoint trees but share the counters).
@@ -380,29 +378,9 @@ func (a *aggState[S]) noteChanged(v int32) {
 	}
 }
 
-// aggNoteDiff marks the leaves of every node in [lo, hi) whose committed
-// state is about to change (states vs next compared before the swap).
-// Full rounds diff the whole range; the parallel frontier round diffs
-// only active shards (inactive shards were memcpy'd, so they cannot
-// differ); the serial frontier round skips the diff entirely and records
-// changes precisely as it finds them.
-//
-//fssga:hotpath
-func (net *Network[S]) aggNoteDiff(lo, hi int) {
-	if !net.aggActive() {
-		return
-	}
-	a := net.agg
-	for v := lo; v < hi; v++ {
-		if net.states[v] != net.next[v] {
-			a.noteChanged(int32(v))
-		}
-	}
-}
-
 // viewFor builds node v's view: through its aggregate tree when v is a
 // hub, through the linear buildView scan otherwise. This is the single
-// seam every engine (serial, sharded-parallel, frontier, activation,
+// seam every path (the round kernel inline or on the pool, activation,
 // quiescence probe) goes through, which is what keeps them bit-identical.
 //
 //fssga:hotpath
@@ -416,8 +394,8 @@ func (net *Network[S]) viewFor(sc *viewScratch[S], v int, nbrs []int32, snapshot
 }
 
 // hubView serves a hub's view from its tree root, synchronizing the tree
-// first if leaves are dirty. Safe under the shard pool: a hub belongs to
-// exactly one shard, so exactly one worker touches its tree, and a
+// first if leaves are dirty. Safe under the shard pool: a hub occurs once
+// in a work set, so exactly one chunk and one worker touch its tree, and a
 // supervised retry resynchronizes idempotently (the snapshot is unchanged
 // until commit, and dirty flags are cleared only after ancestors are
 // recomputed). The returned view aliases the scratch, like buildView.

@@ -17,20 +17,21 @@ import (
 // measures the delta on identical work.
 
 // legacyRound is the pre-CSR SyncRound body: per-node interface calls
-// and a neighbour copy into scratch, then the same view build and Step.
-func legacyRound[S comparable](net *Network[S], nbrBuf []int) []int {
+// and a neighbour copy into scratch, then the same view build and Step
+// into the next-state buffer, which is swapped in.
+func legacyRound[S comparable](net *Network[S], nbrBuf []int, next []S) ([]int, []S) {
 	sc := net.serialScratch()
 	for v := 0; v < net.G.Cap(); v++ {
 		if !net.G.Alive(v) || net.G.Degree(v) == 0 {
-			net.next[v] = net.states[v]
+			next[v] = net.states[v]
 			continue
 		}
 		nbrBuf = net.G.SortedNeighbors(v, nbrBuf[:0])
 		view := buildViewOver(net, sc, nbrBuf, net.states)
-		net.next[v] = net.auto.Step(net.states[v], view, net.rngs[v])
+		next[v] = net.auto.Step(net.states[v], view, net.rngs[v])
 	}
-	net.states, net.next = net.next, net.states
-	return nbrBuf
+	net.states, next = next, net.states
+	return nbrBuf, next
 }
 
 func benchTopologyNet(seed int64) *Network[int] {
@@ -56,11 +57,12 @@ func BenchmarkRoundTopologyAccess(b *testing.B) {
 		b.Run(tc.name+"/graph-interface", func(b *testing.B) {
 			net := tc.mk()
 			var buf []int
-			buf = legacyRound(net, buf) // warm up scratch
+			next := make([]int, net.G.Cap())
+			buf, next = legacyRound(net, buf, next) // warm up scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = legacyRound(net, buf)
+				buf, next = legacyRound(net, buf, next)
 			}
 		})
 		b.Run(tc.name+"/csr", func(b *testing.B) {
@@ -82,8 +84,9 @@ func TestLegacyRoundMatchesCSRRound(t *testing.T) {
 	legacy := benchTopologyNet(3)
 	csr := benchTopologyNet(3)
 	var buf []int
+	next := make([]int, 4096)
 	for r := 0; r < 3; r++ {
-		buf = legacyRound(legacy, buf)
+		buf, next = legacyRound(legacy, buf, next)
 		csr.SyncRound()
 		for v := 0; v < 4096; v++ {
 			if legacy.State(v) != csr.State(v) {

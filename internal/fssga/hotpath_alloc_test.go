@@ -55,7 +55,8 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	verdicts := hotpathReport(t)
 	for _, name := range []string{
 		"Network.viewFor", "Network.buildView", "buildViewOver",
-		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.Activate",
+		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.round",
+		"Network.stepChunk", "Network.step", "Network.commit", "Network.Activate",
 		"Network.Quiescent", "View.Empty", "View.DegreeCapped",
 		"View.CountState", "View.Count", "View.CountMod", "diffRuns",
 	} {
@@ -75,6 +76,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 		run  func()
 	}{
 		{"Network.SyncRound", func() { net.SyncRound() }},
+		{"Network.SyncRoundFrontier", func() { net.SyncRoundFrontier() }},
 		{"Network.Activate", func() { net.Activate(5) }},
 		{"Network.Quiescent", func() { net.Quiescent() }},
 	}

@@ -28,7 +28,6 @@ type Network[S comparable] struct {
 
 	auto   Automaton[S]
 	states []S
-	next   []S // scratch buffer for synchronous rounds
 	rngs   []*rand.Rand
 
 	// seed is the master seed the per-node streams derive from; srcs
@@ -59,21 +58,16 @@ type Network[S comparable] struct {
 	roundActive atomic.Bool
 	rngSnap     []uint64
 
-	// Serial frontier round mode (see frontier.go). The bool arrays are
-	// dirty flags, each shadowed by a compact list of its set positions
-	// so a steady-state round is O(frontier), not O(n); frontChanges is
-	// the round's buffered sparse write-back.
-	front         []bool
-	frontNext     []bool
-	frontList     []int32
-	frontNextList []int32
-	frontChanges  []frontChange[S]
-	frontierOK    bool
-	frontCSR      *graph.CSR
-
-	// Shard-granular frontier state for parallel frontier rounds (see
-	// shard.go).
-	shardFront shardFrontier
+	// Round kernel state (see round.go). changes is the last round's
+	// change list, one buffer per chunk in chunk order; changedOn is the
+	// snapshot it was committed on, nil after an out-of-band state change,
+	// which makes the next frontier round step every node. work and mark
+	// are the frontier work set derived from the list and its dedupe
+	// marks (all false between rounds).
+	changes   [][]change[S]
+	changedOn *graph.CSR
+	work      []int32
+	mark      []bool
 
 	// Divide-and-conquer view aggregation for high-degree nodes (see
 	// agg.go): non-nil once a round ran with a SaturatingAutomaton on the
@@ -139,7 +133,6 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 		csr:    c,
 		auto:   auto,
 		states: make([]S, n),
-		next:   make([]S, n),
 		rngs:   make([]*rand.Rand, n),
 		seed:   seed,
 		srcs:   make([]*lazySource, n),
@@ -195,8 +188,8 @@ func (net *Network[S]) State(v int) S { return net.states[v] }
 // initial conditions (e.g. "one node is RED").
 func (net *Network[S]) SetState(v int, s S) {
 	net.states[v] = s
-	net.invalidateFrontiers() // out-of-band change: frontier bookkeeping is stale
-	net.invalidateAgg()       // ...and so are the hub aggregate trees
+	net.changedOn = nil // out-of-band change: the change list no longer covers it
+	net.invalidateAgg() // ...and the hub aggregate trees are stale
 }
 
 // States returns the internal state slice (indexed by node ID). Callers
@@ -267,17 +260,9 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	}
 	copy(net.states, states)
 	net.Rounds = rounds
-	net.invalidateFrontiers()
+	net.changedOn = nil
 	net.invalidateAgg()
 	return nil
-}
-
-// invalidateFrontiers marks both the node-granular and the
-// shard-granular frontier bookkeeping stale, forcing the next frontier
-// round (serial or parallel) to re-step every node.
-func (net *Network[S]) invalidateFrontiers() {
-	net.frontierOK = false
-	net.shardFront.ok = false
 }
 
 // Activate performs one asynchronous activation of node v (no-op for dead
@@ -285,7 +270,7 @@ func (net *Network[S]) invalidateFrontiers() {
 //
 //fssga:hotpath
 func (net *Network[S]) Activate(v int) {
-	c := net.topo()
+	c := net.prepare()
 	if v < 0 || v >= c.Cap() {
 		return
 	}
@@ -293,50 +278,18 @@ func (net *Network[S]) Activate(v int) {
 	if len(nbrs) == 0 {
 		return
 	}
-	//fssga:alloc(ensureAgg builds the aggregation tree once per topology snapshot, amortized over all rounds)
-	net.ensureAgg(c)
 	old := net.states[v]
-	view := net.viewFor(net.serialScratch(), v, nbrs, net.states)
-	//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-	net.states[v] = net.auto.Step(old, view, net.rngs[v])
+	net.states[v] = net.step(net.serialScratch(), v, nbrs, net.rngs[v])
 	if net.aggActive() && net.states[v] != old {
 		net.agg.noteChanged(int32(v))
 	}
 	net.Activations++
-	net.invalidateFrontiers()
-}
-
-// SyncRound performs one synchronous round: every live node computes its
-// successor state from the same snapshot σ, then all states switch
-// simultaneously (Section 3.4's synchronous model).
-//
-// Dead and isolated nodes are recognized by an empty CSR neighbour row
-// (dead nodes are isolated by the graph invariant), so the hot loop
-// carries no per-node Alive/Degree calls at all.
-//
-//fssga:hotpath
-func (net *Network[S]) SyncRound() {
-	net.beforeRound()
-	c := net.topo()
-	//fssga:alloc(ensureAgg builds the aggregation tree once per topology snapshot, amortized over all rounds)
-	net.ensureAgg(c)
-	sc := net.serialScratch()
-	for v := 0; v < c.Cap(); v++ {
-		nbrs := c.Neighbors(v)
-		if len(nbrs) == 0 {
-			net.next[v] = net.states[v]
-			continue
-		}
-		view := net.viewFor(sc, v, nbrs, net.states)
-		//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-		net.next[v] = net.auto.Step(net.states[v], view, net.rngs[v])
-	}
-	net.commitRound()
+	net.changedOn = nil
 }
 
 // beforeRound fires the pre-round hook with the upcoming round number.
-// Every synchronous-round entry point calls it exactly once, before the
-// state snapshot is read, so hook-driven topology mutations behave like
+// The round kernel calls it exactly once per round, before the topology
+// snapshot is read, so hook-driven topology mutations behave like
 // pre-round fault injection.
 //
 //fssga:hotpath
@@ -347,46 +300,6 @@ func (net *Network[S]) beforeRound() {
 	}
 }
 
-// commitRound publishes next as the new state vector and fires the round
-// hooks. Full rounds do not maintain frontier bookkeeping, so any frontier
-// state becomes stale.
-//
-//fssga:hotpath
-func (net *Network[S]) commitRound() {
-	net.aggNoteDiff(0, len(net.states)) // before the swap: states=old, next=new
-	net.states, net.next = net.next, net.states
-	net.Rounds++
-	net.invalidateFrontiers()
-	if net.OnRound != nil {
-		//fssga:alloc(user hook runs outside the zero-alloc contract; nil in steady-state runs)
-		net.OnRound(net.Rounds)
-	}
-}
-
-// RunSync runs synchronous rounds until done returns true (checked after
-// each round) or maxRounds is reached. It reports the number of rounds run
-// and whether done fired. A nil done runs to the round limit.
-func (net *Network[S]) RunSync(maxRounds int, done func(net *Network[S]) bool) (rounds int, finished bool) {
-	for r := 0; r < maxRounds; r++ {
-		net.SyncRound()
-		if done != nil && done(net) {
-			return r + 1, true
-		}
-	}
-	return maxRounds, done == nil
-}
-
-// RunSyncParallel is RunSync with sharded goroutine-parallel rounds.
-func (net *Network[S]) RunSyncParallel(maxRounds, workers int, done func(net *Network[S]) bool) (rounds int, finished bool) {
-	for r := 0; r < maxRounds; r++ {
-		net.SyncRoundParallel(workers)
-		if done != nil && done(net) {
-			return r + 1, true
-		}
-	}
-	return maxRounds, done == nil
-}
-
 // Quiescent reports whether one more synchronous round would leave every
 // state unchanged. It is meaningful only for deterministic automata; it
 // evaluates successor states against one throwaway random stream (which a
@@ -395,9 +308,7 @@ func (net *Network[S]) RunSyncParallel(maxRounds, workers int, done func(net *Ne
 //
 //fssga:hotpath
 func (net *Network[S]) Quiescent() bool {
-	c := net.topo()
-	//fssga:alloc(ensureAgg builds the aggregation tree once per topology snapshot, amortized over all rounds)
-	net.ensureAgg(c)
+	c := net.prepare()
 	sc := net.serialScratch()
 	if net.probe == nil {
 		//fssga:alloc(one-time lazy construction of the reusable probe stream; reseeded in place afterwards)
@@ -411,9 +322,7 @@ func (net *Network[S]) Quiescent() bool {
 		if len(nbrs) == 0 {
 			continue
 		}
-		view := net.viewFor(sc, v, nbrs, net.states)
-		//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-		if net.auto.Step(net.states[v], view, net.probe) != net.states[v] {
+		if net.step(sc, v, nbrs, net.probe) != net.states[v] {
 			return false
 		}
 	}

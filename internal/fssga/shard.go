@@ -1,7 +1,6 @@
 package fssga
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -10,41 +9,38 @@ import (
 	"repro/internal/graph"
 )
 
-// Sharded parallel rounds. The synchronous model is embarrassingly
-// parallel — every node's successor state is a function of the immutable
-// snapshot σ only (Pritchard's divide-and-conquer observation for
-// symmetric FSAs: order-invariant folds partition over disjoint node
-// shards with no cross-shard coordination) — so the engine divides the
-// ID space into contiguous, cache-line-aligned shards and lets a
-// persistent worker pool claim them off an atomic cursor:
+// The shard pool: the round kernel's multi-worker executor (round.go).
+// The synchronous model is embarrassingly parallel — every node's
+// successor state is a function of the committed snapshot σ only
+// (Pritchard's divide-and-conquer observation for symmetric FSAs:
+// order-invariant folds partition over disjoint node sets with no
+// cross-worker coordination) — so a round's work set is cut into
+// contiguous chunks that a persistent worker pool claims off an atomic
+// cursor:
 //
-//   - Contiguous ranges keep each worker streaming through the CSR
-//     offset/neighbour arrays and the state vectors in order, and make
-//     the writes of distinct workers land in disjoint regions of the
-//     double-buffered `next` vector.
-//   - Shard boundaries are multiples of shardAlign (64) nodes, so two
-//     workers never write the same cache line of `next` (64 states of
-//     any size ≥ 1 byte cover at least one 64-byte line).
-//   - The pool's goroutines persist across rounds, parked on cheap
-//     per-worker wake channels — no per-round goroutine spawning.
-//   - Work stealing over ~8 shards per worker absorbs degree skew
-//     without changing results: whichever worker claims a shard, the
+//   - each chunk appends its changes to its own buffer, so workers share
+//     nothing but the read-only snapshot;
+//   - the pool's goroutines persist across rounds, parked on cheap
+//     per-worker wake channels — no per-round goroutine spawning;
+//   - work stealing over ~8 chunks per worker absorbs degree skew
+//     without changing results: whichever worker claims a chunk, the
 //     nodes' private RNG streams and the snapshot make the outcome
-//     bit-identical to serial execution.
+//     bit-identical to serial execution, and commit applies the buffers
+//     in chunk order.
 const (
-	// shardAlign is the shard-boundary alignment in nodes. 64 states are
-	// at least 64 bytes for every state type, so aligned shards write
-	// disjoint cache lines of the next-state vector.
+	// shardAlign is the chunk granularity in work-set positions: chunks
+	// are multiples of it and never shorter, so a claim off the shared
+	// cursor always buys at least 64 node steps.
 	shardAlign = 64
-	// shardsPerWorker over-partitions the ID space so the atomic-cursor
-	// work stealing can rebalance uneven shards (degree skew, dead
-	// regions, frontier-skipped ranges).
+	// shardsPerWorker over-partitions the work set so the atomic-cursor
+	// work stealing can rebalance uneven chunks (degree skew, dead
+	// regions, hubs).
 	shardsPerWorker = 8
 )
 
-// shardSpan returns the shard length for n nodes and the given worker
-// count: roughly shardsPerWorker shards per worker, rounded up to the
-// alignment.
+// shardSpan returns the chunk length for a work set of n positions and
+// the given worker count: roughly shardsPerWorker chunks per worker,
+// rounded up to the granularity.
 func shardSpan(n, workers int) int {
 	span := (n + workers*shardsPerWorker - 1) / (workers * shardsPerWorker)
 	span = (span + shardAlign - 1) / shardAlign * shardAlign
@@ -57,7 +53,7 @@ func shardSpan(n, workers int) int {
 // shardPool is a persistent set of worker goroutines executing one
 // round body at a time. Workers park on per-worker wake channels
 // between rounds; round() publishes the body, wakes everyone, and waits
-// for completion. The pool is created lazily by the first parallel
+// for completion. The pool is created lazily by the first multi-chunk
 // round, grows if a later round asks for more workers, and is torn down
 // by Network.Close or the network's finalizer.
 //
@@ -72,7 +68,7 @@ type shardPool struct {
 	wake    []chan struct{}
 	stop    chan struct{}
 	wg      sync.WaitGroup
-	cursor  atomic.Int64 // next shard index to claim
+	cursor  atomic.Int64 // next chunk index to claim
 	body    func(worker int)
 	closed  atomic.Bool
 	once    sync.Once
@@ -181,13 +177,13 @@ func (p *shardPool) close() {
 
 // ensurePool returns a live pool with at least `workers` workers,
 // creating or growing it as needed, and sizes the per-worker view
-// scratch to match. The network's finalizer tears the pool down if the
-// caller never calls Close — pool goroutines reference only the pool,
-// never the network, so an abandoned network stays collectable.
+// scratch to match. Starting from no pool arms the network's finalizer,
+// which tears the pool down if the caller never calls Close — pool
+// goroutines reference only the pool, never the network.
 func (net *Network[S]) ensurePool(workers int) *shardPool {
 	net.poolMu.Lock()
 	defer net.poolMu.Unlock()
-	if net.pool == nil || net.pool.closed.Load() || net.pool.workers < workers {
+	if net.pool == nil || net.pool.workers < workers {
 		old := net.pool
 		if old != nil {
 			old.close()
@@ -201,310 +197,37 @@ func (net *Network[S]) ensurePool(workers int) *shardPool {
 	return net.pool
 }
 
-// Close stops the persistent worker pool's goroutines. It is safe to
-// call multiple times, on networks that never ran a parallel round, and
-// concurrently with parallel rounds (the round either completes first
-// or retries on a fresh pool); a network whose Close was never called
-// is cleaned up by a finalizer. A parallel round after Close
-// transparently starts a fresh pool.
+// Close stops the persistent worker pool's goroutines and clears the
+// network's finalizer, so a closed network is collected like any other
+// value once its caller drops it. It is safe to call multiple times, on
+// networks that never ran a parallel round, and concurrently with
+// parallel rounds (the round either completes first or retries on a
+// fresh pool). A parallel round after Close transparently starts a fresh
+// pool and re-arms the finalizer.
 func (net *Network[S]) Close() {
 	net.poolMu.Lock()
 	defer net.poolMu.Unlock()
 	if net.pool != nil {
 		net.pool.close()
+		net.pool = nil
+		runtime.SetFinalizer(net, nil)
 	}
 }
 
-// SyncRoundParallel performs one synchronous round on the shard pool
-// with the given number of workers. Because every node has a private
-// random stream and reads only the immutable snapshot, the result is
-// bit-identical to SyncRound regardless of worker count or shard
-// assignment. Small networks (at most one shard) fall back to the
-// serial round.
-//
-// The round is supervised: a worker panic is recovered and the round
-// retried (see supervisor.go); only after retry exhaustion does the
-// structured *PanicError propagate as a panic. Use TrySyncRoundParallel
-// to receive it as an error instead.
-func (net *Network[S]) SyncRoundParallel(workers int) {
-	if err := net.TrySyncRoundParallel(workers); err != nil {
-		panic(err)
-	}
-}
-
-// TrySyncRoundParallel is SyncRoundParallel returning errors instead of
-// panicking: ErrConcurrentRound if another round is in flight on this
-// network, a *PanicError if a worker panic survived every supervised
-// retry, or an ErrPoolClosed-wrapping error if a concurrent Close won
-// the pool race on every attempt. On error the network is unchanged:
-// still on its last committed round, RNG streams rewound.
-func (net *Network[S]) TrySyncRoundParallel(workers int) error {
-	if workers < 1 {
-		panic(fmt.Sprintf("fssga: SyncRoundParallel needs workers >= 1, got %d", workers))
-	}
-	if !net.roundActive.CompareAndSwap(false, true) {
-		return ErrConcurrentRound
-	}
-	defer net.roundActive.Store(false)
-	n := len(net.states)
-	if workers == 1 || n <= shardAlign {
-		net.SyncRound() // fires the pre-round hook itself
-		return nil
-	}
-	net.beforeRound() // exactly once, even across supervised retries
-	c := net.topo()
-	net.ensureAgg(c) // serially, before any worker can touch a hub tree
-	span := shardSpan(n, workers)
-	shards := (n + span - 1) / span
-	snapshot, next := net.states, net.next
+// stepOnPool is the round kernel's multi-worker executor: it steps the
+// chunks of a size-position work set, span positions each, on the shard
+// pool under supervision, each chunk into its own buffer.
+func (net *Network[S]) stepOnPool(workers int, c *graph.CSR, work []int32, size, span int, bufs [][]change[S]) error {
 	//fssga:hotpath
-	err := net.runSupervised(workers, func(pool *shardPool, w int) {
+	return net.runSupervised(workers, func(pool *shardPool, w int) {
 		sc := net.workers[w]
 		for {
-			s := int(pool.cursor.Add(1)) - 1
-			if s >= shards {
+			k := int(pool.cursor.Add(1)) - 1
+			if k >= len(bufs) {
 				return
 			}
-			lo := s * span
-			hi := lo + span
-			if hi > n {
-				hi = n
-			}
-			for v := lo; v < hi; v++ {
-				nbrs := c.Neighbors(v)
-				if len(nbrs) == 0 {
-					next[v] = snapshot[v]
-					continue
-				}
-				view := net.viewFor(sc, v, nbrs, snapshot)
-				//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-				next[v] = net.auto.Step(snapshot[v], view, net.rngs[v])
-			}
+			lo := k * span
+			bufs[k] = net.stepChunk(sc, c, work, lo, min(lo+span, size), bufs[k][:0])
 		}
 	})
-	if err != nil {
-		return err
-	}
-	net.commitRound()
-	return nil
-}
-
-// shardFrontier is the shard-granular frontier bookkeeping for
-// SyncRoundParallelFrontier: per-shard dirty flags from the last
-// committed parallel frontier round, plus the conservative neighbour
-// shard range of each shard, precomputed per (CSR snapshot, span).
-type shardFrontier struct {
-	ok     bool       // false: next parallel frontier round re-steps everything
-	csr    *graph.CSR // snapshot the metadata below was computed for
-	span   int        // shard length the metadata was computed for
-	dirty  []bool     // dirty[s]: some node of shard s changed last round
-	active []bool     // scratch: shards to re-step this round
-	// nbrLo/nbrHi bound the shards containing any neighbour of any node
-	// of shard s (inclusive, always covering s itself). Contiguous ID
-	// ranges make this a tight bound on lattice-like topologies (a grid
-	// row's neighbours live within ±cols IDs) and a conservative one on
-	// expanders, where skipping simply never triggers.
-	nbrLo, nbrHi []int32
-}
-
-// rebuild recomputes the shard metadata for snapshot c at the given
-// span and marks the frontier invalid (all shards re-step next round).
-func (f *shardFrontier) rebuild(c *graph.CSR, span int) {
-	n := c.Cap()
-	shards := (n + span - 1) / span
-	f.csr, f.span = c, span
-	f.dirty = resize(f.dirty, shards)
-	f.active = resize(f.active, shards)
-	f.nbrLo = resizeInt32(f.nbrLo, shards)
-	f.nbrHi = resizeInt32(f.nbrHi, shards)
-	for s := 0; s < shards; s++ {
-		lo, hi := s*span, (s+1)*span
-		if hi > n {
-			hi = n
-		}
-		mn, mx := int32(s), int32(s)
-		for v := lo; v < hi; v++ {
-			for _, u := range c.Neighbors(v) {
-				t := u / int32(span)
-				if t < mn {
-					mn = t
-				}
-				if t > mx {
-					mx = t
-				}
-			}
-		}
-		f.nbrLo[s], f.nbrHi[s] = mn, mx
-	}
-	f.ok = false
-}
-
-func resize(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	return b[:n]
-}
-
-func resizeInt32(b []int32, n int) []int32 {
-	if cap(b) < n {
-		return make([]int32, n)
-	}
-	return b[:n]
-}
-
-// SyncRoundParallelFrontier performs one frontier-driven synchronous
-// round on the shard pool: a shard is re-stepped only if it, or a shard
-// containing neighbours of its nodes, changed in the previous parallel
-// frontier round; quiesced regions cost one state memcpy. Like
-// SyncRoundFrontier it reports whether any state changed and commits
-// nothing (no Rounds increment, no OnRound) on a quiescent round, and
-// like it the trajectory is bit-identical to full rounds — re-stepping
-// a clean node of a dirty shard is harmless because a deterministic
-// Step of an unchanged neighbourhood reproduces the same state.
-//
-// Deterministic automata only, exactly as SyncRoundFrontier: skipped
-// nodes do not consume random draws.
-func (net *Network[S]) SyncRoundParallelFrontier(workers int) (changed bool) {
-	changed, err := net.TrySyncRoundParallelFrontier(workers)
-	if err != nil {
-		panic(err)
-	}
-	return changed
-}
-
-// TrySyncRoundParallelFrontier is SyncRoundParallelFrontier returning
-// errors instead of panicking, under the same supervision and with the
-// same error surface as TrySyncRoundParallel. On error no state is
-// committed and the shard frontier is invalidated (the next frontier
-// round re-steps everything).
-func (net *Network[S]) TrySyncRoundParallelFrontier(workers int) (changed bool, err error) {
-	if workers < 1 {
-		panic(fmt.Sprintf("fssga: SyncRoundParallelFrontier needs workers >= 1, got %d", workers))
-	}
-	if !net.roundActive.CompareAndSwap(false, true) {
-		return false, ErrConcurrentRound
-	}
-	defer net.roundActive.Store(false)
-	n := len(net.states)
-	if workers == 1 || n <= shardAlign {
-		return net.SyncRoundFrontier(), nil // fires the pre-round hook itself
-	}
-	net.beforeRound() // exactly once, even across supervised retries
-	c := net.topo()
-	net.ensureAgg(c) // serially, before any worker can touch a hub tree
-	span := shardSpan(n, workers)
-	f := &net.shardFront
-	if f.csr != c || f.span != span {
-		f.rebuild(c, span) // topology or layout changed: all shards re-step
-	}
-	shards := len(f.dirty)
-	if f.ok {
-		for s := 0; s < shards; s++ {
-			act := false
-			for t := f.nbrLo[s]; t <= f.nbrHi[s]; t++ {
-				if f.dirty[t] {
-					act = true
-					break
-				}
-			}
-			f.active[s] = act
-		}
-	} else {
-		for s := range f.active {
-			f.active[s] = true
-		}
-	}
-
-	snapshot, next := net.states, net.next
-	// f.active is computed above and only read by attempts; f.dirty and
-	// next are fully rewritten by every attempt, so a discarded attempt
-	// leaves nothing behind.
-	//fssga:hotpath
-	err = net.runSupervised(workers, func(pool *shardPool, w int) {
-		sc := net.workers[w]
-		for {
-			s := int(pool.cursor.Add(1)) - 1
-			if s >= shards {
-				return
-			}
-			lo := s * span
-			hi := lo + span
-			if hi > n {
-				hi = n
-			}
-			if !f.active[s] {
-				copy(next[lo:hi], snapshot[lo:hi])
-				f.dirty[s] = false
-				continue
-			}
-			dirty := false
-			for v := lo; v < hi; v++ {
-				nbrs := c.Neighbors(v)
-				if len(nbrs) == 0 {
-					next[v] = snapshot[v]
-					continue
-				}
-				view := net.viewFor(sc, v, nbrs, snapshot)
-				//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-				s2 := net.auto.Step(snapshot[v], view, net.rngs[v])
-				next[v] = s2
-				if s2 != snapshot[v] {
-					dirty = true
-				}
-			}
-			f.dirty[s] = dirty
-		}
-	})
-	if err != nil {
-		// A failed attempt may have claimed only some shards, so the
-		// dirty flags are inconsistent: force a full re-step next time.
-		f.ok = false
-		return false, err
-	}
-	for s := 0; s < shards; s++ {
-		if f.dirty[s] {
-			changed = true
-			break
-		}
-	}
-	f.ok = true
-	if !changed {
-		// Quiescent: all shards clean, nothing committed; subsequent
-		// calls skip every shard.
-		return false, nil
-	}
-	if net.aggActive() {
-		// Inactive shards were memcpy'd, so only active ones can differ.
-		for s := 0; s < shards; s++ {
-			if !f.active[s] {
-				continue
-			}
-			hi := (s + 1) * span
-			if hi > n {
-				hi = n
-			}
-			net.aggNoteDiff(s*span, hi)
-		}
-	}
-	net.states, net.next = net.next, net.states
-	net.Rounds++
-	net.frontierOK = false // node-granular bookkeeping is now stale
-	if net.OnRound != nil {
-		net.OnRound(net.Rounds)
-	}
-	return true, nil
-}
-
-// RunSyncParallelUntilQuiescent is RunSyncUntilQuiescent on the shard
-// pool: frontier-driven parallel rounds until one changes no state, up
-// to maxRounds. Deterministic automata only. States, round counts and
-// OnRound invocations are identical to the serial variant.
-func (net *Network[S]) RunSyncParallelUntilQuiescent(maxRounds, workers int) (rounds int, finished bool) {
-	for r := 0; r < maxRounds; r++ {
-		if !net.SyncRoundParallelFrontier(workers) {
-			return r, true
-		}
-	}
-	return maxRounds, net.Quiescent()
 }

@@ -2,15 +2,17 @@ package fssga
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/testutil"
 )
 
-// TestShardSpanAlignment: shard boundaries are multiples of shardAlign so
-// workers write disjoint cache lines of the next-state vector.
+// TestShardSpanAlignment: chunk lengths are multiples of shardAlign, never
+// shorter, and large work sets give every worker several chunks to steal.
 func TestShardSpanAlignment(t *testing.T) {
 	testutil.NoLeak(t)
 	for _, tc := range []struct{ n, workers int }{
@@ -98,10 +100,10 @@ func TestNewFromCSRProbabilistic(t *testing.T) {
 	}
 }
 
-// TestParallelFrontierMatchesSerialFrontier: shard-granular skipping
-// must reproduce the node-granular frontier trajectory exactly —
+// TestParallelFrontierMatchesSerialFrontier: a frontier chunked across
+// workers must reproduce the inline frontier trajectory exactly —
 // states, committed-round counts, and quiescence detection — including
-// across mid-run faults that invalidate the shard metadata.
+// across mid-run faults that invalidate the change list.
 func TestParallelFrontierMatchesSerialFrontier(t *testing.T) {
 	testutil.NoLeak(t)
 	prop := func(seed int64) bool {
@@ -144,13 +146,23 @@ func TestParallelFrontierMatchesSerialFrontier(t *testing.T) {
 	}
 }
 
+// runParallelUntilQuiescent is RunSyncUntilQuiescent on the shard pool.
+func runParallelUntilQuiescent[S comparable](net *Network[S], maxRounds, workers int) (rounds int, finished bool) {
+	for r := 0; r < maxRounds; r++ {
+		if !net.SyncRoundParallelFrontier(workers) {
+			return r, true
+		}
+	}
+	return maxRounds, net.Quiescent()
+}
+
 // TestParallelFrontierQuiescenceSemantics: a quiescent parallel frontier
 // round commits nothing, exactly like the serial frontier round.
 func TestParallelFrontierQuiescenceSemantics(t *testing.T) {
 	testutil.NoLeak(t)
 	net := New[int](graph.Grid(10, 10), denseMax{100}, func(v int) int { return v }, 1)
 	defer net.Close()
-	rounds, finished := net.RunSyncParallelUntilQuiescent(100, 4)
+	rounds, finished := runParallelUntilQuiescent(net, 100, 4)
 	if !finished {
 		t.Fatal("did not quiesce")
 	}
@@ -164,7 +176,7 @@ func TestParallelFrontierQuiescenceSemantics(t *testing.T) {
 		}
 	}
 	got := net.Rounds
-	if again, fin := net.RunSyncParallelUntilQuiescent(10, 4); again != 0 || !fin {
+	if again, fin := runParallelUntilQuiescent(net, 10, 4); again != 0 || !fin {
 		t.Fatalf("already-quiescent run: rounds=%d finished=%v", again, fin)
 	}
 	if net.Rounds != got {
@@ -179,7 +191,7 @@ func TestParallelFrontierQuiescenceSemantics(t *testing.T) {
 }
 
 // TestParallelFrontierAfterOutOfBandChange: SetState between frontier
-// rounds must invalidate the shard bookkeeping so the change propagates.
+// rounds must invalidate the change list so the change propagates.
 func TestParallelFrontierAfterOutOfBandChange(t *testing.T) {
 	testutil.NoLeak(t)
 	net := New[int](graph.Path(300), denseMax{1000}, func(v int) int { return 0 }, 1)
@@ -188,7 +200,7 @@ func TestParallelFrontierAfterOutOfBandChange(t *testing.T) {
 		t.Fatal("all-zero network should be quiescent")
 	}
 	net.SetState(0, 999)
-	rounds, finished := net.RunSyncParallelUntilQuiescent(400, 4)
+	rounds, finished := runParallelUntilQuiescent(net, 400, 4)
 	if !finished || rounds != 299 {
 		t.Fatalf("rounds=%d finished=%v, want 299, true", rounds, finished)
 	}
@@ -227,6 +239,29 @@ func TestPoolLifecycle(t *testing.T) {
 	// Closing a network that never ran a parallel round is a no-op.
 	fresh := newMaxNet(graph.Path(3), 1)
 	fresh.Close()
+}
+
+// TestClosedNetworkIsCollected: Close clears the finalizer that the first
+// pool round armed, so a closed network is freed once its caller drops
+// it. The finalizer sits on a cycle (each node's lazy source points back
+// into the network), and the runtime never frees such a cycle while the
+// finalizer is set.
+func TestClosedNetworkIsCollected(t *testing.T) {
+	testutil.NoLeak(t)
+	net := newMaxNet(graph.Cycle(supN), 1)
+	net.SyncRoundParallel(2)
+	if net.pool == nil {
+		t.Fatal("a multi-chunk round did not start the pool")
+	}
+	net.Close()
+	wp := weak.Make(net)
+	net = nil
+	for i := 0; i < 5 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("closed network is still reachable after GC: Close left it pinned")
+	}
 }
 
 // TestHookKillDuringParallelRound: an OnBeforeRound kill is observed by

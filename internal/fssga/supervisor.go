@@ -9,9 +9,9 @@ import (
 // Supervised parallel rounds. A worker panic (a bad automaton Step, a
 // corrupted state table) must not kill a long-running process mid-round:
 // the synchronous model makes a round transactional — workers read only
-// the committed snapshot side of the double buffer and write only the
-// scratch side — so a failed round can be discarded wholesale and
-// retried. The only state a failed attempt leaks is partially consumed
+// the committed states and write only their chunks' change buffers,
+// which commit after the round — so a failed round can be discarded
+// wholesale and retried. The only state a failed attempt leaks is partially consumed
 // per-node RNG draws, which the counting sources (rng.go) rewind
 // exactly. After a bounded number of attempts with capped exponential
 // backoff the round fails with a structured *PanicError carrying the
@@ -21,8 +21,8 @@ import (
 var (
 	// ErrConcurrentRound is returned when two synchronous rounds are
 	// started on the same network at once. Rounds mutate the shared
-	// double buffer, so concurrent callers are a caller bug — but one
-	// that gets a defined error, not a data race.
+	// change buffers and states, so concurrent callers are a caller bug —
+	// but one that gets a defined error, not a data race.
 	ErrConcurrentRound = errors.New("fssga: concurrent synchronous round on the same network")
 
 	// ErrPoolClosed is wrapped by round errors when the worker pool was
@@ -139,8 +139,8 @@ func (net *Network[S]) runSupervised(workers int, body func(pool *shardPool, wor
 			Stack:    wp.stack,
 		}
 	}
-	// Leave the network exactly on its committed round: the scratch
-	// buffer is garbage (never committed) and the streams rewind.
+	// Leave the network exactly on its committed round: the change
+	// buffers are garbage (never committed) and the streams rewind.
 	net.rollbackRNG(rngSnap)
 	return last
 }

@@ -112,7 +112,7 @@ func TestSupervisedFrontierRecoversPanic(t *testing.T) {
 		if r == 2 {
 			budget.Store(2)
 		}
-		changed, err := net.TrySyncRoundParallelFrontier(4)
+		changed, err := net.round(4, true)
 		if err != nil {
 			t.Fatalf("round %d: %v", r+1, err)
 		}

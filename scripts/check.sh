@@ -4,7 +4,7 @@
 # coverage ratchet, the race detector over the execution engine and the
 # algorithm layer — the packages with goroutine-parallel rounds and the
 # serial/parallel determinism invariant — and the chaos and
-# model-checker smoke gates.
+# model-checker smoke gates, and the end-to-end benchmark's own tests.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,11 +46,23 @@ go run ./cmd/fssga-bench -perfgate
 echo "== aggregation differential suite under race (tree views vs linear scans)"
 go test -race -run 'TestAggDifferential' ./internal/fssga/
 
-echo "== go test -race ./internal/fssga/... ./internal/algo/..."
-go test -race ./internal/fssga/... ./internal/algo/...
+echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings)"
+go test -race -cpu 1,2 ./internal/fssga/...
+
+echo "== go test -race ./internal/algo/..."
+go test -race ./internal/algo/...
 
 echo "== go test -race ./internal/chaos/... ./internal/faults/..."
 go test -race ./internal/chaos/... ./internal/faults/...
+
+echo "== end-to-end benchmark tests (cmd/fssga-e2e is its own module; offline, with run.sh's environment)"
+(
+	out="$(pwd)/.bench_build"
+	mkdir -p "$out/gocache" "$out/tmp" "$out/config"
+	export GOCACHE="$out/gocache" GOTMPDIR="$out/tmp" GOPATH="$out/gopath" \
+		XDG_CONFIG_HOME="$out/config" GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off
+	cd cmd/fssga-e2e && go test .
+)
 
 echo "== chaos smoke campaign"
 go run ./cmd/fssga-chaos -smoke -out "$(mktemp -d)"
