@@ -47,14 +47,15 @@ contracts:
 	$(GO) run ./cmd/fssga-vet -contracts -json repro/internal/...
 
 # Race detector over the engine and algorithm layers — the packages with
-# goroutine-parallel rounds and per-worker scratch.
+# goroutine-parallel rounds and per-worker scratch — on one and two cores.
 race:
-	$(GO) test -race ./internal/fssga/... ./internal/algo/...
+	$(GO) test -race -cpu 1,2 ./internal/fssga/... ./internal/algo/...
 
 # Race detector over the adversarial harness and fault layer (the chaos
-# runner drives goroutine-parallel rounds through the pre-round hook).
+# runner drives goroutine-parallel rounds through the pre-round hook), on
+# one and two cores.
 chaos-race:
-	$(GO) test -race ./internal/chaos/... ./internal/faults/...
+	$(GO) test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/...
 
 # The CI chaos gate: seeded adversarial campaign with sensitivity-derived
 # expectations; non-zero exit + artifact on any unexpected outcome. Runs

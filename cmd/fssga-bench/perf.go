@@ -277,7 +277,6 @@ func collectHubRounds(seed int64, serial func(name string, fn func(b *testing.B)
 			net := hubBenchNet(c, seed, mode.linear)
 			serial(fmt.Sprintf("HubRound/%s/%s/n=%d", tc.topo, mode.name, tc.n),
 				benchFrontierRound(net))
-			net.Close()
 		}
 	}
 }
@@ -354,7 +353,6 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 		net := fssga.NewFromCSR[int](c64k, lattice{latticeK}, init, seed)
 		parallel(fmt.Sprintf("SyncRoundParallel/lattice/dense/n=65536/w=%d", workers),
 			benchRoundParallel(net, workers))
-		net.Close()
 	}
 
 	// 4. The million-node lattice: a 1024x1024 torus, streaming-generated
@@ -363,11 +361,9 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 	c1m := graph.TorusCSR(1024, 1024)
 	netSerial := fssga.NewFromCSR[int](c1m, lattice{latticeK}, init, seed)
 	serial("SyncRound/lattice/dense/n=1048576", benchRound(netSerial))
-	netSerial.Close()
 	netPar := fssga.NewFromCSR[int](c1m, lattice{latticeK}, init, seed)
 	parallel("SyncRoundParallel/lattice/dense/n=1048576/w=8",
 		benchRoundParallel(netPar, 8))
-	netPar.Close()
 
 	// 5. Frontier mode on a quiesced diffusion: re-probing a converged
 	// shortest-path grid is O(shards) flag scans for the parallel
@@ -390,7 +386,6 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 		}
 	})
 	qp := mkQuiesced()
-	defer qp.Close()
 	parallel("QuiescedRound/shortestpath/parallel-frontier/n=2304/w=4", func(b *testing.B) {
 		b.ReportAllocs()
 		qp.SyncRoundParallelFrontier(4) // warm up pool + shard metadata

@@ -347,8 +347,8 @@ func (c *concCtx) collectSpawns() {
 			sp := &spawnSite{stmt: g, fn: c.enclosingDecl(g)}
 			if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
 				sp.body = lit.Body
-			} else if fn, ok := calleeOf(c.pass.Info, g.Call).(*types.Func); ok {
-				if decl, ok := c.decls[fn.Origin()]; ok {
+			} else if fn := staticCallee(c.pass.Info, g.Call); fn != nil {
+				if decl, ok := c.decls[fn]; ok {
 					sp.body = decl.Body
 				}
 			}
@@ -566,9 +566,9 @@ func (c *concCtx) buildCallGraph() {
 			if !ok {
 				return true
 			}
-			if fn, ok := calleeOf(info, call).(*types.Func); ok {
-				if _, inUnit := c.decls[fn.Origin()]; inUnit {
-					edges[fn.Origin()] = true
+			if fn := staticCallee(info, call); fn != nil {
+				if _, inUnit := c.decls[fn]; inUnit {
+					edges[fn] = true
 				}
 			}
 			return true
@@ -583,7 +583,8 @@ func (c *concCtx) buildCallGraph() {
 		}
 	}
 	// A declaration used as a value (method value, function passed to a
-	// registry, finalizer) can be called from anywhere; root it too.
+	// registry or to runtime.AddCleanup) can be called from anywhere;
+	// root it too.
 	for _, f := range c.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)

@@ -48,7 +48,7 @@ func runGlobalwrite(pass *Pass) error {
 					roots = append(roots, fl.Body)
 					rootDesc = append(rootDesc, "goroutine body")
 				}
-				if fn, ok := calleeOf(pass.Info, n.Call).(*types.Func); ok {
+				if fn := staticCallee(pass.Info, n.Call); fn != nil {
 					if d, ok := decls[fn]; ok {
 						roots = append(roots, d.Body)
 						rootDesc = append(rootDesc, "goroutine "+fn.Name())
@@ -95,7 +95,7 @@ func runGlobalwrite(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if fn, ok := calleeOf(pass.Info, call).(*types.Func); ok {
+			if fn := staticCallee(pass.Info, call); fn != nil {
 				if d, ok := decls[fn]; ok {
 					enqueue(d.Body, why+" -> "+fn.Name())
 				}

@@ -14,8 +14,9 @@ package analysis
 //   - a blocking receive (plain `<-ch`, `range ch`, or a select without
 //     default) must be releasable by an owner: some arm's channel has a
 //     close site whose enclosing function is reachable from an exported
-//     entry point of the unit (Close/Stop-style APIs, or a registered
-//     finalizer — function values count as reachable);
+//     entry point of the unit (Close/Stop-style APIs, or a function
+//     value such as a method passed to runtime.AddCleanup — function
+//     values count as reachable);
 //   - a blocking send inside the goroutine must have a receiver outside
 //     the goroutine;
 //   - an unconditional loop (`for {}`) must contain a return or break —

@@ -48,6 +48,20 @@ func calleeOf(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
+// staticCallee resolves a call to the declared function or method it
+// statically invokes, or nil for builtins and dynamic calls. Calls on an
+// instantiation of a generic function or type resolve to per-instance
+// objects; staticCallee maps them back to their origin, the object the
+// declaration defines, so analyses that follow calls into declarations
+// or key summaries by callee see one object per declaration.
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn, ok := calleeOf(info, call).(*types.Func)
+	if !ok {
+		return nil
+	}
+	return fn.Origin()
+}
+
 // pkgLevelFunc returns the called package-level function (no receiver)
 // and its package path, or nil.
 func pkgLevelFunc(info *types.Info, call *ast.CallExpr) (*types.Func, string) {

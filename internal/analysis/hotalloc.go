@@ -204,16 +204,6 @@ func (h *hotallocCtx) declMarked(fn *ast.FuncDecl) bool {
 	return h.markedAt(fn.Pos())
 }
 
-// callee resolves a call's static callee to its origin (the generic
-// declaration for instantiated calls), or nil for dynamic calls.
-func (h *hotallocCtx) callee(call *ast.CallExpr) *types.Func {
-	fn, ok := calleeOf(h.pass.Info, call).(*types.Func)
-	if !ok {
-		return nil
-	}
-	return fn.Origin()
-}
-
 // declSignature returns the signature of a function declaration, or nil.
 func (h *hotallocCtx) declSignature(fn *ast.FuncDecl) *types.Signature {
 	if obj, ok := h.pass.Info.Defs[fn.Name].(*types.Func); ok {
@@ -340,7 +330,7 @@ func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual ty
 		return
 	}
 
-	fn := h.callee(call)
+	fn := staticCallee(h.pass.Info, call)
 	if fn == nil {
 		// The callee is a function value. Two shapes are statically
 		// visible and allocation-free to invoke: an immediately invoked
@@ -773,7 +763,7 @@ func HotpathReport(units []*Unit) ([]HotpathFunc, error) {
 			})
 			ast.Inspect(body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if fn := h.callee(call); fn != nil {
+					if fn := staticCallee(h.pass.Info, call); fn != nil {
 						if d, ok := h.decls[fn]; ok && h.isHot[d] {
 							fi.callees = append(fi.callees, d)
 						}

@@ -10,9 +10,7 @@ package analysis
 //   - no lock held across a blocking channel operation: a plain send or
 //     receive, a select without default, or a call to a same-unit
 //     function whose transitive summary contains one, performed while a
-//     lock is held, stalls every other goroutine contending for it
-//     (the engine's round owner holds p.mu for the round — a blocking
-//     op there would suspend the Def 3.11 scheduler itself);
+//     lock is held, stalls every other goroutine contending for it;
 //   - consistent acquisition order: holding A while acquiring B (in the
 //     function body or transitively through a same-unit call) orders
 //     A before B; two locks acquired in both orders anywhere in the
@@ -20,7 +18,7 @@ package analysis
 //     flagged.
 //
 // Lock identity is the struct field or variable owning the mutex (the
-// conc layer's target resolution), so p.mu and net.poolMu stay
+// conc layer's target resolution), so MemFS.mu and FaultFS.mu stay
 // distinct while two receivers of the same method share one identity.
 // Audited exceptions carry //fssga:conc(reason).
 
@@ -422,11 +420,11 @@ func (lc *lockorderCtx) checkBlocking(n ast.Node, held heldState, report func(po
 				report(m.Pos(), "ranging over a channel while holding %s blocks the lock owner", holding)
 			}
 		case *ast.CallExpr:
-			fn, ok := calleeOf(lc.pass.Info, m).(*types.Func)
-			if !ok {
+			fn := staticCallee(lc.pass.Info, m)
+			if fn == nil {
 				return true
 			}
-			s := lc.summaries[fn.Origin()]
+			s := lc.summaries[fn]
 			if s == nil {
 				return true
 			}

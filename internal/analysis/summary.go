@@ -92,7 +92,7 @@ func (s *TaintSummary) ExprTainted(e ast.Expr) bool {
 		case *ast.FuncLit:
 			return false // its body runs later, not as part of e's value
 		case *ast.CallExpr:
-			if fn, ok := calleeOf(info, n).(*types.Func); ok {
+			if fn := staticCallee(info, n); fn != nil {
 				if isSizeSource(fn) || s.tainted[fn] {
 					found = true
 					return false
@@ -241,8 +241,8 @@ func (s *TaintSummary) propagate(n ast.Node) bool {
 	case *ast.CallExpr:
 		// A tainted argument taints the callee's parameter object so
 		// taint crosses into functions defined in this unit.
-		fn, ok := calleeOf(info, n).(*types.Func)
-		if !ok {
+		fn := staticCallee(info, n)
+		if fn == nil {
 			break
 		}
 		sig, ok := fn.Type().(*types.Signature)

@@ -77,3 +77,20 @@ func AuditedStep(self S, view *fssga.View[S], rnd *rand.Rand) S {
 	epoch++ //fssga:nondet single-writer by construction in this experiment
 	return self
 }
+
+// box is generic: a call on one of its instantiations resolves to a
+// per-instance method object, which reachability must map back to the
+// method's declaration.
+type box[T any] struct{ v T }
+
+func (b *box[T]) relay() { b.bump() }
+
+// bump is only flagged because GenericStep reaches it through relay.
+func (b *box[T]) bump() {
+	total++ // want `write to package-level variable "total"`
+}
+
+func GenericStep(self S, view *fssga.View[S], rnd *rand.Rand) S {
+	(&box[int]{}).relay()
+	return self
+}

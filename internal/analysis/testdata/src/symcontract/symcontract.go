@@ -126,6 +126,35 @@ func MakeTainted(g *graph.Graph) func(S, *fssga.View[S], *rand.Rand) S {
 	}
 }
 
+// sizer is generic: a call on one of its instantiations resolves to a
+// per-instance method object, so the n-size taint must follow it to the
+// method's declaration, for its result and for its parameters alike (a
+// parameter whose type mentions T is a per-instance object too).
+type sizer[T ~int] struct {
+	g     *graph.Graph
+	limit int
+}
+
+func (s sizer[T]) size() int { return s.g.NumNodes() }
+
+func (s *sizer[T]) setLimit(k T) { s.limit = int(k) }
+
+// MakeGenericTainted derives one cap from a generic method's result and
+// another from a field a generic method sets from its parameter.
+func MakeGenericTainted(g *graph.Graph) func(S, *fssga.View[S], *rand.Rand) S {
+	var lim sizer[int]
+	lim.setLimit(g.NumEdges())
+	return func(self S, view *fssga.View[S], rnd *rand.Rand) S {
+		if view.Count(sizer[int]{g: g}.size(), func(s S) bool { return s > 0 }) > 0 { // want `view.Count cap derives from the network size`
+			return self
+		}
+		if view.Exactly(lim.limit, func(s S) bool { return s > 0 }) { // want `view.Exactly cap derives from the network size`
+			return self
+		}
+		return 0
+	}
+}
+
 // MakeIdentity smuggles a per-instantiation identity into the rule.
 func MakeIdentity(id int) func(S, *fssga.View[S], *rand.Rand) S {
 	return func(self S, view *fssga.View[S], rnd *rand.Rand) S {

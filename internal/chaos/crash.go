@@ -125,7 +125,6 @@ func (cfg CrashConfig) runWorkload(fs checkpoint.FS) (committed int, err error) 
 	if err != nil {
 		return 0, err
 	}
-	defer net.Close()
 	store := checkpoint.NewStore(fs, cfg.Keep)
 	mgr := checkpoint.NewManager(net, store, checkpoint.Meta{
 		Target: "crash-soak", Workers: cfg.Workers, Graph: cfg.Graph,
@@ -168,7 +167,6 @@ func (cfg CrashConfig) rebootResume(fs checkpoint.FS, ref []uint64, workers int)
 	if err != nil {
 		return 0, err
 	}
-	defer net.Close()
 	store := checkpoint.NewStore(fs, cfg.Keep)
 
 	start := 0
@@ -243,12 +241,10 @@ func (cfg CrashConfig) CrashSweep() (*CrashReport, error) {
 	ref := make([]uint64, cfg.Rounds)
 	for r := 1; r <= cfg.Rounds; r++ {
 		if err := soakRound(refNet, cfg.Workers); err != nil {
-			refNet.Close()
 			return nil, err
 		}
 		ref[r-1] = DigestStates(refNet.G, refNet.States())
 	}
-	refNet.Close()
 	rep.FaultEvents = len(refInj.Applied())
 
 	// Probe: measure the unit space and cross-check that a checkpointing

@@ -82,7 +82,6 @@ func TestCrashSweepDetectsSilentCorruption(t *testing.T) {
 		}
 		ref[r-1] = DigestStates(net.G, net.States())
 	}
-	net.Close()
 
 	// A forged store: run the workload honestly, then rewrite the latest
 	// checkpoint with perturbed states under a fresh, valid envelope.

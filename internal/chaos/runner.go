@@ -78,7 +78,6 @@ func execute(cfg Config, g *graph.Graph, adv Adversary) (*trace.RunLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer sys.Close()
 	log := &trace.RunLog{
 		Target:       cfg.Target,
 		Adversary:    adv.Name(),

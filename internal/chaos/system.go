@@ -37,10 +37,6 @@ type System interface {
 	// Digest returns an FNV-1a digest of the full live state (topology
 	// counts + per-node states). Replays are verified digest-by-digest.
 	Digest() uint64
-	// Close releases whatever the system holds open — for fssga.Network
-	// targets, the shard pool's worker goroutines. The runner closes every
-	// system it builds; a run is not leak-free until Close returns.
-	Close()
 }
 
 // Builder registers a chaos target.

@@ -36,10 +36,6 @@ func (s *fssgaSystem[S]) Check(round int) error { return s.monErr }
 
 func (s *fssgaSystem[S]) Digest() uint64 { return digestStates(s.g, s.net.States()) }
 
-// Close stops the network's shard-pool workers. Without it every chaos
-// run leaks one worker pool until its finalizer happens to fire.
-func (s *fssgaSystem[S]) Close() { s.net.Close() }
-
 // monitor installs a per-round transition monitor via fssga.Network.OnRound:
 // after every committed round it compares each live node's previous and new
 // state with check and latches the first violation. It owns the previous-
@@ -286,10 +282,6 @@ func (s *betaSystem) Observe() Observation { return Observation{Chi: s.b.Critica
 func (s *betaSystem) Check(round int) error { return s.err }
 
 func (s *betaSystem) Final() error { return nil }
-
-// Close is a no-op: the β synchronizer runs entirely in the caller's
-// goroutine.
-func (s *betaSystem) Close() {}
 
 func (s *betaSystem) Digest() uint64 {
 	d := NewDigest()

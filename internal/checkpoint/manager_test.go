@@ -273,6 +273,5 @@ func TestManagerRestoreAcrossEngines(t *testing.T) {
 				t.Fatalf("w=%d: round %d diverged after restore", workers, k+i+1)
 			}
 		}
-		revived.Close()
 	}
 }

@@ -163,7 +163,6 @@ func runDiff[S comparable](t *testing.T, wantAgg, det bool, mk func(g *graph.Gra
 
 				ref := make([][]S, diffRounds+1)
 				refNet := mk(tp.make(), diffSeed)
-				defer refNet.Close()
 				refNet.SetAggDegreeCutoff(1 << 30)
 				attachFaults(refNet, sched)
 				ref[0] = append([]S(nil), refNet.States()...)
@@ -183,7 +182,6 @@ func runDiff[S comparable](t *testing.T, wantAgg, det bool, mk func(g *graph.Gra
 					}
 					t.Run(eng.name, func(t *testing.T) {
 						net := mk(tp.make(), diffSeed)
-						defer net.Close()
 						net.SetAggDegreeCutoff(diffCutoff)
 						attachFaults(net, sched)
 						for i := 0; i < diffRounds; i++ {
@@ -315,7 +313,6 @@ func TestAggDifferentialRestore(t *testing.T) {
 
 				// Linear-scan reference over the full 12 rounds.
 				ref := au.mk(tp.make(), diffSeed)
-				defer ref.Close()
 				ref.SetAggDegreeCutoff(1 << 30)
 				attachFaults(ref, sched)
 				for r := 0; r < rounds; r++ {
@@ -325,7 +322,6 @@ func TestAggDifferentialRestore(t *testing.T) {
 				// Live aggregated run, checkpointed after round ckptAt.
 				store := checkpoint.NewStore(checkpoint.NewMemFS(), 3)
 				live := au.mk(tp.make(), diffSeed)
-				defer live.Close()
 				live.SetAggDegreeCutoff(diffCutoff)
 				attachFaults(live, sched)
 				for r := 0; r < ckptAt; r++ {
@@ -346,7 +342,6 @@ func TestAggDifferentialRestore(t *testing.T) {
 				inj2 := faults.NewInjector(sched)
 				inj2.Advance(g2, ckptAt)
 				revived := au.mk(g2, diffSeed)
-				defer revived.Close()
 				revived.SetAggDegreeCutoff(diffCutoff)
 				meta, err := checkpoint.NewManager(revived, store, checkpoint.Meta{}).Restore()
 				if err != nil {

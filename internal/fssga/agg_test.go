@@ -191,8 +191,6 @@ func TestHubViewMatchesLinearScan(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				agg := New[int](graph.Star(300), auto, starInit(17), 1)
 				lin := New[int](graph.Star(300), auto, starInit(17), 1)
-				defer agg.Close()
-				defer lin.Close()
 				agg.SetAggDegreeCutoff(8)
 				lin.SetAggDegreeCutoff(1 << 30) // aggregation off: pure linear scans
 				assertSameTrajectory(t, 12, agg, lin, step)

@@ -26,9 +26,10 @@ import (
 //     blind, which proves nothing);
 //   - no spawn may be "flagged" (the static gate is red);
 //   - a workload that exercises every "proven" spawn site — parallel
-//     rounds on a shard pool, supervised retries, pool restart after
-//     Close, and a full chaos run — must leave zero goroutines behind,
-//     which the NoLeak stack-diff cleanup asserts.
+//     rounds on a shard pool, a pool grown and replaced, a network
+//     dropped with its pool still running, and a full chaos run — must
+//     leave zero goroutines behind, which the NoLeak stack-diff cleanup
+//     asserts.
 //
 // The test runs in race mode (scripts/check.sh chaos-race): a verdict
 // that only dominates unsynchronized schedules would be vacuous.
@@ -69,9 +70,10 @@ func TestConcStaticDominatesDynamic(t *testing.T) {
 	}
 
 	// Dynamic half: touch the proven spawn sites. The shard-pool workers
-	// spawn on the first parallel round; Close kills them; the next round
-	// proves the restart path; the chaos run drives pools underneath
-	// every registered fssga target.
+	// spawn on the first parallel round; a round asking for more workers
+	// replaces the pool, stopping the first generation; dropping the
+	// network lets its runtime cleanup stop the second; the chaos run
+	// drives pools underneath every registered fssga target.
 	maxStep := fssga.StepFunc[int](func(self int, view *fssga.View[int], rnd *rand.Rand) int {
 		if view.AnyState(self + 1) {
 			return self + 1
@@ -80,11 +82,10 @@ func TestConcStaticDominatesDynamic(t *testing.T) {
 	})
 	net := fssga.New[int](graph.Cycle(192), maxStep, func(v int) int { return v % 8 }, 3)
 	for r := 0; r < 4; r++ {
-		net.SyncRoundParallel(4)
+		net.SyncRoundParallel(2)
 	}
-	net.Close()
-	net.SyncRoundParallel(3) // restart after Close: a second generation of workers
-	net.Close()
+	net.SyncRoundParallel(4) // grow: a second generation of workers
+	net = nil                // drop it: the cleanup stops the second generation
 
 	if _, err := chaos.Run(chaos.Config{
 		Target:    "census",

@@ -59,7 +59,6 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 				// against a brute-force recomputation.
 				run := func(mode string, round func(net *Network[int])) ([]int, []roundTrace) {
 					net := New[int](g0.Clone(), auto, init, seed)
-					defer net.Close()
 					var traces []roundTrace
 					for r := 1; r <= 10; r++ {
 						prev := append([]int(nil), net.States()...)
@@ -180,7 +179,6 @@ func TestDeterminismCSRBacked(t *testing.T) {
 	init := func(v int) int { return v % 2 }
 	run := func(workers int) []int {
 		net := NewFromCSR[int](graph.TorusCSR(rows, cols), denseCoin{}, init, 11)
-		defer net.Close()
 		for r := 0; r < 8; r++ {
 			if workers == 0 {
 				net.SyncRound()

@@ -3,7 +3,7 @@ package fssga
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -48,13 +48,14 @@ type Network[S comparable] struct {
 	workers []*viewScratch[S] // one per worker of the shard pool
 	probe   *rand.Rand        // Quiescent's reusable throwaway stream
 
-	// Persistent shard pool for parallel rounds (see shard.go). poolMu
-	// guards creating/replacing/closing the pool so rounds racing Close
-	// stay defined; roundActive rejects concurrent rounds on the same
-	// network with ErrConcurrentRound; rngSnap is the supervisor's
-	// reusable round-start RNG position scratch (see supervisor.go).
+	// Persistent shard pool for parallel rounds (see shard.go) and the
+	// runtime cleanup that closes it when the network is collected;
+	// roundActive rejects concurrent rounds on the same network with
+	// ErrConcurrentRound and so admits one pool user at a time; rngSnap
+	// is the supervisor's reusable round-start RNG position scratch (see
+	// supervisor.go).
 	pool        *shardPool
-	poolMu      sync.Mutex
+	poolCleanup runtime.Cleanup
 	roundActive atomic.Bool
 	rngSnap     []uint64
 

@@ -125,8 +125,6 @@ func TestRestoreResumeFidelity(t *testing.T) {
 				t.Fatalf("%s: round %d diverged after restore", name, k+i+1)
 			}
 		}
-		res.Close()
-		cont.Close()
 	}
 }
 

@@ -57,10 +57,9 @@ func (net *Network[S]) SyncRoundParallel(workers int) { net.mustRound(workers, f
 
 // TrySyncRoundParallel is SyncRoundParallel returning errors instead of
 // panicking: ErrConcurrentRound if another round is in flight on this
-// network, a *PanicError if a worker panic survived every supervised
-// retry, or an ErrPoolClosed-wrapping error if a concurrent Close won the
-// pool race on every attempt. On error the network is unchanged: still
-// on its last committed round, RNG streams rewound.
+// network, or a *PanicError if a worker panic survived every supervised
+// retry. On error the network is unchanged: still on its last committed
+// round, RNG streams rewound.
 func (net *Network[S]) TrySyncRoundParallel(workers int) error {
 	_, err := net.round(workers, false)
 	return err

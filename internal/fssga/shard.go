@@ -54,15 +54,14 @@ func shardSpan(n, workers int) int {
 // round body at a time. Workers park on per-worker wake channels
 // between rounds; round() publishes the body, wakes everyone, and waits
 // for completion. The pool is created lazily by the first multi-chunk
-// round, grows if a later round asks for more workers, and is torn down
-// by Network.Close or the network's finalizer.
+// round, grows if a later round asks for more workers, and lives as long
+// as its network (ensurePool). Only the round owner touches it, and
+// roundActive admits one owner at a time.
 //
 // The pool is panic-safe: a body panic is recovered in the worker (the
 // goroutine survives and keeps serving rounds), the first panic of a
 // round is recorded, and round() reports it to the supervisor
-// (supervisor.go), which discards and retries the round. mu serializes
-// round() against close() so a Close racing an in-flight round waits
-// for it instead of stranding wg.Wait.
+// (supervisor.go), which discards and retries the round.
 type shardPool struct {
 	workers int
 	wake    []chan struct{}
@@ -70,9 +69,6 @@ type shardPool struct {
 	wg      sync.WaitGroup
 	cursor  atomic.Int64 // next chunk index to claim
 	body    func(worker int)
-	closed  atomic.Bool
-	once    sync.Once
-	mu      sync.Mutex                  // serializes round vs close
 	perr    atomic.Pointer[workerPanic] // first panic of the current round
 }
 
@@ -85,9 +81,9 @@ type workerPanic struct {
 
 // wakeChanCap is the wake-channel buffer: one slot, so the round owner
 // can hand a worker its token without a rendezvous. A worker always
-// drains its token before wg.Done, and round() holds p.mu for the whole
-// round, so at most one token is ever outstanding per worker — the
-// buffer can never be full when round() offers the next one.
+// drains its token before wg.Done, and round() waits for every worker
+// before it returns, so at most one token is ever outstanding per
+// worker — the buffer can never be full when round() offers the next one.
 const wakeChanCap = 1
 
 func newShardPool(workers int) *shardPool {
@@ -131,26 +127,20 @@ func (p *shardPool) runBody(id int) {
 }
 
 // round runs body(worker) on every pool worker and blocks until all
-// return. The body reference is dropped afterwards so the pool never
-// pins a network (or its state vectors) between rounds. It returns the
-// first recovered worker panic (nil for a clean round), or ErrPoolClosed
-// if the pool was closed before the round could start.
-func (p *shardPool) round(body func(worker int)) (*workerPanic, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed.Load() {
-		return nil, ErrPoolClosed
-	}
-	p.perr.Store(nil)
+// return. It returns the first recovered worker panic, nil for a clean
+// round. The body and the panic are dropped afterwards: the pool is
+// reachable from its network's cleanup, so anything it kept that points
+// back into the network would keep the network alive for good.
+func (p *shardPool) round(body func(worker int)) *workerPanic {
 	p.body = body
 	p.wg.Add(p.workers)
 	for _, ch := range p.wake {
 		// Non-blocking by construction: the previous round's wg.Wait
 		// proved every worker consumed its token, so the 1-slot buffer is
 		// empty and the default branch is unreachable. Keeping the select
-		// makes that a checkable fact (chanprotocol/lockorder) instead of
-		// an argument in a comment: the round owner can never park on a
-		// worker's wake channel while holding p.mu.
+		// makes that a checkable fact (chanprotocol) instead of an
+		// argument in a comment: the round owner can never park on a
+		// worker's wake channel.
 		select {
 		case ch <- struct{}{}:
 		default:
@@ -161,58 +151,40 @@ func (p *shardPool) round(body func(worker int)) (*workerPanic, error) {
 	}
 	p.wg.Wait()
 	p.body = nil
-	return p.perr.Load(), nil
+	return p.perr.Swap(nil)
 }
 
-// close stops the worker goroutines. Idempotent; an in-flight round
-// finishes first (mu), so workers are never stopped mid-body.
-func (p *shardPool) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.once.Do(func() {
-		p.closed.Store(true)
-		close(p.stop)
-	})
-}
+// close stops the worker goroutines. It runs once per pool: from the
+// network's cleanup, or from ensurePool when a bigger pool replaces it.
+func (p *shardPool) close() { close(p.stop) }
 
 // ensurePool returns a live pool with at least `workers` workers,
 // creating or growing it as needed, and sizes the per-worker view
-// scratch to match. Starting from no pool arms the network's finalizer,
-// which tears the pool down if the caller never calls Close — pool
-// goroutines reference only the pool, never the network.
+// scratch to match. Each pool is tied to the network's lifetime by a
+// runtime cleanup: pool goroutines reference only the pool, never the
+// network, so the cleanup runs once the network is unreachable and
+// closes the pool. An unreachable network has no round in flight. A
+// replaced pool's cleanup is stopped before the pool is closed, so no
+// pool is closed twice.
 func (net *Network[S]) ensurePool(workers int) *shardPool {
-	net.poolMu.Lock()
-	defer net.poolMu.Unlock()
 	if net.pool == nil || net.pool.workers < workers {
-		old := net.pool
-		if old != nil {
-			old.close()
+		if net.pool != nil {
+			net.poolCleanup.Stop()
+			net.pool.close()
 		}
 		net.pool = newShardPool(workers)
-		if old == nil {
-			runtime.SetFinalizer(net, func(n *Network[S]) { n.Close() })
-		}
+		net.poolCleanup = runtime.AddCleanup(net, (*shardPool).close, net.pool)
 	}
 	net.ensureWorkers(net.pool.workers)
 	return net.pool
 }
 
-// Close stops the persistent worker pool's goroutines and clears the
-// network's finalizer, so a closed network is collected like any other
-// value once its caller drops it. It is safe to call multiple times, on
-// networks that never ran a parallel round, and concurrently with
-// parallel rounds (the round either completes first or retries on a
-// fresh pool). A parallel round after Close transparently starts a fresh
-// pool and re-arms the finalizer.
-func (net *Network[S]) Close() {
-	net.poolMu.Lock()
-	defer net.poolMu.Unlock()
-	if net.pool != nil {
-		net.pool.close()
-		net.pool = nil
-		runtime.SetFinalizer(net, nil)
-	}
-}
+// Close does nothing: the worker pool is released when the network is
+// garbage collected.
+//
+// Deprecated: drop the call. Close is kept only for callers that still
+// make it.
+func (net *Network[S]) Close() {}
 
 // stepOnPool is the round kernel's multi-worker executor: it steps the
 // chunks of a size-position work set, span positions each, on the shard

@@ -74,7 +74,6 @@ func TestNewFromCSRMatchesNew(t *testing.T) {
 				}
 			}
 		}
-		csr.Close()
 	}
 }
 
@@ -86,9 +85,7 @@ func TestNewFromCSRProbabilistic(t *testing.T) {
 	const n = 150
 	init := func(v int) int { return v % 2 }
 	a := New[int](graph.Cycle(n), denseCoin{}, init, 5)
-	defer a.Close()
 	b := NewFromCSR[int](graph.CycleCSR(n), denseCoin{}, init, 5)
-	defer b.Close()
 	for r := 0; r < 8; r++ {
 		a.SyncRoundParallel(3)
 		b.SyncRoundParallel(5)
@@ -114,7 +111,6 @@ func TestParallelFrontierMatchesSerialFrontier(t *testing.T) {
 
 		serial := New[int](g0.Clone(), denseMax{8}, init, seed)
 		par := New[int](g0.Clone(), denseMax{8}, init, seed)
-		defer par.Close()
 		workers := 2 + rng.Intn(5)
 
 		for r := 1; r <= 12; r++ {
@@ -161,7 +157,6 @@ func runParallelUntilQuiescent[S comparable](net *Network[S], maxRounds, workers
 func TestParallelFrontierQuiescenceSemantics(t *testing.T) {
 	testutil.NoLeak(t)
 	net := New[int](graph.Grid(10, 10), denseMax{100}, func(v int) int { return v }, 1)
-	defer net.Close()
 	rounds, finished := runParallelUntilQuiescent(net, 100, 4)
 	if !finished {
 		t.Fatal("did not quiesce")
@@ -195,7 +190,6 @@ func TestParallelFrontierQuiescenceSemantics(t *testing.T) {
 func TestParallelFrontierAfterOutOfBandChange(t *testing.T) {
 	testutil.NoLeak(t)
 	net := New[int](graph.Path(300), denseMax{1000}, func(v int) int { return 0 }, 1)
-	defer net.Close()
 	if changed := net.SyncRoundParallelFrontier(4); changed {
 		t.Fatal("all-zero network should be quiescent")
 	}
@@ -209,8 +203,9 @@ func TestParallelFrontierAfterOutOfBandChange(t *testing.T) {
 	}
 }
 
-// TestPoolLifecycle: Close is idempotent, parallel rounds after Close
-// restart a fresh pool, and growing the worker count grows the pool.
+// TestPoolLifecycle: the first multi-chunk round starts the pool, a
+// round asking for more workers grows it, and one asking for fewer
+// reuses it.
 func TestPoolLifecycle(t *testing.T) {
 	testutil.NoLeak(t)
 	net := newMaxNet(graph.Cycle(500), 1)
@@ -228,39 +223,57 @@ func TestPoolLifecycle(t *testing.T) {
 	if net.pool != grown {
 		t.Fatal("pool should be reused for fewer workers")
 	}
-	net.Close()
-	net.Close() // idempotent
-	net.SyncRoundParallel(4)
-	if net.pool == grown || net.pool.closed.Load() {
-		t.Fatal("round after Close must start a fresh pool")
-	}
-	net.Close()
-
-	// Closing a network that never ran a parallel round is a no-op.
-	fresh := newMaxNet(graph.Path(3), 1)
-	fresh.Close()
 }
 
-// TestClosedNetworkIsCollected: Close clears the finalizer that the first
-// pool round armed, so a closed network is freed once its caller drops
-// it. The finalizer sits on a cycle (each node's lazy source points back
-// into the network), and the runtime never frees such a cycle while the
-// finalizer is set.
-func TestClosedNetworkIsCollected(t *testing.T) {
+// TestDroppedNetworkIsCollected: a network that ran a parallel round is
+// freed once its caller drops it, and its runtime cleanup stops the
+// pool's workers (NoLeak). Each node's lazy source points back into the
+// network, so the network sits on a cycle: a finalizer on it would pin
+// it, and its workers, for good.
+func TestDroppedNetworkIsCollected(t *testing.T) {
 	testutil.NoLeak(t)
 	net := newMaxNet(graph.Cycle(supN), 1)
 	net.SyncRoundParallel(2)
 	if net.pool == nil {
 		t.Fatal("a multi-chunk round did not start the pool")
 	}
-	net.Close()
 	wp := weak.Make(net)
 	net = nil
 	for i := 0; i < 5 && wp.Value() != nil; i++ {
 		runtime.GC()
 	}
 	if wp.Value() != nil {
-		t.Fatal("closed network is still reachable after GC: Close left it pinned")
+		t.Fatal("dropped network is still reachable after 5 GCs: its pool pins it")
+	}
+}
+
+// TestPoolRoundAllocs pins the pool executor's allocation contract: a
+// multi-chunk round allocates exactly two objects, its worker closures
+// (stepOnPool's chunk loop and runSupervised's per-worker wrapper),
+// whatever the work-set size and the worker count. An executor that
+// spawns and joins goroutines every round allocates more, and more
+// again as the worker count grows; this is what the persistent pool
+// buys.
+func TestPoolRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	testutil.NoLeak(t)
+	for _, side := range []int{64, 256} { // n = 4096 and 65536
+		c := graph.TorusCSR(side, side)
+		for _, workers := range []int{2, 4, 8} {
+			for _, frontier := range []bool{false, true} {
+				// Every node toggles every round, so full and frontier
+				// rounds alike step and change all n nodes.
+				net := NewFromCSR[int](c, aggParity{}, func(v int) int { return v % 2 }, 1)
+				round := func() { net.mustRound(workers, frontier) }
+				round() // start the pool and grow the change buffers
+				if got := testing.AllocsPerRun(10, round); got != 2 {
+					t.Errorf("n=%d w=%d frontier=%v: %.1f allocs per pool round, want 2",
+						c.Cap(), workers, frontier, got)
+				}
+			}
+		}
 	}
 }
 
@@ -277,7 +290,6 @@ func TestHookKillDuringParallelRound(t *testing.T) {
 
 	g := graph.Path(200)
 	net := newMaxNet(g, 1)
-	defer net.Close()
 	net.OnBeforeRound = func(r int) {
 		if r == 2 {
 			g.RemoveNode(199)

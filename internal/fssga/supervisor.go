@@ -18,19 +18,11 @@ import (
 // original panic value and stack, leaving the network on its last
 // committed round (checkpointable, restorable).
 
-var (
-	// ErrConcurrentRound is returned when two synchronous rounds are
-	// started on the same network at once. Rounds mutate the shared
-	// change buffers and states, so concurrent callers are a caller bug —
-	// but one that gets a defined error, not a data race.
-	ErrConcurrentRound = errors.New("fssga: concurrent synchronous round on the same network")
-
-	// ErrPoolClosed is wrapped by round errors when the worker pool was
-	// closed out from under a round (a racing Close). The supervisor
-	// transparently restarts the pool and retries; the wrapped error
-	// surfaces only if closing keeps winning the race every attempt.
-	ErrPoolClosed = errors.New("fssga: worker pool closed mid-round")
-)
+// ErrConcurrentRound is returned when two synchronous rounds are
+// started on the same network at once. Rounds mutate the shared change
+// buffers and states, so concurrent callers are a caller bug — but one
+// that gets a defined error, not a data race.
+var ErrConcurrentRound = errors.New("fssga: concurrent synchronous round on the same network")
 
 // PanicError reports a worker panic that survived every supervised
 // retry of a parallel round. The network is left on its last committed
@@ -104,11 +96,13 @@ func (net *Network[S]) rollbackRNG(snap []uint64) {
 // runSupervised executes one round body on the shard pool under panic
 // supervision: each attempt runs body on every worker; a worker panic
 // discards the attempt, rewinds the RNG streams to their round-start
-// positions, sleeps a capped exponential backoff, and retries on a
-// (re-ensured) pool. Returns nil once an attempt completes cleanly, or
-// the final structured error after maxRoundAttempts.
+// positions, sleeps a capped exponential backoff, and retries. Returns
+// nil once an attempt completes cleanly, or the final *PanicError after
+// maxRoundAttempts.
 func (net *Network[S]) runSupervised(workers int, body func(pool *shardPool, worker int)) error {
 	rngSnap := net.snapshotRNG()
+	pool := net.ensurePool(workers)
+	run := func(w int) { body(pool, w) }
 	var last error
 	for attempt := 1; attempt <= maxRoundAttempts; attempt++ {
 		if attempt > 1 {
@@ -119,15 +113,8 @@ func (net *Network[S]) runSupervised(workers int, body func(pool *shardPool, wor
 			}
 			time.Sleep(d)
 		}
-		pool := net.ensurePool(workers)
 		pool.cursor.Store(0)
-		wp, err := pool.round(func(w int) { body(pool, w) })
-		if err != nil {
-			// The pool was closed between ensure and round by a racing
-			// Close; the next attempt transparently restarts it.
-			last = fmt.Errorf("fssga: round %d attempt %d: %w", net.Rounds+1, attempt, err)
-			continue
-		}
+		wp := pool.round(run)
 		if wp == nil {
 			return nil
 		}

@@ -17,9 +17,11 @@ import (
 // This is the dynamic half of the goroleak contract: the static analyzer
 // proves every spawn site has a termination path an owner can trigger,
 // and NoLeak checks the owners actually triggered it. The grace window
-// retries with a GC between attempts, because the engine's last-resort
-// release path is a finalizer (Network.Close via runtime.SetFinalizer)
-// and workers need a few scheduler quanta to observe a closed stop
+// retries with a GC between attempts, because that is how the engine
+// releases a test's shard pools: a pool lives as long as its network,
+// and a runtime cleanup closes it once a GC finds the network
+// unreachable. Tests drop their networks and rely on this path; the
+// workers then need a few scheduler quanta to observe the closed stop
 // channel.
 func NoLeak(t testing.TB) {
 	t.Helper()
@@ -38,7 +40,7 @@ func NoLeak(t testing.TB) {
 			if len(leaked) == 0 {
 				return
 			}
-			runtime.GC() // run finalizers: the engine's last-resort Close path
+			runtime.GC() // collect dropped networks, so their cleanups stop their pools
 			time.Sleep(leakGraceQuantum)
 		}
 		t.Errorf("NoLeak: %d goroutine(s) leaked by this test:\n\n%s",

@@ -49,11 +49,11 @@ go test -race -run 'TestAggDifferential' ./internal/fssga/
 echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings)"
 go test -race -cpu 1,2 ./internal/fssga/...
 
-echo "== go test -race ./internal/algo/..."
-go test -race ./internal/algo/...
+echo "== go test -race -cpu 1,2 ./internal/algo/..."
+go test -race -cpu 1,2 ./internal/algo/...
 
-echo "== go test -race ./internal/chaos/... ./internal/faults/..."
-go test -race ./internal/chaos/... ./internal/faults/...
+echo "== go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/..."
+go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/...
 
 echo "== end-to-end benchmark tests (cmd/fssga-e2e is its own module; offline, with run.sh's environment)"
 (
