@@ -47,9 +47,12 @@ contracts:
 	$(GO) run ./cmd/fssga-vet -contracts -json repro/internal/...
 
 # Race detector over the engine and algorithm layers — the packages with
-# goroutine-parallel rounds and per-worker scratch — on one and two cores.
+# goroutine-parallel rounds and per-worker scratch — and over the graph
+# and checkpoint packages, which share a lazily computed topology hash,
+# on one and two cores.
 race:
 	$(GO) test -race -cpu 1,2 ./internal/fssga/... ./internal/algo/...
+	$(GO) test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/...
 
 # Race detector over the adversarial harness and fault layer (the chaos
 # runner drives goroutine-parallel rounds through the pre-round hook), on

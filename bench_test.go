@@ -319,7 +319,7 @@ func BenchmarkSemiLattice(b *testing.B) {
 }
 
 // denseMaxAuto is maxAuto with the DenseAutomaton extension: the same
-// diffusion step, but views back onto a reusable multiplicity vector.
+// diffusion step, but views find states through a dense slot vector.
 type denseMaxAuto struct{ k int }
 
 func (d denseMaxAuto) NumStates() int       { return d.k }
@@ -335,9 +335,8 @@ func (d denseMaxAuto) Step(self int, view *fssga.View[int], rnd *rand.Rand) int 
 }
 
 // BenchmarkViewDenseVsMap isolates the view-engine cost: identical
-// max-diffusion rounds on the same graph, dense multiplicity vector
-// versus the map-of-counts fallback (DenseAutomaton methods hidden
-// behind StepFunc). The dense path must report 0 allocs/op.
+// max-diffusion rounds on the same graph, dense slot-vector lookup
+// versus map lookup (DenseAutomaton methods hidden behind StepFunc). The dense path must report 0 allocs/op.
 func BenchmarkViewDenseVsMap(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(2048, 0.004, rng)

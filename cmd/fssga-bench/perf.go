@@ -22,8 +22,8 @@ import (
 )
 
 // The -perf suite measures the execution engine itself — synchronous-round
-// throughput and allocation behaviour across view representations (dense
-// multiplicity vectors vs the map fallback), worker counts on the sharded
+// throughput and allocation behaviour across view lookups (dense slot
+// vectors vs maps), worker counts on the sharded
 // pool, and the frontier round modes — and writes the series to a
 // BENCH_*.json report plus a headline subset appended to the trajectory
 // file, so the perf history is recorded per PR alongside the experiment

@@ -9,7 +9,7 @@ import (
 
 // TestStateIndexInjective enumerates the full mixed-radix state space and
 // checks StateIndex is a bijection onto [0, NumStates) — the property the
-// engine's dense multiplicity vectors rely on (two states colliding would
+// engine's dense view lookup relies on (two states colliding would
 // silently merge their view counts).
 func TestStateIndexInjective(t *testing.T) {
 	a := automaton{}

@@ -415,33 +415,18 @@ func (net *Network[S]) hubView(sc *viewScratch[S], h int32, snapshot []S) *View[
 
 	k := a.k
 	root := tr.vec[k : 2*k] // node 1 (== leaf 0 when the tree is a single leaf)
-	for _, i := range sc.presIdx {
-		sc.dense[i] = 0
-	}
-	sc.present = sc.present[:0]
-	sc.presIdx = sc.presIdx[:0]
+	sc.reset()
 	total := 0
 	for i, cnt := range root {
-		if cnt == 0 {
-			continue
+		if cnt != 0 {
+			sc.push(tr.stateOf[i], i, int32(cnt))
+			total += int(cnt)
 		}
-		sc.dense[i] = int32(cnt)
-		//fssga:alloc(present grows to the distinct-state count once, then is reused at capacity)
-		sc.present = append(sc.present, tr.stateOf[i])
-		//fssga:alloc(presIdx grows to the distinct-state count once, then is reused at capacity)
-		sc.presIdx = append(sc.presIdx, int32(i))
-		total += int(cnt)
 	}
 	// total is the *saturated* degree Σ sat(c_s): exactly the view the
 	// witness invariant proves Step-indistinguishable from the true one
 	// (mc builds its projected views the same way, total = Σ counts).
-	sc.view = View[S]{
-		total:   total,
-		dense:   sc.dense,
-		present: sc.present,
-		presIdx: sc.presIdx,
-		idx:     net.idx,
-	}
+	sc.view.total = total
 	return &sc.view
 }
 

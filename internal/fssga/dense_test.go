@@ -171,10 +171,10 @@ func TestDenseOutOfRangeIndexPanics(t *testing.T) {
 	net.SyncRound()
 }
 
-// TestSyncRoundZeroAllocs is the acceptance check for the tentpole: after
-// warm-up, the synchronous-round hot path allocates nothing — dense and
-// map fallback alike (the map is cleared and reused, the View recycled,
-// the neighbour buffer reused).
+// TestSyncRoundZeroAllocs: after warm-up, the synchronous-round hot path
+// allocates nothing, on dense and map views alike (the scratch View and
+// its present list are recycled). map-hub resets a map that once held a
+// 1,000-state view by deleting each key of the last view.
 func TestSyncRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -183,13 +183,16 @@ func TestSyncRoundZeroAllocs(t *testing.T) {
 	g := graph.RandomConnectedGNP(128, 0.05, rng)
 	for _, tc := range []struct {
 		name string
+		g    *graph.Graph
 		auto Automaton[int]
+		init func(v int) int
 	}{
-		{"dense", denseMax{8}},
-		{"map-fallback", StepFunc[int](denseMax{8}.Step)},
+		{"dense", g, denseMax{8}, func(v int) int { return v % 8 }},
+		{"map-fallback", g, StepFunc[int](denseMax{8}.Step), func(v int) int { return v % 8 }},
+		{"map-hub", hubCycle(16384, 1000), mapMax, func(v int) int { return v }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := New[int](g.Clone(), tc.auto, func(v int) int { return v % 8 }, 1)
+			net := New[int](tc.g.Clone(), tc.auto, tc.init, 1)
 			net.SyncRound() // warm up scratch buffers
 			if allocs := testing.AllocsPerRun(20, func() { net.SyncRound() }); allocs != 0 {
 				t.Fatalf("SyncRound allocates %.1f objects/op, want 0", allocs)

@@ -101,9 +101,9 @@ type Network[S comparable] struct {
 // order and worker count.
 //
 // If auto implements DenseAutomaton and its NumStates fits MaxDenseStates,
-// all views are built on dense multiplicity vectors (the zero-allocation
-// fast path); otherwise the map fallback is used. Both representations
-// expose identical observations, so the choice never changes results.
+// views find neighbour states through a dense slot vector indexed by
+// StateIndex; otherwise through a map. Both build the same present list
+// and expose identical observations, so the choice never changes results.
 func New[S comparable](g *graph.Graph, auto Automaton[S], init func(v int) S, seed int64) *Network[S] {
 	net := newNetwork[S](g, g.CSR(), auto, init, seed)
 	net.csr = nil // always re-snapshot from the mutable graph

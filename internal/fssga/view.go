@@ -13,62 +13,63 @@
 // identity, exactly the mod-thresh characterization of Theorem 3.7.
 package fssga
 
+import "math"
+
 // View is the symmetric, finite observation of a node's neighbourhood: the
 // multiset of neighbour states. All observation methods are functions of
-// the multiplicity vector (μ_q) only, so any program written against View
+// the multiplicities (μ_q) only, so any program written against View
 // computes an SM function of its neighbours (Definition 3.1).
 //
 // Methods taking a cap return min(count, cap) — a thresh-style
 // observation; CountMod is the mod-style observation. Programs must use
 // constant caps and moduli to stay finite-state.
 //
-// A View has one of two internal representations:
-//
-//   - map mode: a map[S]int multiplicity map (NewView, NewViewFromCounts,
-//     and the engine's fallback path for automata without dense indexing);
-//   - dense mode: a []int32 multiplicity vector indexed by
-//     DenseAutomaton.StateIndex, with the distinct states present tracked
-//     in a side slice for iteration. Dense views are built only by the
-//     engine, from per-worker scratch buffers, and are allocation-free.
+// Every View is a present list: the distinct neighbour states and their
+// multiplicities as parallel slices, so an observation costs O(distinct
+// states). Only the exact-state lookup differs by mode: a slot vector
+// indexed by DenseAutomaton.StateIndex, or a map from state to slot.
 //
 // Views handed to Automaton.Step by the engine are backed by reusable
 // scratch: they are valid only for the duration of the Step call and must
 // not be retained.
 type View[S comparable] struct {
-	counts map[S]int // map mode (nil in dense mode)
-	total  int
+	present []S     // the distinct neighbour states
+	mult    []int32 // mult[k] is the multiplicity of present[k]
+	total   int
 
-	// Dense mode. present holds the distinct neighbour states, presIdx
-	// the parallel dense indices (presIdx[k] == idx(present[k])), so
-	// iteration never re-derives indices; dense[presIdx[k]] is the
-	// multiplicity of present[k]. idx is non-nil exactly in dense mode.
-	dense   []int32
-	present []S
-	presIdx []int32
-	idx     func(S) int
+	// Exact-state lookup: slot k+1 names present[k], 0 means absent.
+	// Dense mode (idx non-nil) reads slot[idx(q)]; map mode reads slots[q].
+	slot  []int32
+	idx   func(S) int
+	slots map[S]int32
 }
 
 // NewView builds a View from a slice of neighbour states. The slice order
 // is irrelevant (only multiplicities are retained).
 func NewView[S comparable](states []S) *View[S] {
-	v := &View[S]{counts: make(map[S]int, len(states)), total: len(states)}
+	sc := newMapScratch[S](len(states))
 	for _, s := range states {
-		v.counts[s]++
+		sc.add(s, 1)
 	}
-	return v
+	sc.view.total = len(states)
+	return &sc.view
 }
 
-// NewViewFromCounts builds a View directly from a multiplicity map. The map
-// is not copied; callers must not mutate it afterwards.
+// NewViewFromCounts builds a View from a multiplicity map, which it only
+// reads. Multiplicities must lie in [0, math.MaxInt32]; a state with
+// multiplicity 0 is not a neighbour state and is left out.
 func NewViewFromCounts[S comparable](counts map[S]int) *View[S] {
-	total := 0
-	for _, c := range counts {
-		if c < 0 {
-			panic("fssga: negative multiplicity")
+	sc := newMapScratch[S](len(counts))
+	for s, c := range counts {
+		if c < 0 || c > math.MaxInt32 {
+			panic("fssga: multiplicity out of int32 range")
 		}
-		total += c
+		if c > 0 {
+			sc.push(s, 0, int32(c))
+			sc.view.total += c
+		}
 	}
-	return &View[S]{counts: counts, total: total}
+	return &sc.view
 }
 
 // Empty reports whether the node has no live neighbours. The FSSGA model
@@ -97,17 +98,23 @@ func (v *View[S]) DegreeCapped(cap int) int {
 //
 //fssga:hotpath
 func (v *View[S]) count(q S) int {
+	var k int32
 	if v.idx != nil {
 		//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
 		i := v.idx(q)
-		if i < 0 || i >= len(v.dense) {
+		if i < 0 || i >= len(v.slot) {
 			// A state outside the automaton's declared index range cannot
 			// occur as a neighbour state, so its multiplicity is zero.
 			return 0
 		}
-		return int(v.dense[i])
+		k = v.slot[i]
+	} else {
+		k = v.slots[q]
 	}
-	return v.counts[q]
+	if k == 0 {
+		return 0
+	}
+	return int(v.mult[k-1])
 }
 
 // CountState returns min(μ_q, cap) for the exact state q.
@@ -134,22 +141,10 @@ func (v *View[S]) Count(cap int, pred func(S) bool) int {
 		panic("fssga: Count needs cap >= 1")
 	}
 	c := 0
-	if v.idx != nil {
-		for k, s := range v.present {
-			//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
-			if pred(s) {
-				c += int(v.dense[v.presIdx[k]])
-				if c >= cap {
-					return cap
-				}
-			}
-		}
-		return c
-	}
-	for s, n := range v.counts {
+	for k, s := range v.present {
 		//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
 		if pred(s) {
-			c += n
+			c += int(v.mult[k])
 			if c >= cap {
 				return cap
 			}
@@ -166,19 +161,10 @@ func (v *View[S]) CountMod(m int, pred func(S) bool) int {
 		panic("fssga: CountMod needs modulus >= 1")
 	}
 	c := 0
-	if v.idx != nil {
-		for k, s := range v.present {
-			//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
-			if pred(s) {
-				c = (c + int(v.dense[v.presIdx[k]])) % m
-			}
-		}
-		return c
-	}
-	for s, n := range v.counts {
+	for k, s := range v.present {
 		//fssga:alloc(pred is the caller's predicate; viewpure holds step programs to allocation-free observation)
 		if pred(s) {
-			c = (c + n) % m
+			c = (c + int(v.mult[k])) % m
 		}
 	}
 	return c
@@ -223,16 +209,9 @@ func (v *View[S]) Exactly(k int, pred func(S) bool) bool {
 //
 //fssga:hotpath
 func (v *View[S]) ForEach(f func(state S, count int)) {
-	if v.idx != nil {
-		for k, s := range v.present {
-			//fssga:alloc(f is the caller's fold; viewpure holds step programs to allocation-free observation)
-			f(s, int(v.dense[v.presIdx[k]]))
-		}
-		return
-	}
-	for s, n := range v.counts {
+	for k, s := range v.present {
 		//fssga:alloc(f is the caller's fold; viewpure holds step programs to allocation-free observation)
-		f(s, n)
+		f(s, int(v.mult[k]))
 	}
 }
 
@@ -240,11 +219,12 @@ func (v *View[S]) ForEach(f func(state S, count int)) {
 // neighbour in state s is observed as being in state f(s). Used by the
 // synchronizer transform, where a wrapped automaton must observe either
 // the current or the previous component of each neighbour's composite
-// state. The result is always a map-mode View owning its map.
+// state. The result is always a map-mode View with its own buffers.
 func Remap[S, T comparable](v *View[S], f func(S) T) *View[T] {
-	out := make(map[T]int, len(v.counts)+len(v.present))
-	v.ForEach(func(s S, n int) {
-		out[f(s)] += n
-	})
-	return NewViewFromCounts(out)
+	sc := newMapScratch[T](len(v.present))
+	for k, s := range v.present {
+		sc.add(f(s), v.mult[k])
+	}
+	sc.view.total = v.total
+	return &sc.view
 }

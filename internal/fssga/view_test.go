@@ -1,10 +1,13 @@
 package fssga
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/graph"
 	"repro/internal/testutil"
 )
 
@@ -85,6 +88,7 @@ func TestViewPanics(t *testing.T) {
 		func() { v.Count(0, func(int) bool { return true }) },
 		func() { v.CountMod(0, func(int) bool { return true }) },
 		func() { NewViewFromCounts(map[int]int{1: -1}) },
+		func() { NewViewFromCounts(map[int]int{1: math.MaxInt32 + 1}) },
 	}
 	for i, f := range cases {
 		func() {
@@ -128,6 +132,23 @@ func TestNewViewFromCounts(t *testing.T) {
 	v := NewViewFromCounts(map[string]int{"x": 3})
 	if v.DegreeCapped(5) != 3 || !v.AnyState("x") {
 		t.Fatal("NewViewFromCounts wrong")
+	}
+}
+
+// TestNewViewFromCountsDropsZeros: a state that occurs 0 times is not a
+// neighbour state, so no observation may see it.
+func TestNewViewFromCountsDropsZeros(t *testing.T) {
+	v := NewViewFromCounts(map[int]int{1: 2, 7: 0})
+	var seen []int
+	v.ForEach(func(s, _ int) { seen = append(seen, s) })
+	if len(seen) != 1 || seen[0] != 1 {
+		t.Fatalf("ForEach visited %v, want only state 1", seen)
+	}
+	if c := v.CountState(7, 1); c != 0 {
+		t.Fatalf("CountState(7, 1) = %d, want 0", c)
+	}
+	if c := v.Count(10, func(int) bool { return true }); c != 2 {
+		t.Fatalf("Count over every state = %d, want 2", c)
 	}
 }
 
@@ -189,4 +210,59 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// hubCycle returns an n-node cycle plus, when deg > 0, one extra node
+// joined to deg cycle nodes spread evenly around it.
+func hubCycle(n, deg int) *graph.Graph {
+	g := graph.New(n + 1)
+	for v := 0; v < n; v++ {
+		g.AddEdge(v, (v+1)%n)
+	}
+	for j := 0; j < deg; j++ {
+		g.AddEdge(n, j*(n/deg))
+	}
+	return g
+}
+
+// mapMax is max-diffusion on map views (StepFunc hides any dense index).
+var mapMax = StepFunc[int](func(self int, view *View[int], _ *rand.Rand) int {
+	view.ForEach(func(s, _ int) {
+		if s > self {
+			self = s
+		}
+	})
+	return self
+})
+
+// TestMapViewCostIndependentOfLargestView: a map-view round costs what
+// its nodes see. One node whose view once held 1,000 distinct states
+// must not make every later view on the same scratch pay for them.
+func TestMapViewCostIndependentOfLargestView(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timings are perturbed under -race")
+	}
+	const n, rounds = 16384, 5
+	nets := []*Network[int]{
+		New[int](hubCycle(n, 0), mapMax, func(v int) int { return v }, 1),
+		New[int](hubCycle(n, 1000), mapMax, func(v int) int { return v }, 1),
+	}
+	best := []time.Duration{time.Hour, time.Hour}
+	for _, net := range nets {
+		net.SyncRound() // the hub's view of 1,000 distinct states
+	}
+	for trial := 0; trial < 3; trial++ {
+		for i, net := range nets {
+			start := time.Now()
+			for r := 0; r < rounds; r++ {
+				net.SyncRound()
+			}
+			if d := time.Since(start); d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	if ratio := float64(best[1]) / float64(best[0]); ratio >= 3 {
+		t.Fatalf("%d rounds cost %v with the hub and %v without (%.1fx), want < 3x", rounds, best[1], best[0], ratio)
+	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // CSR is an immutable compressed-sparse-row snapshot of a graph's
@@ -24,6 +25,9 @@ type CSR struct {
 	alive     []bool  // len Cap(); false for removed nodes
 	nAlive    int
 	mAlive    int
+
+	hashOnce sync.Once // ContentHash is computed on first use, then kept
+	hash     uint64
 }
 
 // Cap returns the number of node slots, including dead nodes.
@@ -88,8 +92,16 @@ func (c *CSR) String() string {
 // streaming generator). Checkpoints store this hash as a
 // content-addressed reference to the topology they were captured
 // against, so a restore onto the wrong (or wrongly reconstructed) graph
-// fails loudly instead of resuming a run on a different network.
+// fails loudly instead of resuming a run on a different network. A
+// snapshot never changes, so the hash is computed once, on first use;
+// ContentHash is safe for concurrent use.
 func (c *CSR) ContentHash() uint64 {
+	c.hashOnce.Do(func() { c.hash = c.contentHash() })
+	return c.hash
+}
+
+// contentHash is the byte-wise FNV-1a pass behind ContentHash.
+func (c *CSR) contentHash() uint64 {
 	const (
 		offset uint64 = 14695981039346656037
 		prime  uint64 = 1099511628211

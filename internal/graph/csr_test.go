@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +235,48 @@ func TestCSRContentHash(t *testing.T) {
 	b.RemoveNode(2)
 	if a.CSR().ContentHash() == b.CSR().ContentHash() {
 		t.Fatal("alive mask not part of the hash")
+	}
+}
+
+// TestCSRContentHashPinned pins the hash values themselves: checkpoints
+// store them as TopoHash, so the function may be memoized but never
+// changed without a checkpoint format version bump.
+func TestCSRContentHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *CSR
+		want uint64
+	}{
+		{"TorusCSR(4,4)", TorusCSR(4, 4), 0xd56e8a7b96608035},
+		{"Grid(3,3).CSR()", Grid(3, 3).CSR(), 0xe154cfedc95704ec},
+		{"TorusCSR(1024,1024)", TorusCSR(1024, 1024), 0x124beca669c1806d},
+	} {
+		for i := 0; i < 2; i++ { // computed, then memoized
+			if got := tc.c.ContentHash(); got != tc.want {
+				t.Errorf("%s: call %d hashes %016x, want %016x", tc.name, i+1, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestCSRContentHashConcurrent: concurrent first calls on one fresh
+// snapshot agree (run under -race to check the memoization).
+func TestCSRContentHashConcurrent(t *testing.T) {
+	c := TorusCSR(64, 64)
+	want := c.contentHash()
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.ContentHash()
+		}()
+	}
+	wg.Wait()
+	for i, h := range got {
+		if h != want {
+			t.Errorf("goroutine %d: hash %016x, want %016x", i, h, want)
+		}
 	}
 }

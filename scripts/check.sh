@@ -3,8 +3,10 @@
 # fssga-vet determinism/symmetry analyzers, full tests under the
 # coverage ratchet, the race detector over the execution engine and the
 # algorithm layer — the packages with goroutine-parallel rounds and the
-# serial/parallel determinism invariant — and the chaos and
-# model-checker smoke gates, and the end-to-end benchmark's own tests.
+# serial/parallel determinism invariant — and over the graph and
+# checkpoint packages (a lazily computed, shared topology hash), the
+# chaos and model-checker smoke gates, and the end-to-end benchmark's
+# own tests.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -54,6 +56,9 @@ go test -race -cpu 1,2 ./internal/algo/...
 
 echo "== go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/..."
 go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/...
+
+echo "== go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/... (the memoized topology hash)"
+go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/...
 
 echo "== end-to-end benchmark tests (cmd/fssga-e2e is its own module; offline, with run.sh's environment)"
 (
