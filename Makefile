@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test cover lint audit vet-self contracts race chaos-race chaos-smoke crash-soak mc-smoke bench perf bench-perf bench-hub perf-gate
+.PHONY: check build test cover lint audit contracts race chaos-race chaos-smoke crash-soak mc-smoke bench perf bench-perf bench-hub perf-gate
 
 # Tier-1 verify path (ROADMAP.md): gofmt + build + vet + tests + race.
 check:
@@ -34,12 +34,6 @@ lint:
 # ceiling.
 audit:
 	$(GO) run ./cmd/fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/...
-
-# Run the analyzer suite over its own implementation and driver: the
-# analysis framework must hold itself to the determinism contracts it
-# enforces on the engine.
-vet-self:
-	$(GO) run ./cmd/fssga-vet repro/internal/analysis/... repro/cmd/fssga-vet
 
 # Statically inferred mod-thresh observation footprints (Theorem 3.7
 # normal form), cross-checked dynamically in internal/mc witness tests.

@@ -1,7 +1,8 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// in the spirit of golang.org/x/tools/go/analysis, together with the five
-// fssga-vet analyzers that prove this repository's determinism and
-// symmetry contracts at the source level:
+// in the spirit of golang.org/x/tools/go/analysis, together with the 14
+// fssga-vet analyzers that prove this repository's determinism, model,
+// hot-path and concurrency contracts at the source level. Five guard
+// determinism and symmetry:
 //
 //   - detrand: no wall-clock or process-global randomness in
 //     determinism-critical packages (replay digests depend on it);
@@ -35,20 +36,24 @@
 // The framework loads and type-checks packages with the standard library
 // only (go/parser + go/types, imports resolved through `go list -export`
 // export data with a source-importer fallback), so it runs in hermetic
-// build environments where golang.org/x/tools is unavailable.
+// build environments where golang.org/x/tools is unavailable. Every
+// analyzer over a unit reads one index of the unit's facts (index.go):
+// its declarations, Step-shaped functions, static call graph and
+// directive lines, built once on first use.
 //
 // Two hot-path analyzers extend the suite beyond determinism to the
-// engine's performance contracts (the sharded double-buffered rounds and
-// the O(log deg) hub aggregation both depend on them):
+// engine's performance contracts (the sharded rounds and the O(log deg)
+// hub aggregation both depend on them):
 //
 //   - hotalloc: functions marked //fssga:hotpath must be provably free
 //     of heap allocation — no append growth, interface boxing, escaping
 //     composite literals, closures or map/slice/string conversions —
 //     with audited exceptions carried by //fssga:alloc(reason);
-//   - shardsafe: inside shard-pool worker round bodies, stores to the
-//     double-buffered next vector must be index-derived from the
-//     worker's claimed shard range, the read snapshot is read-only, and
-//     captured scratch must not be retained across rounds.
+//   - shardsafe: inside shard-pool worker round bodies, stores into
+//     captured slices (the per-chunk change buffers) must be
+//     index-derived from the worker's claimed chunk, the read snapshot
+//     is read-only, and captured scratch must not be retained across
+//     rounds.
 //
 // Four concurrency analyzers sit on the conc.go effect layer
 // (interprocedural summaries of spawns, channel operations, select
@@ -88,9 +93,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -128,13 +131,10 @@ func (a *Analyzer) directive() string {
 }
 
 // A Pass connects an Analyzer to one type-checked unit of source code.
+// Every pass over a unit shares the unit's index (index.go).
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Path     string // import path of the unit
-	Pkg      *types.Package
-	Info     *types.Info
+	*Unit
 
 	// Report delivers one diagnostic. The driver applies //fssga:nondet
 	// suppression and ordering; passes just report everything they find.
@@ -201,49 +201,23 @@ func directiveReason(text, prefix string) (reason string, ok bool) {
 	return strings.TrimSpace(rest), true
 }
 
-// suppressedLines maps filename -> set of line numbers carrying the
-// given directive.
-func suppressedLines(fset *token.FileSet, files []*ast.File, directive string) map[string]map[int]bool {
-	sup := make(map[string]map[int]bool)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if _, ok := directiveReason(c.Text, directive); !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				m := sup[pos.Filename]
-				if m == nil {
-					m = make(map[int]bool)
-					sup[pos.Filename] = m
-				}
-				m[pos.Line] = true
-			}
-		}
-	}
-	return sup
-}
-
-// rawFindings executes the analyzers over the units, honouring each
-// analyzer's AppliesTo filter but NOT the //fssga:nondet directive: every
-// diagnostic the passes produce is returned. The audit layer uses the
-// raw stream to tell live directives from stale ones.
-func rawFindings(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
+// collectFindings executes the analyzers over the units, honouring each
+// analyzer's AppliesTo filter, and returns the findings sorted. With
+// suppress set, a diagnostic on or below a line carrying the directive
+// its analyzer honours is dropped; the audit layer runs without it, to
+// tell live directives from stale ones.
+func collectFindings(units []*Unit, analyzers []*Analyzer, suppress bool) ([]Finding, error) {
 	var findings []Finding
 	for _, u := range units {
 		for _, a := range analyzers {
 			if a.AppliesTo != nil && !a.AppliesTo(u.Path) {
 				continue
 			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     u.Fset,
-				Files:    u.Files,
-				Path:     u.Path,
-				Pkg:      u.Pkg,
-				Info:     u.Info,
-			}
+			pass := &Pass{Analyzer: a, Unit: u}
 			pass.Report = func(d Diagnostic) {
+				if suppress && u.directiveAt(d.Pos, a.directive()) {
+					return
+				}
 				pos := u.Fset.Position(d.Pos)
 				findings = append(findings, Finding{
 					File:     pos.Filename,
@@ -285,47 +259,14 @@ func sortFindings(findings []Finding) {
 
 // RunAnalyzers executes the analyzers over the units, honouring each
 // analyzer's AppliesTo filter and its suppression directive
-// (//fssga:nondet by default, //fssga:alloc for hotalloc), and returns
-// all surviving findings sorted by file, line, column, analyzer, message.
+// (//fssga:nondet by default, //fssga:alloc for hotalloc, //fssga:conc
+// for the concurrency analyzers — a finding is absorbed only by the
+// directive its analyzer honours), and returns all surviving findings
+// sorted by file, line, column, analyzer, message.
 func RunAnalyzers(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
-	raw, err := rawFindings(units, analyzers)
-	if err != nil {
+	findings, err := collectFindings(units, analyzers, true)
+	if err != nil || len(findings) == 0 {
 		return nil, err
-	}
-	// Suppression maps are per directive kind: a finding is absorbed only
-	// by the directive its analyzer honours.
-	directiveOf := make(map[string]string) // analyzer name -> directive
-	sup := make(map[string]map[string]map[int]bool)
-	for _, a := range analyzers {
-		d := a.directive()
-		directiveOf[a.Name] = d
-		if sup[d] == nil {
-			sup[d] = make(map[string]map[int]bool)
-		}
-	}
-	for _, u := range units {
-		for d, byFile := range sup {
-			for file, lines := range suppressedLines(u.Fset, u.Files, d) {
-				m := byFile[file]
-				if m == nil {
-					m = make(map[int]bool)
-					byFile[file] = m
-				}
-				for line := range lines {
-					m[line] = true
-				}
-			}
-		}
-	}
-	findings := raw[:0]
-	for _, f := range raw {
-		if m := sup[directiveOf[f.Analyzer]][f.File]; m != nil && (m[f.Line] || m[f.Line-1]) {
-			continue
-		}
-		findings = append(findings, f)
-	}
-	if len(findings) == 0 {
-		return nil, nil
 	}
 	return findings, nil
 }
@@ -372,8 +313,8 @@ func Lookup(names string) ([]*Analyzer, error) {
 }
 
 // DeterminismCritical reports whether a package participates in the
-// determinism contract: everything in the module except the analyzers
-// themselves and the examples. The replay-critical core (internal/fssga,
+// determinism contract: everything in the module except the examples.
+// The replay-critical core (internal/fssga,
 // internal/mc, internal/chaos, internal/trace, internal/algo/...) is the
 // motivating set; the remaining library and cmd packages feed artifacts
 // and logs that replay verification also consumes, so they are held to
@@ -389,12 +330,7 @@ func DeterminismCritical(path string) bool {
 	if !strings.HasPrefix(path, "repro") {
 		return true // fixtures and external callers opt in wholesale
 	}
-	for _, skip := range []string{"repro/internal/analysis", "repro/examples"} {
-		if path == skip || strings.HasPrefix(path, skip+"/") {
-			return false
-		}
-	}
-	return true
+	return path != "repro/examples" && !strings.HasPrefix(path, "repro/examples/")
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go file.

@@ -27,7 +27,7 @@ var Atomicmix = &Analyzer{
 }
 
 func runAtomicmix(pass *Pass) error {
-	c := newConcCtx(pass)
+	c := pass.conc()
 
 	// Pass 1: identities addressed by raw sync/atomic calls, and the
 	// &x arguments of those calls (excused from pass 2).
@@ -101,7 +101,7 @@ func runAtomicmix(pass *Pass) error {
 			if !isAtomic {
 				return true
 			}
-			if declaresObj(c.pass.Info, n, obj) {
+			if declaresObj(c.Info, n, obj) {
 				return true // the declaration site itself is not an access
 			}
 			pass.Reportf(pos, "plain access to %q, which is accessed via atomic.%s elsewhere: every access must go through sync/atomic", obj.Name(), op)

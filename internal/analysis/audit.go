@@ -88,7 +88,7 @@ func AuditDirectives(units []*Unit, analyzers []*Analyzer) ([]Directive, error) 
 		}
 	}
 
-	raw, err := rawFindings(units, analyzers)
+	raw, err := collectFindings(units, analyzers, false)
 	if err != nil {
 		return nil, err
 	}

@@ -77,9 +77,11 @@ var threshFor = map[string]int{
 }
 
 func runCapinfer(pass *Pass) error {
-	forEachStep(pass.Fset, pass.Info, pass.Files, true, func(fn *types.Func, decl *ast.FuncDecl) {
-		inferOne(pass.Fset, pass.Info, fn, decl, pass.Report)
-	})
+	for _, s := range pass.index().steps {
+		if s.decl != nil && !s.test {
+			inferOne(pass.Fset, pass.Info, s.fn, s.decl, pass.Report)
+		}
+	}
 	return nil
 }
 
@@ -90,42 +92,19 @@ func InferContracts(units []*Unit) []Contract {
 	var out []Contract
 	seen := map[string]bool{}
 	for _, u := range units {
-		forEachStep(u.Fset, u.Info, u.Files, false, func(fn *types.Func, decl *ast.FuncDecl) {
-			c := inferOne(u.Fset, u.Info, fn, decl, nil)
-			key := c.Automaton
-			if seen[key] {
-				return
+		for _, s := range u.index().steps {
+			if s.decl == nil {
+				continue // literals have no stable contract name
 			}
-			seen[key] = true
-			out = append(out, c)
-		})
+			c := inferOne(u.Fset, u.Info, s.fn, s.decl, nil)
+			if !seen[c.Automaton] {
+				seen[c.Automaton] = true
+				out = append(out, c)
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Automaton < out[j].Automaton })
 	return out
-}
-
-// forEachStep invokes fn for every named Step-shaped function
-// declaration (function literals have no stable contract name and are
-// covered by symcontract/finstate directly).
-func forEachStep(fset *token.FileSet, info *types.Info, files []*ast.File, skipTests bool, visit func(*types.Func, *ast.FuncDecl)) {
-	for _, f := range files {
-		if skipTests && IsTestFile(fset, f.Pos()) {
-			continue
-		}
-		for _, d := range f.Decls {
-			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
-				continue
-			}
-			fn, ok := info.Defs[decl.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if sig, ok := fn.Type().(*types.Signature); ok && isStepSignature(sig) {
-				visit(fn, decl)
-			}
-		}
-	}
 }
 
 // inferOne reads one transition function's footprint. report, when

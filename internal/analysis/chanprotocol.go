@@ -39,7 +39,7 @@ var Chanprotocol = &Analyzer{
 }
 
 func runChanprotocol(pass *Pass) error {
-	c := newConcCtx(pass)
+	c := pass.conc()
 
 	// Channels some goroutine parks on: receive sites inside spawn bodies.
 	parked := make(map[*chanFacts]bool)
@@ -86,7 +86,7 @@ func runChanprotocol(pass *Pass) error {
 // run-time value makes the buffer's blocking behaviour unprovable.
 func (c *concCtx) checkCapacity(name string, capExpr ast.Expr, pass *Pass) {
 	e := unparen(capExpr)
-	tv, ok := c.pass.Info.Types[e]
+	tv, ok := c.Info.Types[e]
 	if !ok || tv.Value == nil {
 		pass.Reportf(e.Pos(), "buffered capacity of %q is not a compile-time constant: the buffer's blocking behaviour is unprovable", name)
 		return

@@ -1,8 +1,9 @@
 package analysis
 
 // conc.go is the concurrency-effect layer beneath the four concvet
-// analyzers (goroleak, chanprotocol, lockorder, atomicmix). One walk of
-// the unit's non-test files produces interprocedural summaries:
+// analyzers (goroleak, chanprotocol, lockorder, atomicmix). Each unit
+// has one context, built on first use over the unit's index (index.go),
+// from the non-test files:
 //
 //   - goroutine spawns, with each `go` statement resolved to its body
 //     (a function literal, or a same-unit declaration);
@@ -13,11 +14,12 @@ package analysis
 //     so a send through a range variable and a receive through a
 //     captured local are recognized as the same channel;
 //   - select arms tagged blocking/non-blocking by whether their select
-//     carries a default arm;
-//   - a same-unit static call graph with the set of functions reachable
-//     from the unit's exported entry points, which is how goroleak
-//     decides whether a close site is reachable from an owner's
-//     Close/Stop-style API.
+//     carries a default arm.
+//
+// The index's call graph supplies the set of functions reachable from
+// the unit's exported entry points, which is how goroleak decides
+// whether a close site is reachable from an owner's Close/Stop-style
+// API.
 //
 // The paper's model needs these facts: Def 3.11 assumes a fair scheduler
 // over node activations with constant work per activation, which the
@@ -27,11 +29,9 @@ package analysis
 // the round owner, locks are ranked — instead of assuming it.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // ConcDirective is the concurrency allowlist comment:
@@ -100,10 +100,7 @@ type spawnSite struct {
 // govern production spawns and channels, and test harnesses (including
 // the leak harness itself) legitimately spawn throwaway goroutines.
 type concCtx struct {
-	pass    *Pass
-	files   []*ast.File // non-test files only
-	parents map[ast.Node]ast.Node
-	decls   map[*types.Func]*ast.FuncDecl
+	*unitIndex
 
 	// alias maps a local channel-typed variable to the struct field it
 	// stores into or loads from, so field channels keep one identity.
@@ -112,70 +109,34 @@ type concCtx struct {
 	chans  map[types.Object]*chanFacts
 	spawns []*spawnSite
 
-	// calls is the same-unit static call graph; reach marks declarations
-	// reachable from exported functions/methods or init.
-	calls map[*types.Func]map[*types.Func]bool
-	reach map[*types.Func]bool
-
 	// selectDefault maps each comm statement of a select arm to whether
 	// its select has a default clause; statements absent from the map are
 	// not select arms at all.
 	selectDefault map[ast.Stmt]bool
 }
 
-// newConcCtx builds the concurrency-effect summary of one unit.
-func newConcCtx(pass *Pass) *concCtx {
+// newConcCtx builds the concurrency-effect summary of one unit; the
+// unit's conc method memoizes it.
+func newConcCtx(x *unitIndex) *concCtx {
 	c := &concCtx{
-		pass:          pass,
-		decls:         make(map[*types.Func]*ast.FuncDecl),
+		unitIndex:     x,
 		alias:         make(map[types.Object]types.Object),
 		chans:         make(map[types.Object]*chanFacts),
-		calls:         make(map[*types.Func]map[*types.Func]bool),
-		reach:         make(map[*types.Func]bool),
 		selectDefault: make(map[ast.Stmt]bool),
 	}
-	for _, f := range pass.Files {
-		if IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		c.files = append(c.files, f)
-	}
-	c.parents = make(map[ast.Node]ast.Node)
-	for _, f := range c.files {
-		for n, p := range parentMap(f) {
-			c.parents[n] = p
-		}
-	}
-	c.collectDecls()
 	c.collectAliases()
 	c.collectSelects()
 	c.collectSpawns()
 	c.collectChanOps()
-	c.buildCallGraph()
 	return c
-}
-
-// collectDecls indexes the unit's function declarations.
-func (c *concCtx) collectDecls() {
-	for _, f := range c.files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := c.pass.Info.Defs[fn.Name].(*types.Func); ok {
-				c.decls[obj] = fn
-			}
-		}
-	}
 }
 
 // objOf resolves an identifier to its object (use or def).
 func (c *concCtx) objOf(id *ast.Ident) types.Object {
-	if obj := c.pass.Info.Uses[id]; obj != nil {
+	if obj := c.Info.Uses[id]; obj != nil {
 		return obj
 	}
-	return c.pass.Info.Defs[id]
+	return c.Info.Defs[id]
 }
 
 // fieldOf returns the struct field a selector expression selects, or nil.
@@ -184,7 +145,7 @@ func (c *concCtx) fieldOf(e ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	if s := c.pass.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+	if s := c.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 		if v, ok := s.Obj().(*types.Var); ok {
 			return v
 		}
@@ -232,7 +193,7 @@ func (c *concCtx) target(e ast.Expr) types.Object {
 
 // chanTyped reports whether the expression's static type is a channel.
 func (c *concCtx) chanTyped(e ast.Expr) bool {
-	tv, ok := c.pass.Info.Types[e]
+	tv, ok := c.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -347,7 +308,7 @@ func (c *concCtx) collectSpawns() {
 			sp := &spawnSite{stmt: g, fn: c.enclosingDecl(g)}
 			if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
 				sp.body = lit.Body
-			} else if fn := staticCallee(c.pass.Info, g.Call); fn != nil {
+			} else if fn := staticCallee(c.Info, g.Call); fn != nil {
 				if decl, ok := c.decls[fn]; ok {
 					sp.body = decl.Body
 				}
@@ -356,20 +317,6 @@ func (c *concCtx) collectSpawns() {
 			return true
 		})
 	}
-}
-
-// enclosingDecl climbs to the function declaration lexically containing
-// the node (function literals attribute to their enclosing declaration).
-func (c *concCtx) enclosingDecl(n ast.Node) *types.Func {
-	for p := c.parents[n]; p != nil; p = c.parents[p] {
-		if fd, ok := p.(*ast.FuncDecl); ok {
-			if obj, ok := c.pass.Info.Defs[fd.Name].(*types.Func); ok {
-				return obj
-			}
-			return nil
-		}
-	}
-	return nil
 }
 
 // enclosingSpawn returns the spawn site whose body lexically contains
@@ -425,7 +372,7 @@ func (c *concCtx) addOp(e ast.Expr, op chanOp) *chanFacts {
 // collectChanOps walks the non-test files once, recording every channel
 // make, send, receive and close against its channel identity.
 func (c *concCtx) collectChanOps() {
-	info := c.pass.Info
+	info := c.Info
 	for _, f := range c.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -433,7 +380,7 @@ func (c *concCtx) collectChanOps() {
 				c.addOp(n.Chan, chanOp{
 					kind:        chanSend,
 					pos:         n.Pos(),
-					nonBlocking: c.commNonBlocking(n),
+					nonBlocking: c.nonBlocking(n),
 				})
 
 			case *ast.UnaryExpr:
@@ -443,7 +390,7 @@ func (c *concCtx) collectChanOps() {
 				c.addOp(n.X, chanOp{
 					kind:        chanRecv,
 					pos:         n.Pos(),
-					nonBlocking: c.recvNonBlocking(n),
+					nonBlocking: c.nonBlocking(n),
 				})
 
 			case *ast.RangeStmt:
@@ -505,7 +452,7 @@ func (c *concCtx) recordMake(call *ast.CallExpr, op chanOp) {
 // compositeField resolves a keyed composite-literal entry to the struct
 // field it initializes.
 func (c *concCtx) compositeField(lit *ast.CompositeLit, key *ast.Ident) types.Object {
-	if obj := c.pass.Info.Uses[key]; obj != nil {
+	if obj := c.Info.Uses[key]; obj != nil {
 		if v, ok := obj.(*types.Var); ok && v.IsField() {
 			return v
 		}
@@ -513,130 +460,24 @@ func (c *concCtx) compositeField(lit *ast.CompositeLit, key *ast.Ident) types.Ob
 	return nil
 }
 
-// commNonBlocking reports whether a send/assign/expr statement is the
-// comm of a select arm whose select has a default clause.
-func (c *concCtx) commNonBlocking(s ast.Stmt) bool {
-	return c.selectDefault[s]
-}
-
-// recvNonBlocking reports whether a receive expression is (part of) the
-// comm of a select arm whose select has a default clause.
-func (c *concCtx) recvNonBlocking(e ast.Expr) bool {
-	for p := c.parents[e]; p != nil; p = c.parents[p] {
-		if s, ok := p.(ast.Stmt); ok {
-			if hasDefault, isArm := c.selectDefault[s]; isArm {
-				return hasDefault
-			}
-			return false
-		}
-	}
-	return false
-}
-
-// selectArmOf returns the comm-clause statement enclosing e and whether
-// that select has a default arm; isArm is false for ops outside selects.
-func (c *concCtx) selectArmOf(n ast.Node) (hasDefault, isArm bool) {
+// armOf climbs from n to the nearest enclosing statement (n itself
+// when it is one) and reports whether that statement is the comm of a
+// select arm, and whether that select has a default clause.
+func (c *concCtx) armOf(n ast.Node) (hasDefault, isArm bool) {
 	for p := n; p != nil; p = c.parents[p] {
 		if s, ok := p.(ast.Stmt); ok {
-			if d, arm := c.selectDefault[s]; arm {
-				return d, true
-			}
-		}
-		if _, ok := p.(*ast.SelectStmt); ok {
-			return false, false
+			hasDefault, isArm = c.selectDefault[s]
+			return hasDefault, isArm
 		}
 	}
 	return false, false
 }
 
-// buildCallGraph records same-unit static calls (calls inside literals
-// attribute to the enclosing declaration) and computes reachability from
-// the unit's entry points: exported functions and methods, init
-// functions, and functions whose value escapes into a non-call position
-// (stored or passed, so an unknown caller may invoke them).
-func (c *concCtx) buildCallGraph() {
-	info := c.pass.Info
-	for obj, decl := range c.decls {
-		if decl.Body == nil {
-			continue
-		}
-		edges := make(map[*types.Func]bool)
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := staticCallee(info, call); fn != nil {
-				if _, inUnit := c.decls[fn]; inUnit {
-					edges[fn] = true
-				}
-			}
-			return true
-		})
-		c.calls[obj] = edges
-	}
-
-	var roots []*types.Func
-	for obj := range c.decls {
-		if obj.Exported() || obj.Name() == "init" {
-			roots = append(roots, obj)
-		}
-	}
-	// A declaration used as a value (method value, function passed to a
-	// registry or to runtime.AddCleanup) can be called from anywhere;
-	// root it too.
-	for _, f := range c.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			fn, ok := info.Uses[id].(*types.Func)
-			if !ok {
-				return true
-			}
-			if _, inUnit := c.decls[fn.Origin()]; !inUnit {
-				return true
-			}
-			if call, ok := c.callParent(id); !ok || unparen(call.Fun) != ast.Expr(id) {
-				if sel, isSel := c.parents[id].(*ast.SelectorExpr); isSel && sel.Sel == id {
-					if call2, ok2 := c.callParent(sel); ok2 && unparen(call2.Fun) == ast.Expr(sel) {
-						return true // plain method call, not a value use
-					}
-				}
-				roots = append(roots, fn.Origin())
-			}
-			return true
-		})
-	}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if c.reach[fn] {
-			return
-		}
-		c.reach[fn] = true
-		for callee := range c.calls[fn] {
-			visit(callee)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-}
-
-// callParent returns the call expression whose subtree directly holds n
-// (through parens), if any.
-func (c *concCtx) callParent(n ast.Node) (*ast.CallExpr, bool) {
-	p := c.parents[n]
-	for {
-		pe, ok := p.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		p = c.parents[pe]
-	}
-	call, ok := p.(*ast.CallExpr)
-	return call, ok
+// nonBlocking reports whether a send statement or receive expression is
+// (part of) the comm of a select arm whose select has a default clause.
+func (c *concCtx) nonBlocking(n ast.Node) bool {
+	hasDefault, _ := c.armOf(n)
+	return hasDefault
 }
 
 // closable classifies whether receiving from the channel can be
@@ -671,93 +512,22 @@ func (c *concCtx) chanName(obj types.Object) string {
 	return obj.Name()
 }
 
-// A ConcSpawn is one `go` statement in non-test code with its static
-// goroutine-lifecycle verdict, as consumed by the goroutine-leak
-// cross-check harness in internal/fssga.
-type ConcSpawn struct {
-	Name string `json:"name"` // enclosing function
-	File string `json:"file"`
-	Line int    `json:"line"`
-	// Verdict is "proven" (goroleak found no obstacle to termination),
-	// "audited" (every obstacle carries //fssga:conc) or "flagged"
-	// (live obstacles — the gate is red).
-	Verdict string `json:"verdict"`
-}
-
 // ConcReport computes the goroleak verdict of every spawn site in the
-// units. The NoLeak harness requires workloads exercising "proven"
+// units: "proven" when goroleak finds no obstacle to termination,
+// "audited" when every obstacle carries //fssga:conc, "flagged"
+// otherwise. The NoLeak harness requires workloads exercising "proven"
 // spawn sites to leave zero goroutines behind (static dominates
 // dynamic, exactly as hotalloc's proven set must measure zero allocs).
-func ConcReport(units []*Unit) ([]ConcSpawn, error) {
-	var out []ConcSpawn
-	seen := make(map[string]bool) // file:line, across unit variants
+func ConcReport(units []*Unit) ([]Site, error) {
+	var sites siteSet
 	for _, u := range units {
-		pass := &Pass{
-			Analyzer: Goroleak,
-			Fset:     u.Fset,
-			Files:    u.Files,
-			Path:     u.Path,
-			Pkg:      u.Pkg,
-			Info:     u.Info,
-		}
-		c := newConcCtx(pass)
-		sup := suppressedLines(u.Fset, u.Files, ConcDirective)
+		c := u.conc()
 		for _, sp := range c.spawns {
-			raw, live := 0, 0
-			c.checkSpawn(sp, func(p token.Pos, format string, args ...any) {
-				raw++
-				fp := u.Fset.Position(p)
-				if m := sup[fp.Filename]; m != nil && (m[fp.Line] || m[fp.Line-1]) {
-					return
-				}
-				live++
-			})
+			t := &tally{unit: u, directive: ConcDirective}
+			c.checkSpawn(sp, t.report)
 			pos := u.Fset.Position(sp.stmt.Pos())
-			key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-			if seen[key] {
-				continue // same file in a test-variant unit
-			}
-			seen[key] = true
-			name := fmt.Sprintf("func@%d", pos.Line)
-			if sp.fn != nil {
-				name = sp.fn.Name()
-				if recv := sp.fn.Type().(*types.Signature).Recv(); recv != nil {
-					if rn := recvTypeName(recv.Type()); rn != "" {
-						name = rn + "." + name
-					}
-				}
-			}
-			verdict := VerdictProven
-			if raw > 0 {
-				verdict = VerdictAudited
-			}
-			if live > 0 {
-				verdict = VerdictFlagged
-			}
-			out = append(out, ConcSpawn{
-				Name:    name,
-				File:    pos.Filename,
-				Line:    pos.Line,
-				Verdict: verdict,
-			})
+			sites.add(Site{Name: funcName(sp.fn, pos.Line), File: pos.Filename, Line: pos.Line, Verdict: verdicts[t.rank()]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out, nil
-}
-
-// recvTypeName extracts the receiver's named-type name ("" otherwise).
-func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
+	return sites.sorted(), nil
 }

@@ -22,10 +22,7 @@ var Detrand = &Analyzer{
 }
 
 func runDetrand(pass *Pass) error {
-	for _, f := range pass.Files {
-		if IsTestFile(pass.Fset, f.Pos()) {
-			continue // test files are seedplumb's jurisdiction
-		}
+	for _, f := range pass.index().files { // test files are seedplumb's jurisdiction
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {

@@ -52,35 +52,12 @@ const (
 type boundFact map[types.Object]uint8
 
 func runFinstate(pass *Pass) error {
-	for _, f := range pass.Files {
-		if IsTestFile(pass.Fset, f.Pos()) {
+	for _, s := range pass.index().steps {
+		if s.test {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body == nil {
-					return false
-				}
-				fn, ok := pass.Info.Defs[n.Name].(*types.Func)
-				if !ok {
-					return true
-				}
-				sig, ok := fn.Type().(*types.Signature)
-				if ok && isStepSignature(sig) {
-					checkStateType(pass, n.Name.Pos(), sig.Results().At(0).Type())
-					checkBoundedness(pass, sig, n.Body)
-				}
-			case *ast.FuncLit:
-				sig, ok := pass.Info.TypeOf(n).(*types.Signature)
-				if ok && isStepSignature(sig) {
-					checkStateType(pass, n.Pos(), sig.Results().At(0).Type())
-					checkBoundedness(pass, sig, n.Body)
-					return false
-				}
-			}
-			return true
-		})
+		checkStateType(pass, s.pos, s.sig.Results().At(0).Type())
+		checkBoundedness(pass, s.sig, s.body)
 	}
 	return nil
 }

@@ -37,9 +37,9 @@ func TestDeterminismCritical(t *testing.T) {
 		"repro/internal/fssga":                             true,
 		"repro/internal/mc":                                true,
 		"repro/cmd/fssga-bench":                            true,
-		"repro/internal/analysis":                          false,
-		"repro/internal/analysis/analysistest":             false,
-		"repro/internal/analysis_test":                     false, // external test package variant
+		"repro/internal/analysis":                          true,
+		"repro/internal/analysis/analysistest":             true,
+		"repro/internal/analysis_test":                     true, // external test package variant
 		"repro/examples/basic":                             false,
 		"repro/internal/fssga [repro/internal/fssga.test]": true, // go vet test build
 		"detrand": true, // fixtures opt in wholesale

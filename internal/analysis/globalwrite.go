@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // Globalwrite flags writes to package-level variables in code reachable
@@ -23,100 +24,70 @@ var Globalwrite = &Analyzer{
 }
 
 func runGlobalwrite(pass *Pass) error {
-	// Collect declared functions and the analysis roots.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	var roots []ast.Node
-	var rootDesc []string
-	for _, f := range pass.Files {
-		if IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				fn, ok := pass.Info.Defs[n.Name].(*types.Func)
-				if !ok || n.Body == nil {
-					return true
-				}
-				decls[fn] = n
-				if sig, ok := fn.Type().(*types.Signature); ok && isStepSignature(sig) {
-					roots = append(roots, n.Body)
-					rootDesc = append(rootDesc, "transition function "+fn.Name())
-				}
-			case *ast.GoStmt:
-				if fl, ok := unparen(n.Call.Fun).(*ast.FuncLit); ok {
-					roots = append(roots, fl.Body)
-					rootDesc = append(rootDesc, "goroutine body")
-				}
-				if fn := staticCallee(pass.Info, n.Call); fn != nil {
-					if d, ok := decls[fn]; ok {
-						roots = append(roots, d.Body)
-						rootDesc = append(rootDesc, "goroutine "+fn.Name())
-					} else {
-						// Declared later in the package: mark via worklist
-						// after collection using the object itself.
-						roots = append(roots, goCallee{fn})
-						rootDesc = append(rootDesc, "goroutine "+fn.Name())
-					}
-				}
-			}
-			return true
-		})
+	x := pass.index()
+	// The roots, merged in source order: transition functions and the
+	// bodies `go` statements spawn (a literal, or a same-unit
+	// declaration).
+	type root struct {
+		pos  token.Pos
+		body *ast.BlockStmt
+		fn   *types.Func // nil for a literal
+		why  string
 	}
+	var roots []root
+	for _, s := range x.steps {
+		if s.decl != nil && !s.test {
+			roots = append(roots, root{s.decl.Pos(), s.decl.Body, s.fn, "transition function " + s.fn.Name()})
+		}
+	}
+	for _, sp := range pass.conc().spawns {
+		if lit, ok := unparen(sp.stmt.Call.Fun).(*ast.FuncLit); ok {
+			roots = append(roots, root{sp.stmt.Pos(), lit.Body, nil, "goroutine body"})
+		} else if fn := staticCallee(pass.Info, sp.stmt.Call); fn != nil && x.inUnit(fn) && x.decls[fn].Body != nil {
+			roots = append(roots, root{sp.stmt.Pos(), x.decls[fn].Body, fn, "goroutine " + fn.Name()})
+		}
+	}
+	sort.SliceStable(roots, func(i, j int) bool { return roots[i].pos < roots[j].pos })
 
-	// Breadth-first reachability over static intra-package calls.
-	visited := make(map[ast.Node]bool)
-	reason := make(map[ast.Node]string)
-	var queue []ast.Node
-	enqueue := func(n ast.Node, why string) {
-		if body, ok := n.(goCallee); ok {
-			d, ok := decls[body.fn]
-			if !ok {
-				return
-			}
-			n = d.Body
+	// Breadth-first reachability over the static call graph: every
+	// edge, in-frame or not, runs on some worker.
+	visited := make(map[*ast.BlockStmt]bool)
+	var queue []root
+	enqueue := func(r root) {
+		if !visited[r.body] {
+			visited[r.body] = true
+			queue = append(queue, r)
 		}
-		if n == nil || visited[n] {
-			return
-		}
-		visited[n] = true
-		reason[n] = why
-		queue = append(queue, n)
 	}
-	for i, r := range roots {
-		enqueue(r, rootDesc[i])
+	for _, r := range roots {
+		enqueue(r)
 	}
-	for len(queue) > 0 {
-		body := queue[0]
-		queue = queue[1:]
-		why := reason[body]
-		ast.Inspect(body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	for i := 0; i < len(queue); i++ {
+		r := queue[i]
+		follow := func(callee *types.Func) {
+			if body := x.decls[callee].Body; body != nil {
+				enqueue(root{body: body, fn: callee, why: r.why + " -> " + callee.Name()})
 			}
-			if fn := staticCallee(pass.Info, call); fn != nil {
-				if d, ok := decls[fn]; ok {
-					enqueue(d.Body, why+" -> "+fn.Name())
+		}
+		if r.fn != nil {
+			for _, e := range x.calls[r.fn] {
+				follow(e.callee)
+			}
+		} else {
+			x.walkFrames(r.body, func(n ast.Node, _ bool) {
+				if callee := x.callee(n); callee != nil {
+					follow(callee)
 				}
-			}
-			return true
-		})
+			})
+		}
 	}
 
 	// Flag package-level writes in every reachable body.
-	for body := range visited {
-		checkGlobalWrites(pass, body, reason[body])
+	for _, r := range queue {
+		checkGlobalWrites(pass, r.body, r.why)
 	}
 	return nil
 }
-
-// goCallee defers resolution of a `go f()` target declared later in the
-// package; it only exists inside runGlobalwrite's worklist.
-type goCallee struct{ fn *types.Func }
-
-func (goCallee) Pos() (p token.Pos) { return }
-func (goCallee) End() (p token.Pos) { return }
 
 func checkGlobalWrites(pass *Pass, body ast.Node, why string) {
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -44,7 +44,7 @@ var Goroleak = &Analyzer{
 }
 
 func runGoroleak(pass *Pass) error {
-	c := newConcCtx(pass)
+	c := pass.conc()
 	for _, sp := range c.spawns {
 		c.checkSpawn(sp, pass.Reportf)
 	}
@@ -64,10 +64,10 @@ func (c *concCtx) checkSpawn(sp *spawnSite, report func(pos token.Pos, format st
 			c.checkSpawnSelect(n, report)
 
 		case *ast.UnaryExpr:
-			if n.Op != token.ARROW || c.recvNonBlocking(n) {
+			if n.Op != token.ARROW {
 				return true
 			}
-			if _, isArm := c.armStmtOf(n); isArm {
+			if _, isArm := c.armOf(n); isArm {
 				return true // judged through its select
 			}
 			if ok, why := c.closable(c.target(n.X)); !ok {
@@ -83,7 +83,7 @@ func (c *concCtx) checkSpawn(sp *spawnSite, report func(pos token.Pos, format st
 			}
 
 		case *ast.SendStmt:
-			if c.commNonBlocking(n) {
+			if c.nonBlocking(n) {
 				return true
 			}
 			if !c.hasOutsideReceiver(sp, n.Chan) {
@@ -149,19 +149,6 @@ func commRecvChan(s ast.Stmt) (ast.Expr, bool) {
 	}
 	if u, ok := unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
 		return u.X, true
-	}
-	return nil, false
-}
-
-// armStmtOf climbs to the select comm statement containing n, if any.
-func (c *concCtx) armStmtOf(n ast.Node) (ast.Stmt, bool) {
-	for p := c.parents[n]; p != nil; p = c.parents[p] {
-		if s, ok := p.(ast.Stmt); ok {
-			if _, isArm := c.selectDefault[s]; isArm {
-				return s, true
-			}
-			return nil, false
-		}
 	}
 	return nil, false
 }

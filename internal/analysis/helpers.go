@@ -131,6 +131,47 @@ func ptrToNamed(typ types.Type, name string, pkgOK func(string) bool) *types.Nam
 	return named
 }
 
+// recvNamed returns the named type T of a method on T or *T, or nil.
+func recvNamed(fn *types.Func) *types.Named {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// methodOf reports whether fn is a method on T or *T where T's object is
+// called name inside a package satisfying pkgOK.
+func methodOf(fn *types.Func, name string, pkgOK func(string) bool) bool {
+	recv := recvNamed(fn)
+	if recv == nil {
+		return false
+	}
+	obj := recv.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && pkgOK(obj.Pkg().Path())
+}
+
+// funcSig returns the signature of a function declaration or literal,
+// or nil.
+func funcSig(info *types.Info, fn ast.Node) *types.Signature {
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
+			return obj.Type().(*types.Signature)
+		}
+	case *ast.FuncLit:
+		if sig, ok := info.TypeOf(fn).(*types.Signature); ok {
+			return sig
+		}
+	}
+	return nil
+}
+
 // isStepSignature reports whether sig is an FSSGA transition-function
 // signature: func(self S, view *fssga.View[S], rnd *rand.Rand) S. This
 // is the shape the engine invokes concurrently with scratch-backed

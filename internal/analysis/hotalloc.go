@@ -42,12 +42,9 @@ package analysis
 // dominate mc's witnesses).
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // HotpathDirective marks a function whose body hotalloc must prove
@@ -86,12 +83,15 @@ var hotallocFuncAllow = map[string]bool{
 	"(*math/rand.Rand).Float64":             true,
 }
 
-// hotallocCtx is the per-unit state of one hotalloc run.
+// hotallocCtx is the per-unit state of one hotalloc run. It reads the
+// unit's declarations and //fssga:hotpath lines from the index, but
+// keeps its own call edges: the calls its body scan sees, test-file
+// declarations and non-invoked literal bodies included, panic
+// arguments excused.
 type hotallocCtx struct {
-	pass   *Pass
-	marked map[string]map[int]bool       // file -> lines carrying //fssga:hotpath
-	decls  map[*types.Func]*ast.FuncDecl // all function declarations of the unit
-	isHot  map[ast.Node]bool             // marked *ast.FuncDecl / *ast.FuncLit nodes
+	*unitIndex
+	hot   []ast.Node        // marked *ast.FuncDecl / *ast.FuncLit nodes with bodies, in source order
+	isHot map[ast.Node]bool // every marked node
 	// mayAlloc is the transitive allocation summary of unmarked same-unit
 	// declarations: true when the function (or anything it statically
 	// calls within the unit) contains a potential allocation.
@@ -99,64 +99,36 @@ type hotallocCtx struct {
 }
 
 func runHotalloc(pass *Pass) error {
-	h := newHotallocCtx(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if h.isHot[fn] && fn.Body != nil {
-					h.checkBody(fn.Body, h.declSignature(fn), pass.Reportf)
-				}
-			case *ast.FuncLit:
-				if h.isHot[fn] {
-					h.checkBody(fn.Body, h.litSignature(fn), pass.Reportf)
-					return false // the body is this literal's own obligation
-				}
-			}
-			return true
-		})
+	h := newHotallocCtx(pass.Unit)
+	for _, node := range h.hot {
+		body, sig := h.funcOf(node)
+		h.checkBody(body, sig, pass.Reportf)
 	}
 	return nil
 }
 
-// newHotallocCtx collects the unit's declarations and hotpath marks and
-// computes the may-allocate summaries of the unmarked declarations.
-func newHotallocCtx(pass *Pass) *hotallocCtx {
+// newHotallocCtx collects the unit's hotpath marks and computes the
+// may-allocate summaries of the unmarked declarations.
+func newHotallocCtx(u *Unit) *hotallocCtx {
 	h := &hotallocCtx{
-		pass:     pass,
-		marked:   make(map[string]map[int]bool),
-		decls:    make(map[*types.Func]*ast.FuncDecl),
-		isHot:    make(map[ast.Node]bool),
-		mayAlloc: make(map[*types.Func]bool),
+		unitIndex: u.index(),
+		isHot:     make(map[ast.Node]bool),
+		mayAlloc:  make(map[*types.Func]bool),
 	}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, HotpathDirective)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				pos := pass.Fset.Position(c.Pos())
-				m := h.marked[pos.Filename]
-				if m == nil {
-					m = make(map[int]bool)
-					h.marked[pos.Filename] = m
-				}
-				m[pos.Line] = true
-			}
-		}
+	for _, f := range u.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if obj, ok := pass.Info.Defs[fn.Name].(*types.Func); ok {
-					h.decls[obj] = fn
-				}
 				if h.declMarked(fn) {
 					h.isHot[fn] = true
+					if fn.Body != nil {
+						h.hot = append(h.hot, fn)
+					}
 				}
 			case *ast.FuncLit:
-				if h.markedAt(fn.Pos()) {
+				if h.directiveAt(fn.Pos(), HotpathDirective) {
 					h.isHot[fn] = true
+					h.hot = append(h.hot, fn)
 				}
 			}
 			return true
@@ -168,12 +140,13 @@ func newHotallocCtx(pass *Pass) *hotallocCtx {
 	// their own obligations and are never summarized.
 	for changed := true; changed; {
 		changed = false
-		for obj, decl := range h.decls {
+		for _, obj := range h.funcs {
+			decl := h.decls[obj]
 			if h.isHot[decl] || h.mayAlloc[obj] || decl.Body == nil {
 				continue
 			}
 			found := false
-			h.checkBody(decl.Body, h.declSignature(decl), func(token.Pos, string, ...any) { found = true })
+			h.checkBody(decl.Body, funcSig(h.Info, decl), func(token.Pos, string, ...any) { found = true })
 			if found {
 				h.mayAlloc[obj] = true
 				changed = true
@@ -183,43 +156,26 @@ func newHotallocCtx(pass *Pass) *hotallocCtx {
 	return h
 }
 
-// markedAt reports whether the line of pos, or the line above it,
-// carries the hotpath directive.
-func (h *hotallocCtx) markedAt(pos token.Pos) bool {
-	p := h.pass.Fset.Position(pos)
-	m := h.marked[p.Filename]
-	return m != nil && (m[p.Line] || m[p.Line-1])
-}
-
 // declMarked reports whether a declaration is hotpath-marked: directive
 // in its doc comment, or on the declaration line / the line above.
 func (h *hotallocCtx) declMarked(fn *ast.FuncDecl) bool {
 	if fn.Doc != nil {
 		for _, c := range fn.Doc.List {
-			if strings.HasPrefix(c.Text, HotpathDirective) {
+			p := h.Fset.Position(c.Pos())
+			if h.directiveLines(HotpathDirective)[p.Filename][p.Line] {
 				return true
 			}
 		}
 	}
-	return h.markedAt(fn.Pos())
+	return h.directiveAt(fn.Pos(), HotpathDirective)
 }
 
-// declSignature returns the signature of a function declaration, or nil.
-func (h *hotallocCtx) declSignature(fn *ast.FuncDecl) *types.Signature {
-	if obj, ok := h.pass.Info.Defs[fn.Name].(*types.Func); ok {
-		return obj.Type().(*types.Signature)
+// funcOf returns the body and signature of a marked node.
+func (h *hotallocCtx) funcOf(node ast.Node) (*ast.BlockStmt, *types.Signature) {
+	if fn, ok := node.(*ast.FuncDecl); ok {
+		return fn.Body, funcSig(h.Info, node)
 	}
-	return nil
-}
-
-// litSignature returns the signature of a function literal, or nil.
-func (h *hotallocCtx) litSignature(fn *ast.FuncLit) *types.Signature {
-	if tv, ok := h.pass.Info.Types[fn]; ok {
-		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-			return sig
-		}
-	}
-	return nil
+	return node.(*ast.FuncLit).Body, funcSig(h.Info, node)
 }
 
 // checkBody scans one function body and reports every potential heap
@@ -228,8 +184,8 @@ func (h *hotallocCtx) litSignature(fn *ast.FuncLit) *types.Signature {
 // diagnose marked functions (report = pass.Reportf) and to summarize
 // unmarked ones (report = set-a-flag).
 func (h *hotallocCtx) checkBody(body *ast.BlockStmt, sig *types.Signature, report func(pos token.Pos, format string, args ...any)) {
-	info := h.pass.Info
-	qual := types.RelativeTo(h.pass.Pkg)
+	info := h.Info
+	qual := types.RelativeTo(h.Pkg)
 	parents := parentMap(body)
 	excused := panicArgNodes(info, body)
 	handledLit := make(map[ast.Expr]bool) // composite literals flagged via &T{...}
@@ -311,7 +267,7 @@ func (h *hotallocCtx) checkBody(body *ast.BlockStmt, sig *types.Signature, repor
 // or risky call — plus interface boxing of the arguments when the call
 // itself is allocation-clean.
 func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual types.Qualifier, report func(token.Pos, string, ...any)) {
-	info := h.pass.Info
+	info := h.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		h.checkConversion(tv.Type, call, qual, report)
 		return
@@ -330,7 +286,7 @@ func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual ty
 		return
 	}
 
-	fn := staticCallee(h.pass.Info, call)
+	fn := staticCallee(h.Info, call)
 	if fn == nil {
 		// The callee is a function value. Two shapes are statically
 		// visible and allocation-free to invoke: an immediately invoked
@@ -364,7 +320,7 @@ func (h *hotallocCtx) checkCall(call *ast.CallExpr, body *ast.BlockStmt, qual ty
 // checkCallBoxing flags concrete arguments passed to interface-typed
 // parameters of an allocation-clean call.
 func (h *hotallocCtx) checkCallBoxing(call *ast.CallExpr, report func(token.Pos, string, ...any)) {
-	info := h.pass.Info
+	info := h.Info
 	tv, ok := info.Types[call.Fun]
 	if !ok {
 		return
@@ -400,14 +356,14 @@ func (h *hotallocCtx) checkBoxing(target types.Type, expr ast.Expr, what string,
 	if _, isTP := target.(*types.TypeParam); isTP {
 		return // generic instantiation, not runtime interface conversion
 	}
-	tv, ok := h.pass.Info.Types[expr]
+	tv, ok := h.Info.Types[expr]
 	if !ok || tv.IsNil() || tv.Type == nil || types.IsInterface(tv.Type.Underlying()) {
 		return
 	}
 	if _, isTP := tv.Type.(*types.TypeParam); isTP {
 		return
 	}
-	report(expr.Pos(), "%s boxes a concrete %s into an interface", what, types.TypeString(tv.Type, types.RelativeTo(h.pass.Pkg)))
+	report(expr.Pos(), "%s boxes a concrete %s into an interface", what, types.TypeString(tv.Type, types.RelativeTo(h.Pkg)))
 }
 
 // checkConversion flags type conversions that allocate: boxing into an
@@ -417,7 +373,7 @@ func (h *hotallocCtx) checkConversion(target types.Type, call *ast.CallExpr, qua
 		return
 	}
 	arg := call.Args[0]
-	tv, ok := h.pass.Info.Types[arg]
+	tv, ok := h.Info.Types[arg]
 	if !ok || tv.IsNil() || tv.Type == nil {
 		return
 	}
@@ -456,9 +412,9 @@ func (h *hotallocCtx) closureSafe(lit *ast.FuncLit, scope ast.Node, parents map[
 			if id, ok := p.Lhs[0].(*ast.Ident); ok {
 				var obj types.Object
 				if p.Tok == token.DEFINE {
-					obj = h.pass.Info.Defs[id]
+					obj = h.Info.Defs[id]
 				} else {
-					obj = h.pass.Info.Uses[id]
+					obj = h.Info.Uses[id]
 				}
 				if obj != nil && !isPackageLevelVar(obj) && h.onlyCalled(obj, scope, parents) {
 					return true, ""
@@ -472,7 +428,7 @@ func (h *hotallocCtx) closureSafe(lit *ast.FuncLit, scope ast.Node, parents map[
 // capturedVar returns the name of one variable the literal captures from
 // an enclosing function, or "" when it captures nothing.
 func (h *hotallocCtx) capturedVar(lit *ast.FuncLit) string {
-	info := h.pass.Info
+	info := h.Info
 	captured := ""
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if captured != "" {
@@ -500,7 +456,7 @@ func (h *hotallocCtx) onlyCalled(obj types.Object, scope ast.Node, parents map[a
 	ok := true
 	ast.Inspect(scope, func(n ast.Node) bool {
 		id, isID := n.(*ast.Ident)
-		if !isID || h.pass.Info.Uses[id] != obj {
+		if !isID || h.Info.Uses[id] != obj {
 			return ok
 		}
 		var p ast.Node = id
@@ -527,7 +483,7 @@ func (h *hotallocCtx) localFuncLitVar(fun ast.Expr, body *ast.BlockStmt) bool {
 	if !ok {
 		return false
 	}
-	obj, ok := h.pass.Info.Uses[id].(*types.Var)
+	obj, ok := h.Info.Uses[id].(*types.Var)
 	if !ok || obj.Pos() < body.Pos() || obj.Pos() >= body.End() {
 		return false
 	}
@@ -544,9 +500,9 @@ func (h *hotallocCtx) localFuncLitVar(fun ast.Expr, body *ast.BlockStmt) bool {
 			}
 			var lobj types.Object
 			if a.Tok == token.DEFINE {
-				lobj = h.pass.Info.Defs[lid]
+				lobj = h.Info.Defs[lid]
 			} else {
-				lobj = h.pass.Info.Uses[lid]
+				lobj = h.Info.Uses[lid]
 			}
 			if lobj != obj {
 				continue
@@ -644,19 +600,9 @@ func lhsType(info *types.Info, lhs ast.Expr) types.Type {
 // enclosing n.
 func enclosingSignature(info *types.Info, n ast.Node, parents map[ast.Node]ast.Node) *types.Signature {
 	for p := parents[n]; p != nil; p = parents[p] {
-		switch fn := p.(type) {
-		case *ast.FuncLit:
-			if tv, ok := info.Types[fn]; ok {
-				if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
-					return sig
-				}
-			}
-			return nil
-		case *ast.FuncDecl:
-			if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
-				return obj.Type().(*types.Signature)
-			}
-			return nil
+		switch p.(type) {
+		case *ast.FuncLit, *ast.FuncDecl:
+			return funcSig(info, p)
 		}
 	}
 	// n may be the body of the function handed to checkBody; the caller
@@ -681,177 +627,58 @@ func isSliceType(t types.Type) bool {
 	return ok
 }
 
-// A HotpathFunc is one //fssga:hotpath-marked function with its static
-// allocation verdict, as consumed by the AllocsPerRun cross-check
-// harness in internal/fssga.
-type HotpathFunc struct {
-	Name string `json:"name"`
-	File string `json:"file"`
-	Line int    `json:"line"`
-	// Verdict is "proven" (no allocation diagnostics anywhere in the
-	// function or, transitively, its marked callees), "audited" (every
-	// diagnostic in that closure carries //fssga:alloc) or "flagged"
-	// (live diagnostics — the gate is red).
-	Verdict string `json:"verdict"`
-}
-
-// Verdict values of HotpathFunc.
-const (
-	VerdictProven  = "proven"
-	VerdictAudited = "audited"
-	VerdictFlagged = "flagged"
-)
-
 // HotpathReport computes the hotalloc verdict of every marked function
-// in the units. "proven" is transitive: a marked function calling an
-// audited marked function is itself only audited — its dynamic
+// in the units. "proven" is transitive: a marked function's verdict is
+// the worst own verdict among the marked functions reachable from it
+// through same-unit calls, itself included. A marked function calling
+// an audited marked function is itself only audited — its dynamic
 // allocation count may be nonzero through the callee — so the
 // AllocsPerRun harness can require measured == 0 for exactly the proven
 // set (static dominates dynamic).
-func HotpathReport(units []*Unit) ([]HotpathFunc, error) {
-	var out []HotpathFunc
-	seen := make(map[string]bool) // file:line, across unit variants
+func HotpathReport(units []*Unit) ([]Site, error) {
+	var sites siteSet
 	for _, u := range units {
-		pass := &Pass{
-			Analyzer: Hotalloc,
-			Fset:     u.Fset,
-			Files:    u.Files,
-			Path:     u.Path,
-			Pkg:      u.Pkg,
-			Info:     u.Info,
-		}
-		h := newHotallocCtx(pass)
-		type funcInfo struct {
-			name      string
-			file      string
-			line      int
-			raw       int // diagnostics in the body
-			live      int // ... not absorbed by //fssga:alloc
-			callees   []*ast.FuncDecl
-			transient string
-		}
-		sup := suppressedLines(u.Fset, u.Files, AllocDirective)
-		infoOf := make(map[ast.Node]*funcInfo)
-		var nodes []ast.Node
-		for node := range h.isHot {
-			var body *ast.BlockStmt
-			var sig *types.Signature
-			fi := &funcInfo{}
-			switch fn := node.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-				sig = h.declSignature(fn)
-				fi.name = funcDisplayName(fn)
-			case *ast.FuncLit:
-				body = fn.Body
-				sig = h.litSignature(fn)
-				p := u.Fset.Position(fn.Pos())
-				fi.name = fmt.Sprintf("func@%d", p.Line)
-			}
-			if body == nil {
-				continue
-			}
-			pos := u.Fset.Position(node.Pos())
-			fi.file, fi.line = pos.Filename, pos.Line
-			h.checkBody(body, sig, func(p token.Pos, format string, args ...any) {
-				fi.raw++
-				fp := u.Fset.Position(p)
-				if m := sup[fp.Filename]; m != nil && (m[fp.Line] || m[fp.Line-1]) {
-					return
-				}
-				fi.live++
-			})
+		h := newHotallocCtx(u)
+		own := make(map[ast.Node]int) // verdict rank of the function's own body
+		callees := make(map[ast.Node][]ast.Node)
+		for _, node := range h.hot {
+			body, sig := h.funcOf(node)
+			t := &tally{unit: u, directive: AllocDirective}
+			h.checkBody(body, sig, t.report)
+			own[node] = t.rank()
 			ast.Inspect(body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if fn := staticCallee(h.pass.Info, call); fn != nil {
+					if fn := staticCallee(h.Info, call); fn != nil {
 						if d, ok := h.decls[fn]; ok && h.isHot[d] {
-							fi.callees = append(fi.callees, d)
+							callees[node] = append(callees[node], d)
 						}
 					}
 				}
 				return true
 			})
-			infoOf[node] = fi
-			nodes = append(nodes, node)
 		}
-
-		// Transitive verdicts: flagged dominates audited dominates proven.
-		var verdictOf func(node ast.Node, visiting map[ast.Node]bool) string
-		verdictOf = func(node ast.Node, visiting map[ast.Node]bool) string {
-			fi := infoOf[node]
-			if fi == nil {
-				return VerdictProven
-			}
-			if fi.transient != "" {
-				return fi.transient
-			}
-			if visiting[node] {
-				return VerdictProven // recursion: the cycle's own sites decide
-			}
-			visiting[node] = true
-			v := VerdictProven
-			if fi.raw > 0 {
-				v = VerdictAudited
-			}
-			if fi.live > 0 {
-				v = VerdictFlagged
-			}
-			for _, c := range fi.callees {
-				switch verdictOf(c, visiting) {
-				case VerdictFlagged:
-					v = VerdictFlagged
-				case VerdictAudited:
-					if v == VerdictProven {
-						v = VerdictAudited
-					}
+		for _, node := range h.hot {
+			rank := 0
+			seen := make(map[ast.Node]bool)
+			var visit func(n ast.Node)
+			visit = func(n ast.Node) {
+				if seen[n] {
+					return
+				}
+				seen[n] = true
+				rank = max(rank, own[n])
+				for _, c := range callees[n] {
+					visit(c)
 				}
 			}
-			delete(visiting, node)
-			fi.transient = v
-			return v
-		}
-		for _, node := range nodes {
-			fi := infoOf[node]
-			key := fmt.Sprintf("%s:%d", fi.file, fi.line)
-			if seen[key] {
-				continue // same file in a test-variant unit
+			visit(node)
+			var fn *types.Func
+			if d, ok := node.(*ast.FuncDecl); ok {
+				fn, _ = h.Info.Defs[d.Name].(*types.Func)
 			}
-			seen[key] = true
-			out = append(out, HotpathFunc{
-				Name:    fi.name,
-				File:    fi.file,
-				Line:    fi.line,
-				Verdict: verdictOf(node, make(map[ast.Node]bool)),
-			})
+			pos := u.Fset.Position(node.Pos())
+			sites.add(Site{Name: funcName(fn, pos.Line), File: pos.Filename, Line: pos.Line, Verdict: verdicts[rank]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out, nil
-}
-
-// funcDisplayName renders a declaration as Name or RecvType.Name.
-func funcDisplayName(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name + "." + fn.Name.Name
-		default:
-			return fn.Name.Name
-		}
-	}
+	return sites.sorted(), nil
 }

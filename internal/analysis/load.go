@@ -26,6 +26,8 @@ type Unit struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	idx *unitIndex // built on first use (index.go)
 }
 
 // A Loader parses and type-checks packages using only the standard

@@ -17,9 +17,16 @@ package analysis
 //     unit are a deadlock pair, and every edge on such a cycle is
 //     flagged.
 //
+// The transitive summaries follow the call graph's in-frame edges only:
+// a call inside a `go` statement, or inside a function literal that is
+// not invoked on the spot, does not run while the caller holds its
+// locks.
+//
 // Lock identity is the struct field or variable owning the mutex (the
 // conc layer's target resolution), so MemFS.mu and FaultFS.mu stay
 // distinct while two receivers of the same method share one identity.
+// A lock is named by how it is written at its first acquisition in
+// source order, so messages do not depend on map iteration order.
 // Audited exceptions carry //fssga:conc(reason).
 
 import (
@@ -50,7 +57,7 @@ const (
 // A mutexOp is one classified Lock/Unlock/RLock/RUnlock call.
 type mutexOp struct {
 	obj     types.Object
-	name    string
+	name    string // the receiver path as written at this call
 	acquire bool
 	kind    lockKind
 	pos     token.Pos
@@ -66,7 +73,6 @@ type lockSummary struct {
 // lockorderCtx extends the conc layer with the unit-wide order graph.
 type lockorderCtx struct {
 	*concCtx
-	pass      *Pass
 	summaries map[*types.Func]*lockSummary
 	names     map[types.Object]string
 	// order records held->acquired edges with their first witness.
@@ -75,11 +81,20 @@ type lockorderCtx struct {
 
 func runLockorder(pass *Pass) error {
 	lc := &lockorderCtx{
-		concCtx:   newConcCtx(pass),
-		pass:      pass,
+		concCtx:   pass.conc(),
 		summaries: make(map[*types.Func]*lockSummary),
 		names:     make(map[types.Object]string),
 		order:     make(map[[2]types.Object]token.Pos),
+	}
+	for _, f := range lc.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if op, ok := lc.mutexOpOf(call); ok && op.acquire && lc.names[op.obj] == "" {
+					lc.names[op.obj] = op.name
+				}
+			}
+			return true
+		})
 	}
 	lc.summarize()
 
@@ -123,7 +138,7 @@ func (lc *lockorderCtx) mutexOpOf(call *ast.CallExpr) (mutexOp, bool) {
 	default:
 		return mutexOp{}, false
 	}
-	fn, ok := lc.pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := lc.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return mutexOp{}, false
 	}
@@ -133,10 +148,6 @@ func (lc *lockorderCtx) mutexOpOf(call *ast.CallExpr) (mutexOp, bool) {
 	}
 	op.pos = call.Pos()
 	op.name = renderLockName(sel.X)
-	if _, seen := lc.names[op.obj]; !seen {
-		lc.names[op.obj] = op.name
-	}
-	op.name = lc.names[op.obj]
 	return op, true
 }
 
@@ -155,37 +166,38 @@ func renderLockName(e ast.Expr) string {
 	return "<lock>"
 }
 
-// summarize computes each declaration's transitive lock summary to a
-// fixed point (effects only grow, so iteration terminates).
+// summarize computes each non-test declaration's transitive lock
+// summary to a fixed point over the in-frame call edges (effects only
+// grow, so iteration terminates).
 func (lc *lockorderCtx) summarize() {
-	for obj := range lc.decls {
-		lc.summaries[obj] = &lockSummary{acquires: make(map[types.Object]bool)}
+	for _, obj := range lc.funcs {
+		if !lc.test[obj] {
+			lc.summaries[obj] = &lockSummary{acquires: make(map[types.Object]bool)}
+		}
 	}
-	for obj, decl := range lc.decls {
-		if decl.Body == nil {
+	for obj, s := range lc.summaries {
+		body := lc.decls[obj].Body
+		if body == nil {
 			continue
 		}
-		s := lc.summaries[obj]
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
+		// Spawned code blocks its own goroutine, not the caller, and a
+		// literal's effects land in the caller's frame only when it is
+		// invoked on the spot.
+		lc.walkFrames(body, func(n ast.Node, inFrame bool) {
+			if !inFrame {
+				return
+			}
 			switch n := n.(type) {
-			case *ast.GoStmt:
-				return false // spawned code blocks its own goroutine, not the caller
-			case *ast.FuncLit:
-				// A literal's effects land in the caller's frame only when
-				// it is invoked on the spot.
-				if call, ok := lc.callParent(n); !ok || unparen(call.Fun) != ast.Expr(n) {
-					return false
-				}
 			case *ast.CallExpr:
 				if op, ok := lc.mutexOpOf(n); ok && op.acquire {
 					s.acquires[op.obj] = true
 				}
 			case *ast.SendStmt:
-				if !lc.commNonBlocking(n) {
+				if !lc.nonBlocking(n) {
 					s.blocking = true
 				}
 			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !lc.recvNonBlocking(n) {
+				if n.Op == token.ARROW && !lc.nonBlocking(n) {
 					s.blocking = true
 				}
 			case *ast.RangeStmt:
@@ -193,16 +205,14 @@ func (lc *lockorderCtx) summarize() {
 					s.blocking = true
 				}
 			}
-			return true
 		})
 	}
 	for changed := true; changed; {
 		changed = false
-		for obj := range lc.decls {
-			s := lc.summaries[obj]
-			for callee := range lc.calls[obj] {
-				cs := lc.summaries[callee]
-				if cs == nil {
+		for obj, s := range lc.summaries {
+			for _, e := range lc.calls[obj] {
+				cs := lc.summaries[e.callee]
+				if !e.inFrame || cs == nil {
 					continue
 				}
 				if cs.blocking && !s.blocking {
@@ -378,7 +388,7 @@ func (lc *lockorderCtx) checkNode(op mutexOp, held heldState, firstLock map[type
 		firstLock[op.obj] = op.pos
 	}
 	if cur, already := held[op.obj]; already && !(cur == lockRead && op.kind == lockRead) {
-		report(op.pos, "lock %q may already be held here: self-deadlock", op.name)
+		report(op.pos, "lock %q may already be held here: self-deadlock", lc.names[op.obj])
 	}
 }
 
@@ -408,11 +418,11 @@ func (lc *lockorderCtx) checkBlocking(n ast.Node, held heldState, report func(po
 		case *ast.DeferStmt:
 			return false
 		case *ast.SendStmt:
-			if !lc.commNonBlocking(m) {
+			if !lc.nonBlocking(m) {
 				report(m.Pos(), "blocking send while holding %s: the lock is held for the full park", holding)
 			}
 		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && !lc.recvNonBlocking(m) {
+			if m.Op == token.ARROW && !lc.nonBlocking(m) {
 				report(m.Pos(), "blocking receive while holding %s: the lock is held for the full park", holding)
 			}
 		case *ast.RangeStmt:
@@ -420,7 +430,7 @@ func (lc *lockorderCtx) checkBlocking(n ast.Node, held heldState, report func(po
 				report(m.Pos(), "ranging over a channel while holding %s blocks the lock owner", holding)
 			}
 		case *ast.CallExpr:
-			fn := staticCallee(lc.pass.Info, m)
+			fn := staticCallee(lc.Info, m)
 			if fn == nil {
 				return true
 			}
@@ -480,27 +490,24 @@ func (lc *lockorderCtx) reportCycles(pass *Pass) {
 		succ[key[0]][key[1]] = true
 	}
 	// reaches reports a path from a to b in the order graph.
-	reaches := func(a, b types.Object) bool {
-		seen := map[types.Object]bool{}
-		stack := []types.Object{a}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if x == b {
+	var reaches func(a, b types.Object, seen map[types.Object]bool) bool
+	reaches = func(a, b types.Object, seen map[types.Object]bool) bool {
+		if a == b {
+			return true
+		}
+		if seen[a] {
+			return false
+		}
+		seen[a] = true
+		for y := range succ[a] {
+			if reaches(y, b, seen) {
 				return true
-			}
-			if seen[x] {
-				continue
-			}
-			seen[x] = true
-			for y := range succ[x] {
-				stack = append(stack, y)
 			}
 		}
 		return false
 	}
 	for key, pos := range lc.order {
-		if reaches(key[1], key[0]) {
+		if reaches(key[1], key[0], map[types.Object]bool{}) {
 			pass.Reportf(pos, "lock %q acquired while %q is held, but the opposite order also occurs in this package: deadlock pair", lc.names[key[1]], lc.names[key[0]])
 		}
 	}

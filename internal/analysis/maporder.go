@@ -32,10 +32,7 @@ var orderedSinkMethods = map[string]bool{
 }
 
 func runMaporder(pass *Pass) error {
-	for _, f := range pass.Files {
-		if IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
+	for _, f := range pass.index().files {
 		// Track the innermost enclosing function body so the
 		// subsequent-sort search has a scope to look in.
 		var bodies []ast.Node

@@ -8,11 +8,11 @@ import (
 
 // shardsafe proves the shard pool's write discipline at the source
 // level. The parallel engine's determinism rests on an ownership
-// argument (shard.go): workers claim disjoint, cache-line-aligned node
-// ranges off an atomic cursor, read only the immutable pre-round
-// snapshot, and write only their claimed range of the double-buffered
-// next vector — so the result is bit-identical to serial execution for
-// any worker count and schedule. The race detector can only witness the
+// argument (shard.go): workers claim disjoint chunks of the round's
+// work off an atomic cursor, read only the immutable pre-round states,
+// and write only the change buffer of the chunk they claimed — the
+// commit applies the buffers after the barrier — so the result is
+// bit-identical to serial execution for any worker count and schedule. The race detector can only witness the
 // schedules it happens to see; this pass rejects violations on every
 // schedule.
 //

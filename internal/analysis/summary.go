@@ -42,23 +42,7 @@ var sizeSourceMethods = map[string]bool{
 // isSizeSource reports whether fn is a network-size accessor: a method
 // of graph.Graph from sizeSourceMethods.
 func isSizeSource(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Graph" || obj.Pkg() == nil || !graphPkg(obj.Pkg().Path()) {
-		return false
-	}
-	return sizeSourceMethods[fn.Name()]
+	return methodOf(fn, "Graph", graphPkg) && sizeSourceMethods[fn.Name()]
 }
 
 // A TaintSummary records which objects of one unit may carry a value
@@ -153,14 +137,6 @@ func (s *TaintSummary) lhsObject(e ast.Expr) types.Object {
 		return s.lhsObject(x.X)
 	case *ast.StarExpr:
 		return s.lhsObject(x.X)
-	}
-	return nil
-}
-
-// enclosingFuncObj maps a FuncDecl to its *types.Func.
-func (s *TaintSummary) funcObj(d *ast.FuncDecl) *types.Func {
-	if obj, ok := s.unit.Info.Defs[d.Name].(*types.Func); ok {
-		return obj
 	}
 	return nil
 }
@@ -263,7 +239,7 @@ func (s *TaintSummary) propagate(n ast.Node) bool {
 		if n.Body == nil {
 			break
 		}
-		fo := s.funcObj(n)
+		fo, _ := info.Defs[n.Name].(*types.Func)
 		if fo == nil || s.tainted[fo] {
 			break
 		}

@@ -52,80 +52,34 @@ var observationCapArg = map[string]int{
 // its name.
 func isViewMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fn, ok := calleeOf(info, call).(*types.Func)
-	if !ok {
-		return "", false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Name() != "View" || obj.Pkg() == nil || !fssgaViewPkg(obj.Pkg().Path()) {
+	if !ok || !methodOf(fn, "View", fssgaViewPkg) {
 		return "", false
 	}
 	return fn.Name(), true
 }
 
 func runSymcontract(pass *Pass) error {
-	u := &Unit{Path: pass.Path, Fset: pass.Fset, Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info}
-	taint := ComputeNSizeTaint(u)
-	for _, f := range pass.Files {
-		if IsTestFile(pass.Fset, f.Pos()) {
+	x := pass.index()
+	taint := ComputeNSizeTaint(pass.Unit)
+	for _, fn := range x.funcs {
+		decl := x.decls[fn]
+		// The View's own methods implement the observation API;
+		// everything else — Step functions and the helpers they hand
+		// their view to — must obey it. Views only exist inside a
+		// transition call, so any observation outside the engine is
+		// transition-function code.
+		if x.test[fn] || decl.Body == nil || methodOf(fn, "View", fssgaViewPkg) {
 			continue
 		}
-		for _, d := range f.Decls {
-			decl, ok := d.(*ast.FuncDecl)
-			if !ok || decl.Body == nil {
-				continue
-			}
-			// The View's own methods implement the observation API;
-			// everything else — Step functions and the helpers they
-			// hand their view to — must obey it. Views only exist
-			// inside a transition call, so any observation outside
-			// the engine is transition-function code.
-			if isViewMethodDecl(pass.Info, decl) {
-				continue
-			}
-			checkObservations(pass, taint, decl.Body)
+		checkObservations(pass, taint, decl.Body)
+	}
+	// Identity capture is specific to Step-shaped closures.
+	for _, s := range x.steps {
+		if s.lit != nil && !s.test {
+			checkStepCapture(pass, s.lit)
 		}
-		// Identity capture is specific to Step-shaped closures.
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			if sig, ok := pass.Info.TypeOf(lit).(*types.Signature); ok && isStepSignature(sig) {
-				checkStepCapture(pass, lit)
-			}
-			return true
-		})
 	}
 	return nil
-}
-
-// isViewMethodDecl reports whether decl is a method of fssga.View.
-func isViewMethodDecl(info *types.Info, decl *ast.FuncDecl) bool {
-	if decl.Recv == nil || len(decl.Recv.List) != 1 {
-		return false
-	}
-	t := info.TypeOf(decl.Recv.List[0].Type)
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "View" && obj.Pkg() != nil && fssgaViewPkg(obj.Pkg().Path())
 }
 
 // checkObservations audits every View observation inside one transition
@@ -142,7 +96,7 @@ func checkObservations(pass *Pass, taint *TaintSummary, body *ast.BlockStmt) {
 			return true
 		}
 		if name == "ForEach" {
-			checkFold(pass, taint, body, call)
+			checkFold(pass, body, call)
 			return true
 		}
 		idx, known := observationCapArg[name]
@@ -194,7 +148,7 @@ func checkStepCapture(pass *Pass, lit *ast.FuncLit) {
 // outlives the callback. The engine presents neighbour states in an
 // unspecified order; the sanctioned shapes are exactly the folds whose
 // result is a function of the multiset alone.
-func checkFold(pass *Pass, taint *TaintSummary, encl ast.Node, call *ast.CallExpr) {
+func checkFold(pass *Pass, encl ast.Node, call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
@@ -206,7 +160,6 @@ func checkFold(pass *Pass, taint *TaintSummary, encl ast.Node, call *ast.CallExp
 	info := pass.Info
 	fc := &foldChecker{
 		pass:    pass,
-		taint:   taint,
 		encl:    encl,
 		call:    call,
 		lit:     lit,
@@ -257,7 +210,6 @@ func checkFold(pass *Pass, taint *TaintSummary, encl ast.Node, call *ast.CallExp
 
 type foldChecker struct {
 	pass    *Pass
-	taint   *TaintSummary
 	encl    ast.Node // enclosing transition-function body
 	call    *ast.CallExpr
 	lit     *ast.FuncLit

@@ -24,48 +24,16 @@ var Viewpure = &Analyzer{
 }
 
 func runViewpure(pass *Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if fn, ok := pass.Info.Defs[n.Name].(*types.Func); ok {
-					if sig, ok := fn.Type().(*types.Signature); ok && isStepSignature(sig) && n.Body != nil {
-						checkStepBody(pass, n.Type, n.Body)
-					}
-				}
-			case *ast.FuncLit:
-				if t := pass.Info.TypeOf(n); t != nil {
-					if sig, ok := t.(*types.Signature); ok && isStepSignature(sig) {
-						checkStepBody(pass, n.Type, n.Body)
-					}
-				}
-			}
-			return true
-		})
+	for _, s := range pass.index().steps {
+		checkStepBody(pass, s.sig, s.body)
 	}
 	return nil
 }
 
-// viewParamObj resolves the object of the second (view) parameter, or
-// nil when it is unnamed or blank (and therefore trivially pure).
-func viewParamObj(info *types.Info, ft *ast.FuncType) types.Object {
-	var names []*ast.Ident
-	for _, field := range ft.Params.List {
-		if len(field.Names) == 0 {
-			names = append(names, nil)
-			continue
-		}
-		names = append(names, field.Names...)
-	}
-	if len(names) < 2 || names[1] == nil || names[1].Name == "_" {
-		return nil
-	}
-	return info.Defs[names[1]]
-}
-
-func checkStepBody(pass *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
-	view := viewParamObj(pass.Info, ft)
-	if view == nil {
+func checkStepBody(pass *Pass, sig *types.Signature, body *ast.BlockStmt) {
+	// An unnamed or blank view parameter is trivially pure.
+	view := sig.Params().At(1)
+	if view.Name() == "" || view.Name() == "_" {
 		return
 	}
 	parents := parentMap(body)

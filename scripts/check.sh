@@ -27,9 +27,6 @@ go vet ./...
 echo "== fssga-vet (determinism, symmetry, model-contract & hot-path analyzers)"
 go run ./cmd/fssga-vet repro/...
 
-echo "== fssga-vet self-check (the analyzers pass their own code)"
-go run ./cmd/fssga-vet repro/internal/analysis/... repro/cmd/fssga-vet
-
 echo "== fssga-vet hot-path gate (-json envelope, hotalloc + shardsafe)"
 go run ./cmd/fssga-vet -json -analyzers hotalloc,shardsafe repro/... > /dev/null
 
