@@ -453,7 +453,7 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 				// The same per-call work Manager does for a delta:
 				// topology hash, dirty-chunk diff, encode, commit.
 				meta.TopoHash = net.Topology().ContentHash()
-				pay := checkpoint.Payload[int]{Runs: deltaRuns(base, cur), RNGPos: net.RNGPositions()}
+				pay := checkpoint.Payload[int]{Runs: deltaRuns(base, cur)}
 				data, err := checkpoint.Encode(meta, pay)
 				if err != nil {
 					b.Fatal(err)

@@ -133,15 +133,30 @@ func Auto(cfg Config) fssga.Automaton[State] {
 }
 
 // NewNetwork builds the census network over g with randomized initial
-// sketches derived from cfg.Seed.
+// sketches derived from cfg.Seed (InitialSketches).
 func NewNetwork(g *graph.Graph, cfg Config) (*fssga.Network[State], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return fssga.New[State](g, automaton{bits: cfg.Bits, sketches: cfg.Sketches}, func(v int) State {
-		rng := rand.New(rand.NewSource(cfg.Seed ^ (int64(v)+1)*0x5DEECE66D))
+	return fssga.New[State](g, automaton{bits: cfg.Bits, sketches: cfg.Sketches}, InitialSketches(cfg), cfg.Seed), nil
+}
+
+// sketchEpoch is the stream epoch the initial sketches are drawn at. No
+// step reaches it (a step's epoch is Rounds+Activations, below 2^63), so
+// the sketches share no stream with a step of the network.
+const sketchEpoch = 1 << 63
+
+// InitialSketches returns the initial-state function of a census network
+// under cfg: node v's sketches are InitialState drawn from v's keyed
+// stream at sketchEpoch. Every replica of a census network derives its
+// sketches here. The function reuses one rand.Rand, so it is not safe
+// for concurrent use.
+func InitialSketches(cfg Config) func(v int) State {
+	rng := fssga.KeyedRand(0)
+	return func(v int) State {
+		rng.Seed(int64(fssga.StreamKey(cfg.Seed, v, sketchEpoch)))
 		return InitialState(cfg, rng)
-	}, cfg.Seed), nil
+	}
 }
 
 // SubState reports whether a ≤ b in the sketch lattice: every bit set in

@@ -35,10 +35,7 @@ func TestDenseForSmallConfigs(t *testing.T) {
 
 	// Dense and forced-map replicas of the small config agree exactly.
 	auto := automaton{bits: small.Bits, sketches: small.Sketches}
-	mapped := fssga.New[State](g.Clone(), fssga.StepFunc[State](auto.Step), func(v int) State {
-		r := rand.New(rand.NewSource(small.Seed ^ (int64(v)+1)*0x5DEECE66D))
-		return InitialState(small, r)
-	}, small.Seed)
+	mapped := fssga.New[State](g.Clone(), fssga.StepFunc[State](auto.Step), InitialSketches(small), small.Seed)
 	for r := 0; r < 12; r++ {
 		net.SyncRound()
 		mapped.SyncRound()

@@ -1,6 +1,7 @@
 package randomwalk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,43 +98,89 @@ func TestFirstMoveUniformOnStar(t *testing.T) {
 	}
 }
 
+// growthDegrees are the star degrees the tournament-length checks use:
+// each is four times the last, so log d grows by the same step.
+var growthDegrees = []float64{4, 16, 64, 256}
+
+// growthSeeds is the number of seeds per degree. A tournament's length
+// has a standard deviation of about 3.5 rounds at every degree; at 200
+// seeds the span check below holds by about 10 standard errors, so it
+// does not pass or fail by seed luck.
+const growthSeeds = 200
+
+// logGrowthViolation checks that per-seed tournament lengths, one sample
+// per growthDegrees entry, grow like log d, and describes the violation
+// ("" if none). Θ(log d) adds the same number of rounds for every
+// quadrupling of d, so the rounds added from d=16 to d=256 and from d=4
+// to d=64, both two quadruplings, are about equal; growth linear in d
+// makes the upper span four times the lower. The check allows twice.
+// The means must also increase, with a log-log slope well below 1.
+func logGrowthViolation(rounds [][]float64) string {
+	means := make([]float64, len(rounds))
+	sds := make([]float64, len(rounds))
+	for i, rs := range rounds {
+		s := stats.Summarize(rs)
+		means[i], sds[i] = s.Mean, s.Std
+	}
+	for i := 1; i < len(means); i++ {
+		if means[i] < means[i-1] {
+			return fmt.Sprintf("means not increasing: %v", means)
+		}
+	}
+	upper, lower := means[3]-means[1], means[2]-means[0]
+	if upper > 2*lower {
+		n := float64(len(rounds[0]))
+		se := math.Sqrt((sds[3]*sds[3] + sds[1]*sds[1] + 4*sds[2]*sds[2] + 4*sds[0]*sds[0]) / n)
+		return fmt.Sprintf("d=16→256 adds %.2f rounds, more than twice the %.2f of d=4→64 (%.1f standard errors over; means %v)",
+			upper, lower, (upper-2*lower)/se, means)
+	}
+	if fit := stats.LogLogFit(growthDegrees, means); fit.Slope > 0.5 {
+		return fmt.Sprintf("log-log slope %.2f, want << 1 (means=%v)", fit.Slope, means)
+	}
+	return ""
+}
+
 func TestMoveRoundsGrowLogarithmically(t *testing.T) {
 	// Expected rounds per move at a degree-d node is Θ(log d): the mean
-	// tournament length on stars should grow roughly linearly in log d,
-	// far slower than linearly in d.
-	degrees := []int{4, 16, 64, 256}
-	means := make([]float64, len(degrees))
-	for i, d := range degrees {
-		var rounds []float64
-		for seed := int64(0); seed < 30; seed++ {
-			g := graph.Star(d + 1)
-			tr, err := New(g, 0, seed)
+	// tournament length on stars grows linearly in log d.
+	rounds := make([][]float64, len(growthDegrees))
+	for i, d := range growthDegrees {
+		for seed := int64(0); seed < growthSeeds; seed++ {
+			tr, err := New(graph.Star(int(d)+1), 0, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := tr.RunMoves(1, 100000); !ok {
 				t.Fatal("no move")
 			}
-			rounds = append(rounds, float64(tr.MoveRounds[0]))
-		}
-		means[i] = stats.Mean(rounds)
-	}
-	// Monotone increase...
-	for i := 1; i < len(means); i++ {
-		if means[i] < means[i-1] {
-			t.Fatalf("means not increasing: %v", means)
+			rounds[i] = append(rounds[i], float64(tr.MoveRounds[0]))
 		}
 	}
-	// ...but strongly sublinear: quadrupling d must far less than
-	// quadruple the rounds.
-	if means[3] > 3*means[0] {
-		t.Fatalf("tournament length grows too fast: %v", means)
+	if msg := logGrowthViolation(rounds); msg != "" {
+		t.Fatal(msg)
 	}
-	// And the log-log slope should be well below 0.5 (log growth).
-	xs := []float64{4, 16, 64, 256}
-	fit := stats.LogLogFit(xs, means)
-	if fit.Slope > 0.5 {
-		t.Fatalf("log-log slope %.2f, want << 1 (means=%v)", fit.Slope, means)
+}
+
+// TestLogGrowthCheckRejectsLinearTournament injects a tournament whose
+// length grows linearly in d — each round eliminates one of the
+// survivors with probability 1/2 — and requires the check above to
+// reject it.
+func TestLogGrowthCheckRejectsLinearTournament(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rounds := make([][]float64, len(growthDegrees))
+	for i, d := range growthDegrees {
+		for seed := 0; seed < growthSeeds; seed++ {
+			r := 0
+			for left := int(d); left > 1; r++ {
+				if rng.Intn(2) == 0 {
+					left--
+				}
+			}
+			rounds[i] = append(rounds[i], float64(r))
+		}
+	}
+	if logGrowthViolation(rounds) == "" {
+		t.Fatal("a tournament linear in d passed the Θ(log d) check")
 	}
 }
 

@@ -155,8 +155,8 @@ func configOf(l *trace.RunLog) Config {
 }
 
 // ReplayLog re-executes a recorded run by re-delivering its event list
-// verbatim. Because topology construction, per-node random streams, and
-// round execution are all deterministic in (graph spec, seed), the replay
+// verbatim. Because topology construction, the per-step random streams,
+// and round execution are all deterministic in (graph spec, seed), the replay
 // reproduces the original run bit-for-bit — same rounds, same violation,
 // same per-round digests — regardless of worker count.
 func ReplayLog(l *trace.RunLog) (*trace.RunLog, error) {

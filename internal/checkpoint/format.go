@@ -1,13 +1,14 @@
 // Package checkpoint provides crash-safe snapshots of running FSSGA
 // networks. The paper's finite-state guarantee (Section 2; mechanically
 // enforced by fssga-vet's finstate analyzer) makes this cheap: a
-// network's entire configuration is its per-node finite states plus the
-// positions of its per-node random streams, so a checkpoint is a small
-// deterministic artifact — states, stream draw counts, the round
-// counter, and a content hash of the CSR topology to pin what the
-// states are states *of*. Restoring one resumes the run bit-identically
-// to an uninterrupted execution (asserted against chaos replay digests
-// across the serial, parallel and frontier engines).
+// network's entire configuration is its per-node finite states and its
+// round counter — each step's random stream is a function of the seed,
+// the node and the round (fssga's rng.go) — so a checkpoint is a small
+// deterministic artifact: states, the round counter, and a content hash
+// of the CSR topology to pin what the states are states *of*. Restoring
+// one resumes the run bit-identically to an uninterrupted execution
+// (asserted against chaos replay digests across the serial, parallel and
+// frontier engines).
 //
 // The package has three layers:
 //
@@ -42,7 +43,7 @@ import (
 //	last 8:    FNV-1a 64 checksum of every preceding byte
 const (
 	Magic      = "FSSGACKP"
-	Version    = 1
+	Version    = 2
 	headerSize = len(Magic) + 2 + 4
 	tailSize   = 8
 )
@@ -93,11 +94,14 @@ type Run[S any] struct {
 }
 
 // Payload carries the state data of one checkpoint: States for full
-// checkpoints, Runs for deltas. RNGPos holds the per-node stream draw
-// counts; nil means no stream had ever been drawn from.
+// checkpoints, Runs for deltas.
 type Payload[S any] struct {
 	States []S
 	Runs   []Run[S]
+
+	// Deprecated: ignored. Random streams are a function of the round
+	// counter, so there are no stream positions to save; the field is
+	// kept only for callers that still set it.
 	RNGPos []uint64
 }
 
@@ -223,9 +227,6 @@ func (m Meta) validate() error {
 
 // validate checks the payload's shape against its meta.
 func (p Payload[S]) validate(m Meta) error {
-	if p.RNGPos != nil && len(p.RNGPos) != m.Nodes {
-		return fmt.Errorf("%w: %d RNG positions for %d nodes", ErrFormat, len(p.RNGPos), m.Nodes)
-	}
 	switch m.Kind {
 	case KindFull:
 		if len(p.Runs) != 0 {

@@ -18,7 +18,7 @@ func fullMeta(nodes int) Meta {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	meta := fullMeta(5)
-	pay := Payload[int]{States: []int{3, 1, 4, 1, 5}, RNGPos: []uint64{0, 9, 0, 2, 0}}
+	pay := Payload[int]{States: []int{3, 1, 4, 1, 5}}
 	data, err := Encode(meta, pay)
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +142,6 @@ func TestPayloadValidation(t *testing.T) {
 	meta := fullMeta(4)
 	if _, err := encodeDecode(meta, Payload[int]{States: []int{1}}); err == nil {
 		t.Fatal("short state vector accepted")
-	}
-	if _, err := encodeDecode(meta, Payload[int]{States: []int{1, 2, 3, 4}, RNGPos: []uint64{1}}); err == nil {
-		t.Fatal("short RNG vector accepted")
 	}
 	delta := meta
 	delta.Kind, delta.BaseRound = KindDelta, 3

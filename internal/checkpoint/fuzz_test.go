@@ -15,7 +15,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	full, err := Encode(Meta{
 		Kind: KindFull, Round: 9, Nodes: 4, Seed: 3, TopoHash: 0xabc, BaseRound: -1,
 		Target: "census", Graph: trace.GraphSpec{Gen: "cycle", N: 4, Seed: 1},
-	}, Payload[int]{States: []int{1, 0, 1, 1}, RNGPos: []uint64{2, 0, 5, 0}})
+	}, Payload[int]{States: []int{1, 0, 1, 1}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,9 +66,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 			// Decoded checkpoints are internally consistent.
 			if meta.Kind == KindFull && len(pay.States) != meta.Nodes {
 				t.Fatalf("inconsistent decode: %d states for %d nodes", len(pay.States), meta.Nodes)
-			}
-			if pay.RNGPos != nil && len(pay.RNGPos) != meta.Nodes {
-				t.Fatal("inconsistent RNG vector decoded")
 			}
 		}
 	})

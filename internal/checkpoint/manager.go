@@ -64,7 +64,6 @@ func (m *Manager[S]) capture(full bool) error {
 		meta.BaseRound = m.baseRound
 		pay.Runs = diffRuns(m.base, states)
 	}
-	pay.RNGPos = m.net.RNGPositions()
 
 	data, err := Encode(meta, pay)
 	if err != nil {
@@ -119,9 +118,10 @@ func diffRuns[S comparable](base, cur []S) []Run[S] {
 // chain back to a full base), verifies it matches the network — node
 // count, master seed, and the content hash of the network's *current*
 // topology, so the caller must have already rebuilt the topology the
-// checkpoint was taken on, faults included — and installs states, round
-// counter and RNG stream positions. It returns the restored meta; its
-// FaultsApplied tells the caller how far to fast-forward its injector.
+// checkpoint was taken on, faults included — and installs states and the
+// round counter, which also names the random streams the run draws next.
+// It returns the restored meta; its FaultsApplied tells the caller how
+// far to fast-forward its injector.
 //
 // After a successful restore the manager's delta base is reset: the
 // next CheckpointDelta writes a full checkpoint.
@@ -152,9 +152,6 @@ func (m *Manager[S]) Restore() (Meta, error) {
 			round, meta.TopoHash, got)
 	}
 	if err := m.net.RestoreStates(states, meta.Round); err != nil {
-		return Meta{}, err
-	}
-	if err := m.net.RestoreRNGPositions(pay.RNGPos); err != nil {
 		return Meta{}, err
 	}
 	m.base = nil

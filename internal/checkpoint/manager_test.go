@@ -15,8 +15,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// coin is a probabilistic test automaton: its draws make RNG-position
-// capture load-bearing in every fidelity assertion below.
+// coin is a probabilistic test automaton: its draws make the restored
+// round counter, which names the streams, load-bearing in every fidelity
+// assertion below.
 type coin struct{}
 
 func (coin) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {

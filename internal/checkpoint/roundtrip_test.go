@@ -33,20 +33,13 @@ func TestRoundTripAllAutomata(t *testing.T) {
 func propRoundTrip[S comparable](t *testing.T, name string, seed int64) {
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
-		prop := func(states []S, rngDraws []uint16, round uint16, faults uint8, workers uint8) bool {
+		prop := func(states []S, round uint16, faults uint8, workers uint8) bool {
 			meta := checkpoint.Meta{
 				Kind: checkpoint.KindFull, Round: int(round), Nodes: len(states),
 				Seed: seed, TopoHash: uint64(round) * 0x9E3779B97F4A7C15, BaseRound: -1,
 				Target: name, Workers: int(workers), FaultsApplied: int(faults),
 			}
 			pay := checkpoint.Payload[S]{States: states}
-			if len(rngDraws) >= len(states) {
-				pos := make([]uint64, len(states))
-				for i := range pos {
-					pos[i] = uint64(rngDraws[i])
-				}
-				pay.RNGPos = pos
-			}
 			data, err := checkpoint.Encode(meta, pay)
 			if err != nil {
 				t.Logf("encode: %v", err)
@@ -66,14 +59,6 @@ func propRoundTrip[S comparable](t *testing.T, name string, seed int64) {
 			}
 			for i := range states {
 				if gotPay.States[i] != states[i] {
-					return false
-				}
-			}
-			if len(gotPay.RNGPos) != len(pay.RNGPos) {
-				return false
-			}
-			for i := range pay.RNGPos {
-				if gotPay.RNGPos[i] != pay.RNGPos[i] {
 					return false
 				}
 			}

@@ -54,7 +54,7 @@ func (diffParity) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 }
 
 // diffCoin consumes exactly one draw per activation and folds in a
-// cap-2 count: the probabilistic case, exercising per-node RNG stream
+// cap-2 count: the probabilistic case, exercising per-step stream
 // alignment through hub views (and across checkpoint restore).
 type diffCoin struct{}
 
@@ -277,8 +277,8 @@ func TestAggDifferential(t *testing.T) {
 // finishes the run on a DIFFERENT engine. The restored half must land
 // on the exact states of both the uninterrupted run and the
 // linear-scan reference: tree metadata is rebuilt from scratch after
-// restore, RNG stream positions carry across, and the fault injector is
-// replayed to the checkpoint round.
+// restore, the restored round counter names the same streams, and the
+// fault injector is replayed to the checkpoint round.
 func TestAggDifferentialRestore(t *testing.T) {
 	testutil.NoLeak(t)
 	const rounds, ckptAt = 12, 6
@@ -336,7 +336,7 @@ func TestAggDifferentialRestore(t *testing.T) {
 				}
 
 				// Revived: fresh graph with the schedule replayed to the
-				// checkpoint round, states and RNG positions restored, the
+				// checkpoint round, states and round counter restored, the
 				// remaining rounds run serially.
 				g2 := tp.make()
 				inj2 := faults.NewInjector(sched)

@@ -1,6 +1,9 @@
 package fssga
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // DenseAutomaton is an optional extension of Automaton for automata whose
 // state space admits a small dense enumeration. When the automaton handed
@@ -37,22 +40,52 @@ type DenseAutomaton[S comparable] interface {
 // instead.
 const MaxDenseStates = 1 << 20
 
-// viewScratch is a per-worker reusable workspace for building Views
+// viewScratch is a per-worker reusable workspace for stepping nodes
 // without allocating; each pool worker owns one, the serial paths share
 // one. Its View owns the buffers: the present list is reused at capacity,
 // and the lookup (slot vector or map) holds only the current view's
-// states, so a reset never pays for an earlier, larger view.
+// states, so a reset never pays for an earlier, larger view. Its rand.Rand
+// is the stream of the step in progress (rng.go).
 type viewScratch[S comparable] struct {
 	view    View[S]
 	presIdx []int32 // dense mode: presIdx[k] == idx(view.present[k]), for the reset
+
+	// rnd draws from src, which stream re-points for every step. It is
+	// held by value so that every write of a step lands in this object.
+	src keyedSource
+	rnd rand.Rand
+
+	// A pool worker writes its scratch on every step. The pad keeps
+	// those writes off the cache lines of the next object in memory,
+	// such as another worker's scratch (TestViewScratchPad).
+	_ [64]byte
 }
 
-// newScratch allocates a workspace matching the network's view mode.
+// newScratch allocates a workspace matching the network's view mode,
+// drawing from the network's streams.
 func (net *Network[S]) newScratch() *viewScratch[S] {
+	sc := &viewScratch[S]{src: keyedSource{seed: net.seed}}
 	if net.denseAuto == nil {
-		return newMapScratch[S](0)
+		sc.view.slots = make(map[S]int32)
+	} else {
+		sc.view.slot, sc.view.idx = make([]int32, net.numStates), net.idx
 	}
-	return &viewScratch[S]{view: View[S]{slot: make([]int32, net.numStates), idx: net.idx}}
+	sc.rnd = *rand.New(&sc.src)
+	return sc
+}
+
+// stream re-points the scratch's rand.Rand at node v's stream for the
+// epoch in src and returns it. After a step that drew, Seed also clears
+// the Read buffer, whose leftover bytes would otherwise pass to this step.
+//
+//fssga:hotpath
+func (sc *viewScratch[S]) stream(v int) *rand.Rand {
+	if sc.src.keyed {
+		//fssga:alloc(rand.Rand.Seed only stores into the keyed source and clears the Read buffer; it runs only after a step that drew)
+		sc.rnd.Seed(0)
+	}
+	sc.src.node, sc.src.keyed = v, false
+	return &sc.rnd
 }
 
 // newMapScratch allocates a map-mode workspace sized for n distinct states.

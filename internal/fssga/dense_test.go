@@ -214,10 +214,9 @@ func TestActivateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestQuiescentZeroAllocs: the quiescence probe reuses a cached
-// throwaway RNG stream (reseeded in place), so after the first call it
-// allocates nothing (previously one rand.Rand per call, and before that
-// one per node per call).
+// TestQuiescentZeroAllocs: the quiescence probe steps on the serial
+// scratch's stream, re-pointed in place, so after the first call it
+// allocates nothing.
 func TestQuiescentZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -225,8 +224,8 @@ func TestQuiescentZeroAllocs(t *testing.T) {
 	g := graph.Cycle(64)
 	net := New[int](g, denseMax{8}, func(v int) int { return v % 8 }, 1)
 	net.RunSyncUntilQuiescent(100)
-	net.Quiescent() // first call lazily builds the probe stream
+	net.Quiescent() // first call lazily builds the serial scratch
 	if allocs := testing.AllocsPerRun(20, func() { net.Quiescent() }); allocs != 0 {
-		t.Fatalf("Quiescent allocates %.1f objects/op, want 0 (probe stream should be cached)", allocs)
+		t.Fatalf("Quiescent allocates %.1f objects/op, want 0 (the serial scratch should be reused)", allocs)
 	}
 }

@@ -28,7 +28,7 @@ func legacyRound[S comparable](net *Network[S], nbrBuf []int, next []S) ([]int, 
 		}
 		nbrBuf = net.G.SortedNeighbors(v, nbrBuf[:0])
 		view := buildViewOver(net, sc, nbrBuf, net.states)
-		next[v] = net.auto.Step(net.states[v], view, net.rngs[v])
+		next[v] = net.auto.Step(net.states[v], view, sc.stream(v))
 	}
 	net.states, next = next, net.states
 	return nbrBuf, next

@@ -57,7 +57,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 		"Network.viewFor", "Network.buildView", "buildViewOver",
 		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.round",
 		"Network.stepChunk", "Network.step", "Network.commit", "Network.Activate",
-		"Network.Quiescent", "View.Empty", "View.DegreeCapped",
+		"Network.Quiescent", "viewScratch.stream", "View.Empty", "View.DegreeCapped",
 		"View.CountState", "View.Count", "View.CountMod", "diffRuns",
 	} {
 		if verdicts[name] == "" {

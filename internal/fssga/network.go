@@ -2,7 +2,6 @@ package fssga
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 
@@ -28,15 +27,9 @@ type Network[S comparable] struct {
 
 	auto   Automaton[S]
 	states []S
-	rngs   []*rand.Rand
 
-	// seed is the master seed the per-node streams derive from; srcs
-	// are the counting sources behind rngs (same index). rngUsed flips
-	// the first time any node stream materializes its generator, so
-	// deterministic runs can skip RNG snapshot/restore work entirely.
-	seed    int64
-	srcs    []*lazySource
-	rngUsed atomic.Bool
+	// seed is the master seed the per-step streams derive from (rng.go).
+	seed int64
 
 	// Dense fast path (see dense.go): set when auto implements
 	// DenseAutomaton with a state space within MaxDenseStates.
@@ -46,18 +39,14 @@ type Network[S comparable] struct {
 
 	serial  *viewScratch[S]   // shared by all serial execution paths
 	workers []*viewScratch[S] // one per worker of the shard pool
-	probe   *rand.Rand        // Quiescent's reusable throwaway stream
 
 	// Persistent shard pool for parallel rounds (see shard.go) and the
 	// runtime cleanup that closes it when the network is collected;
 	// roundActive rejects concurrent rounds on the same network with
-	// ErrConcurrentRound and so admits one pool user at a time; rngSnap
-	// is the supervisor's reusable round-start RNG position scratch (see
-	// supervisor.go).
+	// ErrConcurrentRound and so admits one pool user at a time.
 	pool        *shardPool
 	poolCleanup runtime.Cleanup
 	roundActive atomic.Bool
-	rngSnap     []uint64
 
 	// Round kernel state (see round.go). changes is the last round's
 	// change list, one buffer per chunk in chunk order; changedOn is the
@@ -77,7 +66,8 @@ type Network[S comparable] struct {
 	aggCutoff int
 
 	// Rounds counts completed synchronous rounds; Activations counts
-	// single-node asynchronous activations.
+	// single-node asynchronous activations. Their sum is the epoch of
+	// the next step's random streams (rng.go).
 	Rounds      int
 	Activations int
 
@@ -96,9 +86,9 @@ type Network[S comparable] struct {
 }
 
 // New creates a network over g running auto, with node v initialized to
-// init(v). Every node gets an independent deterministic random stream
-// derived from seed, so runs are reproducible and independent of execution
-// order and worker count.
+// init(v). Every step of every node draws from its own stream, a pure
+// function of (seed, node, epoch) (rng.go), so runs are reproducible and
+// independent of execution order and worker count.
 //
 // If auto implements DenseAutomaton and its NumStates fits MaxDenseStates,
 // views find neighbour states through a dense slot vector indexed by
@@ -134,9 +124,7 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 		csr:    c,
 		auto:   auto,
 		states: make([]S, n),
-		rngs:   make([]*rand.Rand, n),
 		seed:   seed,
-		srcs:   make([]*lazySource, n),
 	}
 	if d, ok := auto.(DenseAutomaton[S]); ok {
 		if ns := d.NumStates(); ns > 0 && ns <= MaxDenseStates {
@@ -146,8 +134,6 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 		}
 	}
 	for v := 0; v < n; v++ {
-		net.srcs[v] = &lazySource{seed: mix(seed, int64(v)), used: &net.rngUsed}
-		net.rngs[v] = rand.New(net.srcs[v])
 		if c.Alive(v) {
 			net.states[v] = init(v)
 		}
@@ -169,15 +155,11 @@ func (net *Network[S]) topo() *graph.CSR {
 	return net.csr
 }
 
-// mix derives a per-node seed from the master seed with a SplitMix64-style
-// finalizer so nearby seeds give unrelated streams.
-func mix(seed, v int64) int64 {
-	z := uint64(seed) + uint64(v)*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
-}
+// epoch is the stream epoch of the next step: all steps of one round
+// share it, and every committed round or activation advances it.
+//
+//fssga:hotpath
+func (net *Network[S]) epoch() uint64 { return uint64(net.Rounds + net.Activations) }
 
 // DenseViews reports whether the network runs on the dense view fast path.
 func (net *Network[S]) DenseViews() bool { return net.denseAuto != nil }
@@ -197,7 +179,7 @@ func (net *Network[S]) SetState(v int, s S) {
 // must treat it as read-only.
 func (net *Network[S]) States() []S { return net.states }
 
-// Seed returns the master seed the per-node random streams derive from.
+// Seed returns the master seed the per-step random streams derive from.
 func (net *Network[S]) Seed() int64 { return net.seed }
 
 // Topology returns the network's current immutable topology snapshot:
@@ -206,52 +188,21 @@ func (net *Network[S]) Seed() int64 { return net.seed }
 // restore target matches the checkpointed topology.
 func (net *Network[S]) Topology() *graph.CSR { return net.topo() }
 
-// RNGDrawn reports whether any node's random stream has ever been
-// drawn from. Deterministic automata never draw, so their networks
-// report false forever and checkpoints can omit stream positions.
-func (net *Network[S]) RNGDrawn() bool { return net.rngUsed.Load() }
-
-// RNGPositions returns the per-node random stream positions (number of
-// draws consumed, indexed by node ID), or nil if no stream has ever
-// been drawn from — the all-zeros vector that nil denotes restores
-// for free. The returned slice is freshly allocated.
-func (net *Network[S]) RNGPositions() []uint64 {
-	if !net.rngUsed.Load() {
-		return nil
-	}
-	pos := make([]uint64, len(net.srcs))
-	for v, s := range net.srcs {
-		pos[v] = s.position()
-	}
-	return pos
-}
-
-// RestoreRNGPositions rewinds every per-node stream to its seed and
-// fast-forwards it to the given position, so subsequent draws are
-// bit-identical to a run that consumed exactly pos[v] draws at node v.
-// A nil pos resets all streams to their start. Lengths must match.
-func (net *Network[S]) RestoreRNGPositions(pos []uint64) error {
-	if pos == nil {
-		for _, s := range net.srcs {
-			s.rewind(0)
-		}
-		return nil
-	}
-	if len(pos) != len(net.srcs) {
-		return fmt.Errorf("fssga: RestoreRNGPositions got %d positions for %d nodes", len(pos), len(net.srcs))
-	}
-	for v, s := range net.srcs {
-		s.rewind(pos[v])
-	}
-	return nil
-}
+// RNGPositions returns nil: node streams are a function of the round
+// counter, so there are no positions to save.
+//
+// Deprecated: drop the call. RNGPositions is kept only for callers that
+// still make it.
+func (net *Network[S]) RNGPositions() []uint64 { return nil }
 
 // RestoreStates overwrites the full state vector and round counter,
-// e.g. from a checkpoint. The slice length must equal the network's
-// node capacity. Frontier bookkeeping is invalidated; the topology is
-// NOT restored — callers must reconstruct it (and any faults applied to
-// it) before restoring states, which internal/checkpoint verifies via
-// the topology content hash.
+// e.g. from a checkpoint. The round counter also restores the random
+// streams: with no activations, a restored network draws exactly what
+// the checkpointed one would have. The slice length must equal the
+// network's node capacity. Frontier bookkeeping is invalidated; the
+// topology is NOT restored — callers must reconstruct it (and any faults
+// applied to it) before restoring states, which internal/checkpoint
+// verifies via the topology content hash.
 func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	if len(states) != len(net.states) {
 		return fmt.Errorf("fssga: RestoreStates got %d states for %d nodes", len(states), len(net.states))
@@ -280,7 +231,9 @@ func (net *Network[S]) Activate(v int) {
 		return
 	}
 	old := net.states[v]
-	net.states[v] = net.step(net.serialScratch(), v, nbrs, net.rngs[v])
+	sc := net.serialScratch()
+	sc.src.epoch = net.epoch()
+	net.states[v] = net.step(sc, v, nbrs)
 	if net.aggActive() && net.states[v] != old {
 		net.agg.noteChanged(int32(v))
 	}
@@ -301,29 +254,24 @@ func (net *Network[S]) beforeRound() {
 	}
 }
 
-// Quiescent reports whether one more synchronous round would leave every
-// state unchanged. It is meaningful only for deterministic automata; it
-// evaluates successor states against one throwaway random stream (which a
-// deterministic automaton must not consult) so the real per-node streams
-// are not consumed.
+// Quiescent reports whether the next synchronous round would leave
+// every state unchanged. It steps every node with the streams that round
+// will draw from, so it is exact for randomized automata too, and it
+// consumes nothing: a stream is a function of the epoch, which only a
+// committed round or activation advances. A pre-round hook that changes
+// the topology is not foreseen.
 //
 //fssga:hotpath
 func (net *Network[S]) Quiescent() bool {
 	c := net.prepare()
 	sc := net.serialScratch()
-	if net.probe == nil {
-		//fssga:alloc(one-time lazy construction of the reusable probe stream; reseeded in place afterwards)
-		net.probe = rand.New(rand.NewSource(1))
-	} else {
-		//fssga:alloc(Seed delegates to the source in place; rand.Rand is outside the allocation whitelist)
-		net.probe.Seed(1)
-	}
+	sc.src.epoch = net.epoch()
 	for v := 0; v < c.Cap(); v++ {
 		nbrs := c.Neighbors(v)
 		if len(nbrs) == 0 {
 			continue
 		}
-		if net.step(sc, v, nbrs, net.probe) != net.states[v] {
+		if net.step(sc, v, nbrs) != net.states[v] {
 			return false
 		}
 	}

@@ -1,100 +1,75 @@
 package fssga
 
-import (
-	"math/rand"
-	"sync/atomic"
-)
+import "math/rand"
 
-// lazySource is a rand.Source64 that defers building its underlying
-// generator until the first draw. math/rand's default source carries a
-// ~5 KB lagged-Fibonacci table, so materializing one per node caps
-// networks at tens of thousands of nodes (n=10⁶ would burn ~5 GB on
-// streams that deterministic automata never read). A lazy source costs
-// two small allocations per node up front and pays the table only for
-// nodes whose Step actually consumes randomness.
+// Per-node randomness is a pure function of (seed, node, epoch). The
+// paper's probabilistic automaton (Def. 3.10–3.11) gives every activation
+// fresh random bits, so no node keeps a stream: draw i of node v's step
+// at epoch e is output i of the SplitMix64 sequence started at
+// StreamKey(seed, v, e), and a step's epoch is the network's
+// Rounds + Activations when it runs. A retried round and a restored run
+// derive exactly the streams they need from that epoch, so nothing is
+// stored per node, rolled back or checkpointed.
 //
-// The draw sequence is bit-identical to an eagerly built
-// rand.NewSource(seed): the wrapper delegates every call, and because
-// it implements Source64, rand.Rand routes Uint64 through the
-// underlying source exactly as it would without the wrapper (asserted
-// in TestLazySourceStreamsMatchEager — chaos replay digests depend on
-// the streams never shifting).
-//
-// The wrapper additionally counts draws. Every rand.Rand method that
-// consumes randomness reaches the source through exactly one Int63 or
-// Uint64 call per internal step, and math/rand's rngSource advances its
-// state identically for both (Int63 is Uint64 masked to 63 bits), so
-// the counter is a complete stream position: re-seeding and discarding
-// `draws` Uint64 calls lands the source on the exact same state
-// regardless of which mix of Rand methods produced the draws. This is
-// what makes RNG streams checkpointable without serializing the 5 KB
-// table (internal/checkpoint) and rollback-able after a failed
-// supervised round (shard.go).
-type lazySource struct {
+// Each view scratch owns one rand.Rand over a keyedSource and re-points
+// it for every step with plain stores; the key is derived at the step's
+// first draw, so steps that draw nothing — every step of a
+// deterministic automaton — never hash.
+
+// golden is SplitMix64's increment γ, the odd 64-bit golden ratio.
+const golden = 0x9E3779B97F4A7C15
+
+// fmix is SplitMix64's output finalizer.
+func fmix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// mix derives a seed from seed and v with SplitMix64's finalizer, so
+// nearby inputs give unrelated outputs.
+func mix(seed, v int64) int64 {
+	return int64(fmix(uint64(seed) + uint64(v)*golden + golden))
+}
+
+// StreamKey returns the key of node v's stream at the given epoch in a
+// network seeded seed. The stream a step of v at that epoch draws from
+// is KeyedRand(StreamKey(seed, v, epoch)).
+func StreamKey(seed int64, v int, epoch uint64) uint64 {
+	return uint64(mix(mix(seed, int64(v)), int64(epoch)))
+}
+
+// KeyedRand returns a *rand.Rand whose draw i is output i of the
+// SplitMix64 sequence started at key. Seed(k) re-points it at key k in
+// O(1), so one Rand can serve any number of streams in turn.
+func KeyedRand(key uint64) *rand.Rand {
+	return rand.New(&keyedSource{state: key, keyed: true})
+}
+
+// keyedSource is the counter-based rand.Source64 behind KeyedRand and
+// the view scratches. While keyed is false it names the stream of node
+// at epoch under seed without having derived its key; the first draw
+// derives it.
+type keyedSource struct {
 	seed  int64
-	src   rand.Source64
-	draws uint64
-	// used, if non-nil, is flipped when the underlying generator is
-	// first materialized. The owning Network shares one flag across all
-	// node sources so deterministic runs can skip per-round RNG
-	// snapshots entirely.
-	used *atomic.Bool
-}
-
-func (l *lazySource) force() rand.Source64 {
-	if l.src == nil {
-		// math/rand's builtin source implements Source64 (guaranteed
-		// since Go 1.8's rngSource); the assertion is for safety.
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-		if l.used != nil {
-			l.used.Store(true)
-		}
-	}
-	return l.src
-}
-
-// Int63 implements rand.Source.
-func (l *lazySource) Int63() int64 {
-	l.draws++
-	return l.force().Int63()
+	epoch uint64
+	node  int
+	keyed bool   // state holds the stream: its key plus γ per draw
+	state uint64 // SplitMix64 counter
 }
 
 // Uint64 implements rand.Source64.
-func (l *lazySource) Uint64() uint64 {
-	l.draws++
-	return l.force().Uint64()
-}
-
-// Seed implements rand.Source. Re-seeding resets the stream exactly as
-// it would an eager source; the table build is again deferred.
-func (l *lazySource) Seed(seed int64) {
-	l.seed = seed
-	l.src = nil
-	l.draws = 0
-}
-
-// position returns the number of draws consumed from the stream.
-func (l *lazySource) position() uint64 { return l.draws }
-
-// rewind resets the stream to its seed and fast-forwards it to pos
-// draws, leaving the source in exactly the state it held after pos
-// draws of any kind. pos == 0 restores the never-drawn lazy state
-// (no table is built).
-func (l *lazySource) rewind(pos uint64) {
-	l.src = nil
-	l.draws = pos
-	if pos == 0 {
-		return
+func (s *keyedSource) Uint64() uint64 {
+	if !s.keyed {
+		s.state, s.keyed = StreamKey(s.seed, s.node, s.epoch), true
 	}
-	s := l.force()
-	for i := uint64(0); i < pos; i++ {
-		s.Uint64() // one rngSource step, same as any single draw
-	}
+	s.state += golden
+	return fmix(s.state)
 }
 
-// lazyRand returns a *rand.Rand whose stream is identical to
-// rand.New(rand.NewSource(seed)) but whose state table is built on
-// first draw.
-func lazyRand(seed int64) *rand.Rand {
-	return rand.New(&lazySource{seed: seed})
-}
+// Int63 implements rand.Source.
+func (s *keyedSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed implements rand.Source: it pins the source to the stream with
+// key seed.
+func (s *keyedSource) Seed(seed int64) { s.state, s.keyed = uint64(seed), true }

@@ -2,7 +2,6 @@ package fssga
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/graph"
 )
@@ -23,9 +22,8 @@ import (
 // For a deterministic automaton a node's successor can differ from its
 // state only if the node or a neighbour changed last round, so frontier
 // rounds reproduce the full-round trajectory exactly while quiesced
-// regions cost nothing. A node stepped by a full round consumes its
-// random stream; frontier rounds skip nodes, so they are for
-// deterministic automata only.
+// regions cost nothing. A randomized node can change with no change
+// around it, so frontier rounds are for deterministic automata only.
 
 // SyncRound performs one synchronous round: every live node computes its
 // successor state from the same snapshot σ, then all states switch
@@ -47,7 +45,7 @@ func (net *Network[S]) SyncRound() { net.mustRound(1, false) }
 func (net *Network[S]) SyncRoundFrontier() (changed bool) { return net.mustRound(1, true) }
 
 // SyncRoundParallel is SyncRound on the shard pool with the given number
-// of workers. Every node has a private random stream and reads only the
+// of workers. Every step draws from its own stream and reads only the
 // snapshot, so the result is bit-identical to SyncRound for any worker
 // count. A worker panic is recovered and the round retried (see
 // supervisor.go); only after retry exhaustion does the structured
@@ -59,7 +57,7 @@ func (net *Network[S]) SyncRoundParallel(workers int) { net.mustRound(workers, f
 // panicking: ErrConcurrentRound if another round is in flight on this
 // network, or a *PanicError if a worker panic survived every supervised
 // retry. On error the network is unchanged: still on its last committed
-// round, RNG streams rewound.
+// round, whose epoch names the streams a retry draws again.
 func (net *Network[S]) TrySyncRoundParallel(workers int) error {
 	_, err := net.round(workers, false)
 	return err
@@ -178,15 +176,16 @@ func (net *Network[S]) prepare() *graph.CSR {
 	return c
 }
 
-// step computes node v's successor state from the committed states: the
-// one per-node step shared by rounds, activations and the quiescence
-// probe, so all of them see identical views.
+// step computes node v's successor state from the committed states, on
+// v's stream at the scratch's epoch: the one per-node step shared by
+// rounds, activations and the quiescence probe, so all of them see
+// identical views and draws.
 //
 //fssga:hotpath
-func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32, rng *rand.Rand) S {
+func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32) S {
 	view := net.viewFor(sc, v, nbrs, net.states)
 	//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
-	return net.auto.Step(net.states[v], view, rng)
+	return net.auto.Step(net.states[v], view, sc.stream(v))
 }
 
 // stepChunk steps work-set positions [lo, hi) — node IDs themselves when
@@ -195,6 +194,7 @@ func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32, rng *rand.R
 //
 //fssga:hotpath
 func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32, lo, hi int, out []change[S]) []change[S] {
+	sc.src.epoch = net.epoch()
 	for i := lo; i < hi; i++ {
 		v := i
 		if work != nil {
@@ -204,7 +204,7 @@ func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32,
 		if len(nbrs) == 0 {
 			continue
 		}
-		if s := net.step(sc, v, nbrs, net.rngs[v]); s != net.states[v] {
+		if s := net.step(sc, v, nbrs); s != net.states[v] {
 			//fssga:alloc(a chunk's change buffer grows to its largest change count once, then is reused at capacity)
 			out = append(out, change[S]{v: int32(v), s: s})
 		}

@@ -24,7 +24,7 @@ import (
 //     per-worker wake channels — no per-round goroutine spawning;
 //   - work stealing over ~8 chunks per worker absorbs degree skew
 //     without changing results: whichever worker claims a chunk, the
-//     nodes' private RNG streams and the snapshot make the outcome
+//     per-step streams (rng.go) and the snapshot make the outcome
 //     bit-identical to serial execution, and commit applies the buffers
 //     in chunk order.
 const (

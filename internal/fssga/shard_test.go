@@ -304,40 +304,3 @@ func TestHookKillDuringParallelRound(t *testing.T) {
 		}
 	}
 }
-
-// TestLazySourceStreamsMatchEager: the lazy per-node sources must
-// produce exactly the streams of an eagerly built rand.NewSource —
-// chaos replay digests and cross-run determinism depend on it.
-func TestLazySourceStreamsMatchEager(t *testing.T) {
-	testutil.NoLeak(t)
-	for _, seed := range []int64{0, 1, -7, 1 << 40} {
-		eager := rand.New(rand.NewSource(seed))
-		lazy := lazyRand(seed)
-		for i := 0; i < 50; i++ {
-			switch i % 4 {
-			case 0:
-				if e, l := eager.Int63(), lazy.Int63(); e != l {
-					t.Fatalf("seed %d draw %d: Int63 %d vs %d", seed, i, e, l)
-				}
-			case 1:
-				if e, l := eager.Uint64(), lazy.Uint64(); e != l {
-					t.Fatalf("seed %d draw %d: Uint64 %d vs %d", seed, i, e, l)
-				}
-			case 2:
-				if e, l := eager.Intn(1000), lazy.Intn(1000); e != l {
-					t.Fatalf("seed %d draw %d: Intn %d vs %d", seed, i, e, l)
-				}
-			case 3:
-				if e, l := eager.Float64(), lazy.Float64(); e != l {
-					t.Fatalf("seed %d draw %d: Float64 %v vs %v", seed, i, e, l)
-				}
-			}
-		}
-		// Re-seeding resets the stream lazily but identically.
-		eager.Seed(seed ^ 42)
-		lazy.Seed(seed ^ 42)
-		if e, l := eager.Int63(), lazy.Int63(); e != l {
-			t.Fatalf("seed %d after reseed: %d vs %d", seed, e, l)
-		}
-	}
-}

@@ -35,8 +35,8 @@ type Pair struct {
 	replayPure func(picks []int) []uint64
 	// replayNet replays picks through a real fssga.Network via the chaos
 	// replay scheduler, returning per-activation digests. nil for
-	// randomized pairs (network per-node RNG streams differ from the
-	// derandomized oracle).
+	// randomized pairs (the network's streams differ from the
+	// derandomized oracle's).
 	replayNet func(picks []int) ([]uint64, error)
 }
 
@@ -200,12 +200,12 @@ func censusPair() Pair {
 	spec := trace.GraphSpec{Gen: "cycle", N: 4, Seed: 0}
 	cfg := census.Config{Bits: 2, Sketches: 2, Seed: 7}
 	model := func(g *graph.Graph) Model[census.State] {
+		// The derivation census.NewNetwork uses, so the network replay
+		// starts from the very same sketches.
+		sketch := census.InitialSketches(cfg)
 		init := make([]census.State, g.Cap())
 		for v := range init {
-			// Identical derivation to census.NewNetwork, so the network
-			// replay starts from the very same sketches.
-			rng := rand.New(rand.NewSource(cfg.Seed ^ (int64(v)+1)*0x5DEECE66D))
-			init[v] = census.InitialState(cfg, rng)
+			init[v] = sketch(v)
 		}
 		want := make([]census.State, g.Cap())
 		for v := 0; v < g.Cap(); v++ {
@@ -416,7 +416,7 @@ func electionPair() Pair {
 				for _, u := range g.SortedNeighbors(v, nil) {
 					d.String(fmt.Sprintf("%v", states[u]))
 				}
-				return rand.New(rand.NewSource(int64(d.Sum())))
+				return fssga.KeyedRand(d.Sum())
 			},
 			Invariant: func(v int, old, next election.State) string {
 				if next.Leader && !next.Remain {
