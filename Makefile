@@ -18,9 +18,9 @@ cover:
 	./scripts/coverage.sh
 
 # Determinism, symmetry, model-contract, hot-path and concurrency
-# static analyzers (internal/analysis) via the fssga-vet multichecker:
-# detrand, maporder, viewpure, seedplumb, globalwrite, symcontract,
-# finstate, capinfer, hotalloc, shardsafe, goroleak, chanprotocol,
+# static analyzers (internal/analysis) via the fssga-vet multichecker,
+# 13 in all: detrand, maporder, viewpure, seedplumb, globalwrite,
+# symcontract, finstate, hotalloc, shardsafe, goroleak, chanprotocol,
 # lockorder, atomicmix. Exit 1 on any finding not carrying an audited
 # //fssga:nondet, //fssga:alloc or //fssga:conc directive.
 lint:

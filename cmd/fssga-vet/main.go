@@ -1,8 +1,9 @@
-// Command fssga-vet runs the repository's determinism, symmetry,
+// Command fssga-vet runs the repository's 13 determinism, symmetry,
 // hot-path and concurrency analyzers (detrand, maporder, viewpure,
-// seedplumb, globalwrite, symcontract, finstate, capinfer, hotalloc,
-// shardsafe, goroleak, chanprotocol, lockorder, atomicmix) over Go
-// packages. It has two modes:
+// seedplumb, globalwrite, symcontract, finstate, hotalloc, shardsafe,
+// goroleak, chanprotocol, lockorder, atomicmix) over Go packages, and
+// reports the inferred mod-thresh footprints (-contracts). It has two
+// modes:
 //
 // Standalone, over go package patterns (the default is ./...):
 //

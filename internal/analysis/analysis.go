@@ -1,5 +1,5 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// in the spirit of golang.org/x/tools/go/analysis, together with the 14
+// in the spirit of golang.org/x/tools/go/analysis, together with the 13
 // fssga-vet analyzers that prove this repository's determinism, model,
 // hot-path and concurrency contracts at the source level. Five guard
 // determinism and symmetry:
@@ -17,21 +17,24 @@
 //     the parallel engine's worker entry points (Automaton.Step and `go`
 //     bodies), which would race under SyncRoundParallel.
 //
-// Three model-contract analyzers sit on a dataflow layer (a CFG
-// builder in cfg.go, a worklist fixed-point engine in dataflow.go and
-// interprocedural taint summaries in summary.go) and prove the FSSGA
-// model itself at the source level:
+// Two model-contract analyzers prove the FSSGA model itself at the
+// source level:
 //
 //   - symcontract: transition functions observe the View only as a
-//     multiset — order-invariant ForEach folds, constant observation
-//     caps (no data flow from the network size), no node identity
-//     captured into Step-shaped closures (Def. 3.1, Theorem 3.7);
+//     multiset — order-invariant ForEach folds, compile-time constant
+//     observation caps (so none grows with the network size), no node
+//     identity captured into Step-shaped closures (Def. 3.1,
+//     Theorem 3.7);
 //   - finstate: the state space reachable from a Step stays finite —
 //     no unclamped arithmetic on state values, no state types with
-//     unbounded value domains (Section 2);
-//   - capinfer: infers each automaton's mod-thresh footprint, emitted
-//     by fssga-vet -contracts and cross-checked in internal/mc against
-//     enumeration-derived witness bounds (Theorem 3.7).
+//     unbounded value domains (Section 2). It runs on the dataflow
+//     layer: a CFG builder in cfg.go and a worklist fixed-point engine
+//     in dataflow.go.
+//
+// Beside them, capinfer.go infers each automaton's mod-thresh footprint
+// as a report, not an analyzer: fssga-vet -contracts emits it, and
+// internal/mc cross-checks it against enumeration-derived witness
+// bounds (Theorem 3.7).
 //
 // The framework loads and type-checks packages with the standard library
 // only (go/parser + go/types, imports resolved through `go list -export`
@@ -55,11 +58,10 @@
 //     is read-only, and captured scratch must not be retained across
 //     rounds.
 //
-// Four concurrency analyzers sit on the conc.go effect layer
-// (interprocedural summaries of spawns, channel operations, select
-// arms, mutex pairs and atomic accesses) and prove the scheduler's side
-// of the model (Def 3.11: fair scheduling, constant work per
-// activation):
+// Four concurrency analyzers prove the scheduler's side of the model
+// (Def 3.11: fair scheduling, constant work per activation). The first
+// three read the conc.go effect layer (spawns, channel operations and
+// select arms):
 //
 //   - goroleak: every `go` statement in non-test code has a proven
 //     termination path — blocking receives are releasable by a close
@@ -68,11 +70,11 @@
 //   - chanprotocol: close-at-most-once, no send-after-close, wake-channel
 //     sends are non-blocking select/default, buffered capacities are
 //     named constants;
-//   - lockorder: unlock-on-all-paths over the CFG, no double
-//     acquisition, no lock held across a blocking channel operation, one
-//     unit-wide lock acquisition order;
-//   - atomicmix: a field accessed via sync/atomic anywhere is accessed
-//     atomically everywhere.
+//   - lockorder: every Lock is followed directly by a deferred Unlock,
+//     and a function holding a lock takes no other lock, does no
+//     blocking channel operation and calls nothing that may;
+//   - atomicmix: non-test code calls no sync/atomic function, so the
+//     typed atomics make mixed atomic and plain access unrepresentable.
 //
 // A diagnostic at a call site that has been audited and found safe is
 // suppressed by a directive comment placed on the flagged line or the
@@ -85,10 +87,10 @@
 // Each analyzer honours exactly one directive kind (//fssga:nondet by
 // default, //fssga:alloc for hotalloc, //fssga:conc for the concurrency
 // analyzers), so an allocation cannot be waved through by a determinism
-// audit or vice versa. The reason is free text but should say why the
-// site cannot desynchronize a replay (nondet), why the allocation is
-// acceptable on a hot path (alloc), or why the concurrency contract
-// holds anyway (conc).
+// audit or vice versa. The reason is mandatory free text: it should
+// say why the site cannot desynchronize a replay (nondet), why the
+// allocation is acceptable on a hot path (alloc), or why the
+// concurrency contract holds anyway (conc).
 package analysis
 
 import (
@@ -180,8 +182,9 @@ const AllocDirective = "//fssga:alloc"
 // directiveReason parses a comment against a directive prefix. It
 // accepts the two committed forms — "//fssga:nondet <reason>" and
 // "//fssga:alloc(<reason>)" — and rejects longer identifiers sharing the
-// prefix (e.g. //fssga:nondeterministic) and parenthesized directives
-// with no closing paren or an empty reason.
+// prefix (e.g. //fssga:nondeterministic), parenthesized directives with
+// no closing paren, and an empty reason: a suppression without a reason
+// suppresses nothing. Only the //fssga:hotpath marker stands alone.
 func directiveReason(text, prefix string) (reason string, ok bool) {
 	if !strings.HasPrefix(text, prefix) {
 		return "", false
@@ -198,7 +201,8 @@ func directiveReason(text, prefix string) (reason string, ok bool) {
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
 		return "", false
 	}
-	return strings.TrimSpace(rest), true
+	reason = strings.TrimSpace(rest)
+	return reason, reason != "" || prefix == HotpathDirective
 }
 
 // collectFindings executes the analyzers over the units, honouring each
@@ -275,7 +279,7 @@ func RunAnalyzers(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand, Maporder, Viewpure, Seedplumb, Globalwrite,
-		Symcontract, Finstate, Capinfer, Hotalloc, Shardsafe,
+		Symcontract, Finstate, Hotalloc, Shardsafe,
 		Goroleak, Chanprotocol, Lockorder, Atomicmix,
 	}
 }

@@ -1,6 +1,6 @@
 package analysis
 
-// Capinfer infers each automaton's mod-thresh footprint: the set of
+// capinfer infers each automaton's mod-thresh footprint: the set of
 // thresholds and moduli its transition function observes the
 // neighbourhood with. Theorem 3.7 says a symmetric finite-state
 // function is determined by counting each state up to a threshold and
@@ -10,10 +10,9 @@ package analysis
 // by running the real Step over all small multisets — static and
 // dynamic verification of the same theorem meeting in the middle.
 //
-// As an analyzer it reports only inference failures: an observation
-// whose cap cannot be constant-folded has no finite footprint to
-// declare (symcontract separately classifies *why* — n-taint or plain
-// non-constant).
+// It is a report, not an analyzer: a cap that cannot be constant-folded
+// marks the footprint unbounded, and symcontract flags that cap at the
+// same position.
 
 import (
 	"fmt"
@@ -23,13 +22,6 @@ import (
 	"go/types"
 	"sort"
 )
-
-var Capinfer = &Analyzer{
-	Name:      "capinfer",
-	Doc:       "infer the mod-thresh observation footprint of each transition function (Theorem 3.7 normal form)",
-	AppliesTo: DeterminismCritical,
-	Run:       runCapinfer,
-}
 
 // A Contract is one automaton's statically inferred observation
 // footprint.
@@ -76,16 +68,7 @@ var threshFor = map[string]int{
 	"All":      1,
 }
 
-func runCapinfer(pass *Pass) error {
-	for _, s := range pass.index().steps {
-		if s.decl != nil && !s.test {
-			inferOne(pass.Fset, pass.Info, s.fn, s.decl, pass.Report)
-		}
-	}
-	return nil
-}
-
-// InferContracts runs the footprint inference silently over units,
+// InferContracts runs the footprint inference over units,
 // returning contracts for every named Step-shaped function, sorted by
 // automaton name and deduplicated across unit variants.
 func InferContracts(units []*Unit) []Contract {
@@ -96,7 +79,7 @@ func InferContracts(units []*Unit) []Contract {
 			if s.decl == nil {
 				continue // literals have no stable contract name
 			}
-			c := inferOne(u.Fset, u.Info, s.fn, s.decl, nil)
+			c := inferOne(u.Fset, u.Info, s.fn, s.decl)
 			if !seen[c.Automaton] {
 				seen[c.Automaton] = true
 				out = append(out, c)
@@ -107,10 +90,8 @@ func InferContracts(units []*Unit) []Contract {
 	return out
 }
 
-// inferOne reads one transition function's footprint. report, when
-// non-nil, receives a diagnostic for every cap that fails constant
-// folding.
-func inferOne(fset *token.FileSet, info *types.Info, fn *types.Func, decl *ast.FuncDecl, report func(Diagnostic)) Contract {
+// inferOne reads one transition function's footprint.
+func inferOne(fset *token.FileSet, info *types.Info, fn *types.Func, decl *ast.FuncDecl) Contract {
 	pos := fset.Position(decl.Name.Pos())
 	c := Contract{
 		Automaton: fn.FullName(),
@@ -148,9 +129,6 @@ func inferOne(fset *token.FileSet, info *types.Info, fn *types.Func, decl *ast.F
 		v, isConst := intConstant(info, arg)
 		if !isConst {
 			c.Bounded = false
-			if report != nil {
-				report(Diagnostic{Pos: arg.Pos(), Message: "cannot infer a bounded footprint: view." + name + " argument is not a compile-time constant (Theorem 3.7 normal form needs fixed caps)"})
-			}
 			return true
 		}
 		switch name {

@@ -1,7 +1,7 @@
 package analysis
 
-// conc.go is the concurrency-effect layer beneath the four concvet
-// analyzers (goroleak, chanprotocol, lockorder, atomicmix). Each unit
+// conc.go is the concurrency-effect layer beneath three of the
+// concurrency analyzers (goroleak, chanprotocol, lockorder). Each unit
 // has one context, built on first use over the unit's index (index.go),
 // from the non-test files:
 //
@@ -26,7 +26,8 @@ package analysis
 // engine realizes as a fixed pool of worker goroutines parked on wake
 // channels. The layer lets the analyzers prove that realization keeps
 // its side of the bargain — workers are stoppable, wakes cannot block
-// the round owner, locks are ranked — instead of assuming it.
+// the round owner, no lock is held across a park — instead of assuming
+// it.
 
 import (
 	"go/ast"

@@ -181,7 +181,7 @@ func (p *wakePool) Close() { close(p.stop) }
 }
 
 // Injection 6: a field read plainly in one method and atomically in
-// another.
+// another, flagged at the raw sync/atomic call.
 func TestInjectedMixedAtomicPlainIsFlagged(t *testing.T) {
 	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
 

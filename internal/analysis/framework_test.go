@@ -9,8 +9,8 @@ import (
 
 func TestLookup(t *testing.T) {
 	all, err := analysis.Lookup("")
-	if err != nil || len(all) != 14 {
-		t.Fatalf("Lookup(\"\") = %d analyzers, err %v; want 14, nil", len(all), err)
+	if err != nil || len(all) != 13 {
+		t.Fatalf("Lookup(\"\") = %d analyzers, err %v; want 13, nil", len(all), err)
 	}
 	subset, err := analysis.Lookup("maporder, detrand")
 	if err != nil {

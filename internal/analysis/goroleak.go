@@ -5,9 +5,8 @@ package analysis
 // (Def 3.11: a fair scheduler eventually delivers every enabled
 // activation) only yields liveness if the worker goroutines themselves
 // are stoppable — a leaked worker pins its pool, its channels and
-// whatever the round body captured, and under the multi-tenant server
-// (ROADMAP item 3) leaks compound per session. The rules, per spawn in
-// non-test code:
+// whatever the round body captured. The rules, per spawn in non-test
+// code:
 //
 //   - the spawned body must resolve statically (a function literal or a
 //     same-unit declaration); dynamic spawn targets are flagged;

@@ -9,11 +9,21 @@ import (
 	"repro/internal/analysis"
 )
 
-// analyzeSynthetic type-checks src as a single-file package under the
-// given import path (imports resolved through export data) and runs the
-// full suite over it. This simulates editing a real module package
-// without touching the tree.
+// analyzeSynthetic runs the full suite over src, type-checked by
+// checkSynthetic. This simulates editing a real module package without
+// touching the tree.
 func analyzeSynthetic(t *testing.T, importPath, src string) []analysis.Finding {
+	t.Helper()
+	findings, err := analysis.RunAnalyzers([]*analysis.Unit{checkSynthetic(t, importPath, src)}, analysis.All())
+	if err != nil {
+		t.Fatalf("RunAnalyzers: %v", err)
+	}
+	return findings
+}
+
+// checkSynthetic type-checks src as a single-file package under the
+// given import path, imports resolved through export data.
+func checkSynthetic(t *testing.T, importPath, src string) *analysis.Unit {
 	t.Helper()
 	file := filepath.Join(t.TempDir(), "x.go")
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
@@ -24,11 +34,7 @@ func analyzeSynthetic(t *testing.T, importPath, src string) []analysis.Finding {
 	if err != nil {
 		t.Fatalf("CheckFiles: %v", err)
 	}
-	findings, err := analysis.RunAnalyzers([]*analysis.Unit{unit}, analysis.All())
-	if err != nil {
-		t.Fatalf("RunAnalyzers: %v", err)
-	}
-	return findings
+	return unit
 }
 
 // Acceptance pin: a bare time.Now() added to internal/fssga must fail
@@ -120,10 +126,10 @@ func lastSeen(self S, view *fssga.View[S], rnd *rand.Rand) S {
 }
 
 // Acceptance pin: an observation cap that data-flows from the network
-// size must fail the lint gate, through a constructor + struct-field
-// chain the flow-insensitive taint summary has to follow.
+// size, through a constructor and a struct field, must fail the lint
+// gate, and the -contracts report must call its footprint unbounded.
 func TestInjectedNSizeCapIsFlagged(t *testing.T) {
-	findings := analyzeSynthetic(t, "repro/internal/algo/census", `package census
+	const src = `package census
 
 import (
 	"math/rand"
@@ -144,14 +150,14 @@ func (a auto) Step(self S, view *fssga.View[S], rnd *rand.Rand) S {
 	}
 	return self
 }
-`)
-	sym := byAnalyzer(findings, "symcontract")
-	if len(sym) != 1 || !strings.Contains(sym[0].Message, "derives from the network size") {
-		t.Fatalf("findings = %v, want one symcontract n-taint diagnostic", findings)
+`
+	findings := analyzeSynthetic(t, "repro/internal/algo/census", src)
+	if len(findings) != 1 || findings[0].Analyzer != "symcontract" || !strings.Contains(findings[0].Message, "independent of n") {
+		t.Fatalf("findings = %v, want exactly one symcontract non-constant-cap diagnostic", findings)
 	}
-	cap := byAnalyzer(findings, "capinfer")
-	if len(cap) != 1 || !strings.Contains(cap[0].Message, "cannot infer a bounded footprint") {
-		t.Fatalf("findings = %v, want one capinfer unbounded-footprint diagnostic", findings)
+	unit := checkSynthetic(t, "repro/internal/algo/census", src)
+	if cs := analysis.InferContracts([]*analysis.Unit{unit}); len(cs) != 1 || cs[0].Bounded {
+		t.Fatalf("InferContracts = %+v, want one unbounded contract", cs)
 	}
 }
 
@@ -182,10 +188,51 @@ func label(id int) string { return fmt.Sprintf("node-%d", id) }
 	}
 }
 
+// A suppression directive without a reason is no directive: a bare
+// //fssga:alloc, //fssga:nondet or //fssga:conc line above a finding
+// leaves it live.
+func TestBareDirectiveSuppressesNothing(t *testing.T) {
+	for _, tc := range []struct{ analyzer, src string }{
+		{"hotalloc", `package fssga
+
+import "fmt"
+
+//fssga:hotpath
+func label(id int) string {
+	//fssga:alloc
+	return fmt.Sprintf("node-%d", id)
+}
+`},
+		{"detrand", `package fssga
+
+import "time"
+
+func stamp() int64 {
+	//fssga:nondet
+	return time.Now().UnixNano()
+}
+`},
+		{"lockorder", `package fssga
+
+import "sync"
+
+type box struct{ mu sync.Mutex }
+
+func (b *box) take() {
+	//fssga:conc
+	b.mu.Lock()
+}
+`},
+	} {
+		if got := byAnalyzer(analyzeSynthetic(t, "repro/internal/fssga", tc.src), tc.analyzer); len(got) != 1 {
+			t.Errorf("%s under a bare directive: findings = %v, want one", tc.analyzer, got)
+		}
+	}
+}
+
 // Acceptance pin: a lock taken inside a leading branch and held across a
-// blocking send must fail the lint gate. The entry block acquires
-// nothing, so a fixed point that only propagates growth from the entry
-// never visits the blocks after the branch.
+// blocking send after the branch must fail the lint gate: its deferred
+// unlock runs only at the function's exit.
 func TestInjectedLockAfterLeadingBranchIsFlagged(t *testing.T) {
 	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
 

@@ -1,514 +1,239 @@
 package analysis
 
-// lockorder proves the unit's lock discipline over the CFG:
+// lockorder holds every mutex to one shape, so its rules need no
+// dataflow:
 //
-//   - unlock-on-all-paths: a mutex locked in a function must be
-//     released on every path to the exit — by an unlock on each path or
-//     by a deferred unlock;
-//   - no double acquisition: taking a lock (or a write lock over a held
-//     read lock) that may already be held self-deadlocks;
-//   - no lock held across a blocking channel operation: a plain send or
-//     receive, a select without default, or a call to a same-unit
-//     function whose transitive summary contains one, performed while a
-//     lock is held, stalls every other goroutine contending for it;
-//   - consistent acquisition order: holding A while acquiring B (in the
-//     function body or transitively through a same-unit call) orders
-//     A before B; two locks acquired in both orders anywhere in the
-//     unit are a deadlock pair, and every edge on such a cycle is
-//     flagged.
+//   - every Lock or RLock is a statement followed directly, in its
+//     statement list (a block, a case body or a select arm), by a
+//     deferred Unlock or RUnlock of the same lock, so a lock is held
+//     from its acquisition to its function's exit;
+//   - a function that holds a lock takes no other lock (nor the same
+//     one again, in a loop), does no blocking channel operation (a
+//     plain send or receive, a select without default, a range over a
+//     channel), and makes no in-frame call to a same-unit function that
+//     may lock or block.
 //
-// The transitive summaries follow the call graph's in-frame edges only:
-// a call inside a `go` statement, or inside a function literal that is
-// not invoked on the spot, does not run while the caller holds its
-// locks.
-//
-// Lock identity is the struct field or variable owning the mutex (the
-// conc layer's target resolution), so MemFS.mu and FaultFS.mu stay
-// distinct while two receivers of the same method share one identity.
-// A lock is named by how it is written at its first acquisition in
-// source order, so messages do not depend on map iteration order.
+// Frames follow the call graph's in-frame edges: code under a `go`
+// statement, or in a function literal not invoked on the spot, runs in
+// a frame of its own. A finding names a lock as written at its call.
 // Audited exceptions carry //fssga:conc(reason).
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Lockorder is the lock-discipline analyzer.
 var Lockorder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "mutexes unlock on all paths, are never re-acquired or held across blocking channel ops, and keep one acquisition order unit-wide (audited exceptions: //fssga:conc(reason))",
+	Doc:       "every Lock is followed directly by a deferred Unlock, and a function holding a lock takes no other lock, does no blocking channel operation and calls nothing in the package that may (audited exceptions: //fssga:conc(reason))",
 	AppliesTo: DeterminismCritical,
 	Directive: ConcDirective,
 	Run:       runLockorder,
 }
 
-// lockKind distinguishes write and read acquisition.
-type lockKind uint8
+// unlockOf maps each acquiring lock method to its release.
+var unlockOf = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
 
+// The effects a function may have in its own frame.
 const (
-	lockWrite lockKind = iota
-	lockRead
+	mayLock uint8 = 1 << iota
+	mayBlock
 )
 
-// A mutexOp is one classified Lock/Unlock/RLock/RUnlock call.
-type mutexOp struct {
-	obj     types.Object
-	name    string // the receiver path as written at this call
-	acquire bool
-	kind    lockKind
-	pos     token.Pos
-}
-
-// A lockSummary is a function's transitive lock/channel effect: the
-// identities it may acquire and whether it may block on a channel.
-type lockSummary struct {
-	acquires map[types.Object]bool
-	blocking bool
-}
-
-// lockorderCtx extends the conc layer with the unit-wide order graph.
-type lockorderCtx struct {
+type lockCtx struct {
 	*concCtx
-	summaries map[*types.Func]*lockSummary
-	names     map[types.Object]string
-	// order records held->acquired edges with their first witness.
-	order map[[2]types.Object]token.Pos
+	effects map[*types.Func]uint8
 }
 
 func runLockorder(pass *Pass) error {
-	lc := &lockorderCtx{
-		concCtx:   pass.conc(),
-		summaries: make(map[*types.Func]*lockSummary),
-		names:     make(map[types.Object]string),
-		order:     make(map[[2]types.Object]token.Pos),
-	}
-	for _, f := range lc.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if op, ok := lc.mutexOpOf(call); ok && op.acquire && lc.names[op.obj] == "" {
-					lc.names[op.obj] = op.name
-				}
-			}
-			return true
-		})
-	}
+	lc := &lockCtx{concCtx: pass.conc(), effects: make(map[*types.Func]uint8)}
 	lc.summarize()
-
-	// Analyze every function-like body independently: declarations plus
-	// function literals (a literal runs on its own goroutine or frame;
-	// locks do not flow across its boundary statically).
 	for _, f := range lc.files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
+			switch n := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body != nil {
-					lc.checkBody(fn.Body, pass.Reportf)
+				if n.Body != nil {
+					lc.checkHolder(pass, n.Body)
 				}
 			case *ast.FuncLit:
-				lc.checkBody(fn.Body, pass.Reportf)
+				if lc.ownFrame(n) {
+					lc.checkHolder(pass, n.Body)
+				}
+			}
+			if name, m := lc.lockCall(n); unlockOf[m] != "" && !lc.unlockDeferred(n, name+"."+unlockOf[m]) {
+				pass.Reportf(n.Pos(), "lock %q must be followed directly by defer %s.%s()", name, name, unlockOf[m])
 			}
 			return true
 		})
 	}
-	lc.reportCycles(pass)
 	return nil
 }
 
-// mutexOpOf classifies a call as a mutex operation, resolving the
-// receiver to its lock identity.
-func (lc *lockorderCtx) mutexOpOf(call *ast.CallExpr) (mutexOp, bool) {
+// lockCall returns the receiver, as written, and the method when n is a
+// call to a sync lock method (Lock, Unlock, RLock, RUnlock), or "" for
+// both.
+func (lc *lockCtx) lockCall(n ast.Node) (name, method string) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", ""
+	}
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return mutexOp{}, false
-	}
-	var op mutexOp
-	switch sel.Sel.Name {
-	case "Lock":
-		op.acquire, op.kind = true, lockWrite
-	case "Unlock":
-		op.acquire, op.kind = false, lockWrite
-	case "RLock":
-		op.acquire, op.kind = true, lockRead
-	case "RUnlock":
-		op.acquire, op.kind = false, lockRead
-	default:
-		return mutexOp{}, false
+		return "", ""
 	}
 	fn, ok := lc.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return mutexOp{}, false
+		return "", ""
 	}
-	op.obj = lc.target(sel.X)
-	if op.obj == nil {
-		return mutexOp{}, false
+	switch fn.Name() {
+	case "Lock", "Unlock", "RLock", "RUnlock":
+		return types.ExprString(sel.X), fn.Name()
 	}
-	op.pos = call.Pos()
-	op.name = renderLockName(sel.X)
-	return op, true
+	return "", ""
 }
 
-// renderLockName prints the receiver path of a mutex op ("p.mu").
-func renderLockName(e ast.Expr) string {
-	switch x := unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return renderLockName(x.X) + "." + x.Sel.Name
-	case *ast.IndexExpr:
-		return renderLockName(x.X) + "[...]"
-	case *ast.StarExpr:
-		return renderLockName(x.X)
+// unlockDeferred reports whether the call n is a statement whose
+// successor in its statement list is `defer release()`.
+func (lc *lockCtx) unlockDeferred(n ast.Node, release string) bool {
+	stmt, ok := lc.parents[n].(*ast.ExprStmt)
+	if !ok {
+		return false
 	}
-	return "<lock>"
+	var list []ast.Stmt
+	switch p := lc.parents[stmt].(type) {
+	case *ast.BlockStmt:
+		list = p.List
+	case *ast.CaseClause:
+		list = p.Body
+	case *ast.CommClause:
+		list = p.Body
+	}
+	for i := 1; i < len(list); i++ {
+		if d, ok := list[i].(*ast.DeferStmt); ok && list[i-1] == ast.Stmt(stmt) {
+			name, method := lc.lockCall(d.Call)
+			return name+"."+method == release
+		}
+	}
+	return false
 }
 
-// summarize computes each non-test declaration's transitive lock
-// summary to a fixed point over the in-frame call edges (effects only
-// grow, so iteration terminates).
-func (lc *lockorderCtx) summarize() {
-	for _, obj := range lc.funcs {
-		if !lc.test[obj] {
-			lc.summaries[obj] = &lockSummary{acquires: make(map[types.Object]bool)}
+// ownFrame reports whether a function literal runs in a frame of its
+// own, as every literal does unless invoked on the spot outside a `go`
+// statement.
+func (lc *lockCtx) ownFrame(lit *ast.FuncLit) bool {
+	call, ok := lc.callParent(lit)
+	if !ok || unparen(call.Fun) != ast.Expr(lit) {
+		return true
+	}
+	_, spawned := lc.parents[call].(*ast.GoStmt)
+	return spawned
+}
+
+// blocking describes n when it is a channel operation that can park its
+// goroutine, and returns "" otherwise.
+func (lc *lockCtx) blocking(n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		if !lc.nonBlocking(n) {
+			return "blocking send"
+		}
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW && !lc.nonBlocking(n) {
+			return "blocking receive"
+		}
+	case *ast.RangeStmt:
+		if lc.chanTyped(n.X) {
+			return "ranging over a channel"
 		}
 	}
-	for obj, s := range lc.summaries {
-		body := lc.decls[obj].Body
-		if body == nil {
-			continue
+	return ""
+}
+
+// summarize computes each non-test declaration's effects: its own
+// in-frame locks and blocking operations, then those of its in-frame
+// callees to a fixed point (effects only grow, so iteration ends).
+func (lc *lockCtx) summarize() {
+	for _, fn := range lc.funcs {
+		if body := lc.decls[fn].Body; body != nil && !lc.test[fn] {
+			lc.walkFrames(body, func(n ast.Node, inFrame bool) {
+				if _, m := lc.lockCall(n); inFrame && unlockOf[m] != "" {
+					lc.effects[fn] |= mayLock
+				} else if inFrame && lc.blocking(n) != "" {
+					lc.effects[fn] |= mayBlock
+				}
+			})
 		}
-		// Spawned code blocks its own goroutine, not the caller, and a
-		// literal's effects land in the caller's frame only when it is
-		// invoked on the spot.
-		lc.walkFrames(body, func(n ast.Node, inFrame bool) {
-			if !inFrame {
-				return
-			}
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if op, ok := lc.mutexOpOf(n); ok && op.acquire {
-					s.acquires[op.obj] = true
-				}
-			case *ast.SendStmt:
-				if !lc.nonBlocking(n) {
-					s.blocking = true
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !lc.nonBlocking(n) {
-					s.blocking = true
-				}
-			case *ast.RangeStmt:
-				if lc.chanTyped(n.X) {
-					s.blocking = true
-				}
-			}
-		})
 	}
 	for changed := true; changed; {
 		changed = false
-		for obj, s := range lc.summaries {
-			for _, e := range lc.calls[obj] {
-				cs := lc.summaries[e.callee]
-				if !e.inFrame || cs == nil {
-					continue
-				}
-				if cs.blocking && !s.blocking {
-					s.blocking = true
-					changed = true
-				}
-				for a := range cs.acquires {
-					if !s.acquires[a] {
-						s.acquires[a] = true
-						changed = true
-					}
+		for _, fn := range lc.funcs {
+			for _, e := range lc.calls[fn] {
+				if eff := lc.effects[fn] | lc.effects[e.callee]; e.inFrame && eff != lc.effects[fn] {
+					lc.effects[fn], changed = eff, true
 				}
 			}
 		}
 	}
 }
 
-// heldState is the may-held lattice value at one program point.
-type heldState map[types.Object]lockKind
-
-func (h heldState) clone() heldState {
-	out := make(heldState, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-// join unions o into h (write dominates read) and returns h.
-func (h heldState) join(o heldState) heldState {
-	for k, v := range o {
-		if cur, ok := h[k]; !ok || (cur == lockRead && v == lockWrite) {
-			h[k] = v
+// checkHolder applies the holding rules to one function body that takes
+// a lock. The first lock it takes is held to its exit, so every later
+// acquisition (or the first again, in a loop), blocking operation and
+// call that may lock or block runs under it.
+func (lc *lockCtx) checkHolder(pass *Pass, body *ast.BlockStmt) {
+	held := ""
+	lc.walkFrames(body, func(n ast.Node, inFrame bool) {
+		name, m := lc.lockCall(n)
+		if !inFrame || unlockOf[m] == "" {
+			return
 		}
-	}
-	return h
-}
-
-// equal reports whether two held-sets hold the same locks in the same modes.
-func (h heldState) equal(o heldState) bool {
-	if len(h) != len(o) {
-		return false
-	}
-	for k, v := range h {
-		if cur, ok := o[k]; !ok || cur != v {
-			return false
+		if held == "" {
+			if held = name; !lc.inLoop(n, body) {
+				return
+			}
 		}
-	}
-	return true
-}
-
-// checkBody runs the may-held dataflow over one function body and
-// reports discipline violations.
-func (lc *lockorderCtx) checkBody(body *ast.BlockStmt, report func(pos token.Pos, format string, args ...any)) {
-	cfg := BuildCFG(body)
-	if cfg == nil {
+		pass.Reportf(n.Pos(), "lock %q acquired while %q is held: a function holds at most one lock", name, held)
+	})
+	if held == "" {
 		return
 	}
-
-	// Deferred unlocks release at function exit; collect them up front
-	// (they do not shorten the held region — that is the point of defer).
-	deferred := make(map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
+	lc.walkFrames(body, func(n ast.Node, inFrame bool) {
+		if !inFrame {
+			return
 		}
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return true
+		if what := lc.blocking(n); what != "" {
+			pass.Reportf(n.Pos(), "%s while holding %q: the lock is held for the full park", what, held)
 		}
-		if op, isOp := lc.mutexOpOf(d.Call); isOp && !op.acquire {
-			deferred[op.obj] = true
+		fn := lc.callee(n)
+		switch eff := lc.effects[fn]; {
+		case eff&mayBlock != 0:
+			pass.Reportf(n.Pos(), "call to %s may block on a channel while holding %q", fn.Name(), held)
+		case eff&mayLock != 0:
+			pass.Reportf(n.Pos(), "call to %s may acquire a lock while holding %q", fn.Name(), held)
 		}
-		return true
-	})
-
-	// Fixed point of the may-held states at block entry, on the shared
-	// engine: a block's first visit always propagates, so locks taken in a
-	// later block (inside a leading if, say) reach every block after it.
-	flow := Forward(cfg, heldState{}, FlowFuncs[heldState]{
-		Clone: heldState.clone,
-		Join:  heldState.join,
-		Equal: heldState.equal,
-		Transfer: func(n ast.Node, held heldState) heldState {
-			lc.transfer(n, held, nil)
-			return held
-		},
-	})
-
-	// Reporting pass over the stabilized states.
-	firstLock := make(map[types.Object]token.Pos)
-	for _, b := range cfg.Blocks {
-		in, reached := flow.In[b]
-		if !reached {
-			continue
-		}
-		held := in.clone()
-		for _, n := range b.Nodes {
-			lc.transfer(n, held, func(op mutexOp, held heldState) {
-				lc.checkNode(op, held, firstLock, report)
-			})
-			lc.checkBlocking(n, held, report)
-		}
-	}
-
-	// Unlock-on-all-paths: may-held at the exit without a deferred
-	// release means some path returns still holding the lock.
-	if cfg.Exit != nil {
-		var leaked []types.Object
-		for obj := range flow.In[cfg.Exit] {
-			if !deferred[obj] {
-				leaked = append(leaked, obj)
-			}
-		}
-		sort.Slice(leaked, func(i, j int) bool { return lc.names[leaked[i]] < lc.names[leaked[j]] })
-		for _, obj := range leaked {
-			pos := firstLock[obj]
-			if pos == token.NoPos {
-				continue
-			}
-			report(pos, "lock %q may be held at function exit on some path: unlock on every path or defer the unlock", lc.names[obj])
-		}
-	}
-}
-
-// transfer applies one CFG node's lock effects to held, calling onOp
-// (when non-nil) for each acquisition before it lands.
-func (lc *lockorderCtx) transfer(n ast.Node, held heldState, onOp func(op mutexOp, held heldState)) {
-	// A RangeStmt node in a loop-head block stands for the has-next
-	// check only; its body statements live in their own blocks.
-	if r, ok := n.(*ast.RangeStmt); ok {
-		lc.transfer(r.X, held, onOp)
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false // analyzed as its own body
-		case *ast.GoStmt:
-			return false // spawned code affects its own goroutine
-		case *ast.DeferStmt:
-			return false // releases at exit, not here
-		case *ast.CallExpr:
-			if op, ok := lc.mutexOpOf(m); ok {
-				if onOp != nil {
-					onOp(op, held)
-				}
-				if op.acquire {
-					for h := range held {
-						if h != op.obj {
-							lc.recordOrder(h, op.obj, op.pos)
-						}
-					}
-					if cur, already := held[op.obj]; !already || (cur == lockRead && op.kind == lockWrite) {
-						held[op.obj] = op.kind
-					}
-				} else {
-					delete(held, op.obj)
-				}
-			}
-		}
-		return true
 	})
 }
 
-// checkNode reports double acquisition and interprocedural effects for
-// one mutex-affecting node.
-func (lc *lockorderCtx) checkNode(op mutexOp, held heldState, firstLock map[types.Object]token.Pos, report func(pos token.Pos, format string, args ...any)) {
-	if !op.acquire {
-		return
-	}
-	if _, exists := firstLock[op.obj]; !exists {
-		firstLock[op.obj] = op.pos
-	}
-	if cur, already := held[op.obj]; already && !(cur == lockRead && op.kind == lockRead) {
-		report(op.pos, "lock %q may already be held here: self-deadlock", lc.names[op.obj])
-	}
-}
-
-// checkBlocking reports blocking channel operations — directly or
-// through a same-unit callee's summary — performed while a lock is held.
-func (lc *lockorderCtx) checkBlocking(n ast.Node, held heldState, report func(pos token.Pos, format string, args ...any)) {
-	if len(held) == 0 {
-		return
-	}
-	holding := lc.heldNames(held)
-	if r, ok := n.(*ast.RangeStmt); ok {
-		// The head block's RangeStmt stands for the has-next check; its
-		// body statements are their own CFG nodes. Judge only the range
-		// expression here (ranging a channel blocks at the head).
-		if lc.chanTyped(r.X) {
-			report(r.Pos(), "ranging over a channel while holding %s blocks the lock owner", holding)
-		}
-		lc.checkBlocking(r.X, held, report)
-		return
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		switch m := m.(type) {
+// inLoop reports whether the acquisition n may run twice within one run
+// of body: a loop encloses it with no literal in between (a literal's
+// deferred unlock releases the lock on every iteration), or body holds
+// a goto, which may jump back over it.
+func (lc *lockCtx) inLoop(n ast.Node, body *ast.BlockStmt) bool {
+	for p := lc.parents[n]; p != nil && p != ast.Node(body); p = lc.parents[p] {
+		switch p.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.GoStmt:
-			return false // go itself never blocks the spawner
-		case *ast.DeferStmt:
-			return false
-		case *ast.SendStmt:
-			if !lc.nonBlocking(m) {
-				report(m.Pos(), "blocking send while holding %s: the lock is held for the full park", holding)
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && !lc.nonBlocking(m) {
-				report(m.Pos(), "blocking receive while holding %s: the lock is held for the full park", holding)
-			}
-		case *ast.RangeStmt:
-			if lc.chanTyped(m.X) {
-				report(m.Pos(), "ranging over a channel while holding %s blocks the lock owner", holding)
-			}
-		case *ast.CallExpr:
-			fn := staticCallee(lc.Info, m)
-			if fn == nil {
-				return true
-			}
-			s := lc.summaries[fn]
-			if s == nil {
-				return true
-			}
-			if s.blocking {
-				report(m.Pos(), "call to %s may block on a channel while holding %s", fn.Name(), holding)
-			}
-			for a := range s.acquires {
-				for h := range held {
-					if h != a {
-						lc.recordOrder(h, a, m.Pos())
-					}
-				}
-				if _, already := held[a]; already {
-					report(m.Pos(), "call to %s may re-acquire %q already held here: self-deadlock", fn.Name(), lc.names[a])
-				}
-			}
-		}
-		return true
-	})
-}
-
-// heldNames renders the held set for diagnostics, sorted for stability.
-func (lc *lockorderCtx) heldNames(held heldState) string {
-	var names []string
-	for obj := range held {
-		names = append(names, fmt.Sprintf("%q", lc.names[obj]))
-	}
-	sort.Strings(names)
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
-}
-
-// recordOrder notes that `held` was held while acquiring `acq`.
-func (lc *lockorderCtx) recordOrder(held, acq types.Object, pos token.Pos) {
-	key := [2]types.Object{held, acq}
-	if _, seen := lc.order[key]; !seen {
-		lc.order[key] = pos
-	}
-}
-
-// reportCycles flags every order edge that participates in a cycle of
-// the unit-wide acquisition graph: two locks taken in both orders
-// anywhere in the unit are a deadlock pair.
-func (lc *lockorderCtx) reportCycles(pass *Pass) {
-	succ := make(map[types.Object]map[types.Object]bool)
-	for key := range lc.order {
-		if succ[key[0]] == nil {
-			succ[key[0]] = make(map[types.Object]bool)
-		}
-		succ[key[0]][key[1]] = true
-	}
-	// reaches reports a path from a to b in the order graph.
-	var reaches func(a, b types.Object, seen map[types.Object]bool) bool
-	reaches = func(a, b types.Object, seen map[types.Object]bool) bool {
-		if a == b {
+		case *ast.ForStmt, *ast.RangeStmt:
 			return true
 		}
-		if seen[a] {
-			return false
-		}
-		seen[a] = true
-		for y := range succ[a] {
-			if reaches(y, b, seen) {
-				return true
-			}
-		}
-		return false
 	}
-	for key, pos := range lc.order {
-		if reaches(key[1], key[0], map[types.Object]bool{}) {
-			pass.Reportf(pos, "lock %q acquired while %q is held, but the opposite order also occurs in this package: deadlock pair", lc.names[key[1]], lc.names[key[0]])
-		}
-	}
+	jumps := false
+	ast.Inspect(body, func(m ast.Node) bool {
+		b, ok := m.(*ast.BranchStmt)
+		jumps = jumps || ok && b.Tok == token.GOTO
+		return !jumps
+	})
+	return jumps
 }

@@ -17,11 +17,10 @@ import (
 //     (x op= e for a commutative op), extremal (a guarded min/max),
 //     idempotent (x = constant-per-iteration), or collect-then-sort;
 //     anything else makes the result depend on the multiset ordering;
-//   - observation caps that are not compile-time constants, with a
-//     sharper message when the cap provably data-flows from a
-//     network-size accessor (graph.NumNodes and friends) via the
-//     interprocedural taint summary — a cap that grows with n turns
-//     a finite-state automaton into an unbounded-counter machine;
+//   - observation caps that are not compile-time constants: a cap read
+//     at run time may grow with the network (graph.NumNodes and
+//     friends), which turns a finite-state automaton into an
+//     unbounded-counter machine;
 //   - Step-shaped function literals capturing enclosing integer
 //     locals: nodes are anonymous, so behaviour must not vary with
 //     any per-instantiation identity smuggled in through a closure.
@@ -60,7 +59,6 @@ func isViewMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
 
 func runSymcontract(pass *Pass) error {
 	x := pass.index()
-	taint := ComputeNSizeTaint(pass.Unit)
 	for _, fn := range x.funcs {
 		decl := x.decls[fn]
 		// The View's own methods implement the observation API;
@@ -71,7 +69,7 @@ func runSymcontract(pass *Pass) error {
 		if x.test[fn] || decl.Body == nil || methodOf(fn, "View", fssgaViewPkg) {
 			continue
 		}
-		checkObservations(pass, taint, decl.Body)
+		checkObservations(pass, decl.Body)
 	}
 	// Identity capture is specific to Step-shaped closures.
 	for _, s := range x.steps {
@@ -84,7 +82,7 @@ func runSymcontract(pass *Pass) error {
 
 // checkObservations audits every View observation inside one transition
 // function: cap constancy and ForEach fold shape.
-func checkObservations(pass *Pass, taint *TaintSummary, body *ast.BlockStmt) {
+func checkObservations(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Info
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -111,11 +109,7 @@ func checkObservations(pass *Pass, taint *TaintSummary, body *ast.BlockStmt) {
 		if name == "CountMod" {
 			what = "modulus"
 		}
-		if taint.ExprTainted(arg) {
-			pass.Reportf(arg.Pos(), "view.%s %s derives from the network size; observation caps must be constants of the automaton, independent of n (Theorem 3.7)", name, what)
-		} else {
-			pass.Reportf(arg.Pos(), "view.%s %s is not a compile-time constant; the mod-thresh normal form requires fixed caps (Theorem 3.7)", name, what)
-		}
+		pass.Reportf(arg.Pos(), "view.%s %s is not a compile-time constant; observation caps must be constants of the automaton, independent of n (Theorem 3.7)", name, what)
 		return true
 	})
 }

@@ -1,5 +1,5 @@
-// Fixture for the capinfer analyzer and the InferContracts footprint
-// table: one automaton per footprint shape.
+// Fixture for the InferContracts footprint table: one automaton per
+// footprint shape.
 package capinfer
 
 import (
@@ -56,7 +56,7 @@ func (escapee) Step(self S, view *fssga.View[S], rnd *rand.Rand) S {
 type unbounded struct{ k int }
 
 func (u unbounded) Step(self S, view *fssga.View[S], rnd *rand.Rand) S {
-	if view.Count(u.k, func(s S) bool { return s > 0 }) > 0 { // want `cannot infer a bounded footprint: view.Count argument is not a compile-time constant`
+	if view.Count(u.k, func(s S) bool { return s > 0 }) > 0 { // want `view.Count cap is not a compile-time constant; .* independent of n`
 		return 0
 	}
 	return self

@@ -114,22 +114,22 @@ func BadCap(self S, view *fssga.View[S], rnd *rand.Rand) S {
 }
 
 // MakeTainted builds a Step whose cap data-flows from the network
-// size: the sharper n-taint diagnostic, plus the identity-capture one
-// for reading the enclosing integer.
+// size: a non-constant cap like any other, plus the identity-capture
+// diagnostic for reading the enclosing integer.
 func MakeTainted(g *graph.Graph) func(S, *fssga.View[S], *rand.Rand) S {
 	n := g.NumNodes()
 	return func(self S, view *fssga.View[S], rnd *rand.Rand) S {
-		if view.Count(n, func(s S) bool { return s > 0 }) > 0 { // want `view.Count cap derives from the network size` `transition function captures enclosing variable "n"`
+		if view.Count(n, func(s S) bool { return s > 0 }) > 0 { // want `view.Count cap is not a compile-time constant; .* independent of n` `transition function captures enclosing variable "n"`
 			return self
 		}
 		return 0
 	}
 }
 
-// sizer is generic: a call on one of its instantiations resolves to a
-// per-instance method object, so the n-size taint must follow it to the
-// method's declaration, for its result and for its parameters alike (a
-// parameter whose type mentions T is a per-instance object too).
+// sizer is generic: a cap read through one of its instantiations, from
+// a method's result or from a field a method sets from its parameter,
+// is flagged at the observation like any other non-constant cap,
+// however the value reached it.
 type sizer[T ~int] struct {
 	g     *graph.Graph
 	limit int
@@ -145,10 +145,10 @@ func MakeGenericTainted(g *graph.Graph) func(S, *fssga.View[S], *rand.Rand) S {
 	var lim sizer[int]
 	lim.setLimit(g.NumEdges())
 	return func(self S, view *fssga.View[S], rnd *rand.Rand) S {
-		if view.Count(sizer[int]{g: g}.size(), func(s S) bool { return s > 0 }) > 0 { // want `view.Count cap derives from the network size`
+		if view.Count(sizer[int]{g: g}.size(), func(s S) bool { return s > 0 }) > 0 { // want `view.Count cap is not a compile-time constant; .* independent of n`
 			return self
 		}
-		if view.Exactly(lim.limit, func(s S) bool { return s > 0 }) { // want `view.Exactly cap derives from the network size`
+		if view.Exactly(lim.limit, func(s S) bool { return s > 0 }) { // want `view.Exactly cap is not a compile-time constant; .* independent of n`
 			return self
 		}
 		return 0

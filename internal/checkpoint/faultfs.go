@@ -132,16 +132,10 @@ func (f *FaultFS) Remove(name string) error {
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	f.mu.Lock()
-	if f.crashed {
-		f.mu.Unlock()
+	crashed, short := f.admit(true)
+	if crashed {
 		return nil, fmt.Errorf("checkpoint: read %s: %w", name, ErrCrashed)
 	}
-	short := f.shortReads > 0
-	if short {
-		f.shortReads--
-	}
-	f.mu.Unlock()
 	data, err := f.inner.ReadFile(name)
 	if err != nil {
 		return nil, err
@@ -153,11 +147,21 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 }
 
 func (f *FaultFS) List() ([]string, error) {
-	f.mu.Lock()
-	if f.crashed {
-		f.mu.Unlock()
+	if crashed, _ := f.admit(false); crashed {
 		return nil, fmt.Errorf("checkpoint: list: %w", ErrCrashed)
 	}
-	f.mu.Unlock()
 	return f.inner.List()
+}
+
+// admit takes the lock for a read-only operation: it reports whether
+// the crash has fired and, for a file read (read set), consumes one
+// armed short read.
+func (f *FaultFS) admit(read bool) (crashed, short bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	short = read && !f.crashed && f.shortReads > 0
+	if short {
+		f.shortReads--
+	}
+	return f.crashed, short
 }

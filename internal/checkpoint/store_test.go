@@ -243,7 +243,8 @@ func TestStoreCrashSweep(t *testing.T) {
 }
 
 // TestStoreShortRead: a short read of a committed checkpoint surfaces
-// as a truncation error, not a silent partial load.
+// as a truncation error, not a silent partial load — through Latest
+// too, whose List calls leave the armed short read to the file read.
 func TestStoreShortRead(t *testing.T) {
 	mem := NewMemFS()
 	st := NewStore(mem, 0)
@@ -254,6 +255,10 @@ func TestStoreShortRead(t *testing.T) {
 	ffs.ShortReads(1)
 	if _, err := NewStore(ffs, 0).Read(1); err == nil {
 		t.Fatal("short read loaded silently")
+	}
+	ffs.ShortReads(1)
+	if _, _, err := NewStore(ffs, 0).Latest(); err == nil {
+		t.Fatal("Latest loaded a short read silently")
 	}
 }
 

@@ -24,14 +24,8 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== fssga-vet (determinism, symmetry, model-contract & hot-path analyzers)"
+echo "== fssga-vet (all 13 analyzers: determinism, symmetry, model-contract, hot-path, concurrency)"
 go run ./cmd/fssga-vet repro/...
-
-echo "== fssga-vet hot-path gate (-json envelope, hotalloc + shardsafe)"
-go run ./cmd/fssga-vet -json -analyzers hotalloc,shardsafe repro/... > /dev/null
-
-echo "== fssga-vet concurrency gate (goroleak, chanprotocol, lockorder, atomicmix)"
-go run ./cmd/fssga-vet -json -analyzers goroleak,chanprotocol,lockorder,atomicmix repro/... > /dev/null
 
 echo "== fssga-vet -audit (no stale directives, suppression ratchet)"
 go run ./cmd/fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/... > /dev/null
