@@ -27,9 +27,9 @@
 //     Theorem 3.7);
 //   - finstate: the state space reachable from a Step stays finite —
 //     no unclamped arithmetic on state values, no state types with
-//     unbounded value domains (Section 2). It runs on the dataflow
-//     layer: a CFG builder in cfg.go and a worklist fixed-point engine
-//     in dataflow.go.
+//     unbounded value domains (Section 2). It walks each Step body's
+//     statements to a fixed point, splitting the fact at every
+//     condition, with no control-flow graph.
 //
 // Beside them, capinfer.go infers each automaton's mod-thresh footprint
 // as a report, not an analyzer: fssga-vet -contracts emits it, and

@@ -10,17 +10,17 @@ package analysis
 //     classic way a "finite-state" protocol cheats);
 //
 //   - returned state values must not carry unbounded arithmetic. A
-//     forward dataflow over the function's CFG tracks each variable's
+//     walk over the Step body's statements tracks each variable's
 //     level in the three-point lattice Bounded ⊏ StateMagnitude ⊏
 //     Growing: constants and automaton configuration are Bounded, the
 //     incoming self/neighbour states are StateMagnitude (returning
 //     them verbatim cannot enlarge the reachable set), and additive
 //     arithmetic (+, -, *, <<, ++) on anything at StateMagnitude or
-//     above is Growing. `x % k` re-bounds, as does a clamp — the
-//     branch refinement on CFG edges means `if x > cap { x = cap }`
-//     leaves x Bounded on both paths. A return whose value is Growing
-//     is reported: iterated over rounds, that state diverges and the
-//     automaton is no longer finite-state.
+//     above is Growing. `x % k` re-bounds, as does a clamp — each
+//     condition refines the fact on its true and false exits, so
+//     `if x > cap { x = cap }` leaves x Bounded on both paths. A
+//     return whose value is Growing is reported: iterated over rounds,
+//     that state diverges and the automaton is no longer finite-state.
 //
 // The boundedness rules are deliberately one-sided (an upper-bound
 // clamp is accepted as bounding) and trust calls to return Bounded
@@ -32,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 var Finstate = &Analyzer{
@@ -114,68 +115,265 @@ func typeKind(t types.Type) string {
 	return "reference type"
 }
 
-// checkBoundedness runs the level dataflow over one Step body and
-// reports returns of Growing values.
+// checkBoundedness walks one Step body on the level lattice and
+// reports returns of Growing values, each judged at the fixed point.
 func checkBoundedness(pass *Pass, sig *types.Signature, body *ast.BlockStmt) {
-	cfg := BuildCFG(body)
-	if cfg == nil {
-		return
-	}
-	be := &boundEval{info: pass.Info}
-	boundary := boundFact{}
+	be := &boundEval{info: pass.Info, gotos: map[string]boundFact{}, returns: map[*ast.ReturnStmt]boundFact{}}
+	entry := boundFact{}
 	if self := sig.Params().At(0); self != nil {
-		boundary[self] = levelState
+		entry[self] = levelState
 	}
-	fn := FlowFuncs[boundFact]{
-		Clone: func(f boundFact) boundFact {
-			out := make(boundFact, len(f))
-			for k, v := range f {
-				out[k] = v
-			}
-			return out
-		},
-		Join: func(dst, src boundFact) boundFact {
-			for k, v := range src {
-				if v > dst[k] {
-					dst[k] = v
-				}
-			}
-			return dst
-		},
-		Equal: func(a, b boundFact) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for k, v := range a {
-				if b[k] != v {
-					return false
-				}
-			}
-			return true
-		},
-		Transfer: be.transfer,
-		Refine:   be.refine,
-	}
-	res := Forward(cfg, boundary, fn)
-	for _, b := range cfg.Blocks {
-		res.Replay(b, func(n ast.Node, before boundFact) {
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok {
-				return
-			}
+	be.stmts(body.List, entry)
+	ast.Inspect(body, func(n ast.Node) bool {
+		ret, ok := n.(*ast.ReturnStmt)
+		if before := be.returns[ret]; ok && before != nil {
 			for _, e := range ret.Results {
 				if be.eval(e, before) == levelGrowing {
 					pass.Reportf(e.Pos(), "returned state value grows without bound (unclamped arithmetic on state); reduce modulo a constant or clamp before returning (finite-state contract, Section 2)")
 				}
 			}
-		})
-	}
+		}
+		return true
+	})
 }
 
 // boundEval evaluates expression levels and statement transfer for the
-// boundedness lattice.
+// boundedness lattice, and walks a Step body's statements to the fixed
+// point. Go's control flow is structured, so the walk needs no block
+// graph: a loop, or a statement list holding a label, is walked again
+// until its entry fact stops growing, and every fact only grows, so
+// the walk ends at the least fixed point.
 type boundEval struct {
 	info *types.Info
+	// frames stacks the statements that break, continue and
+	// fallthrough leave, innermost last.
+	frames []*flowFrame
+	// gotos joins, per label, the facts its gotos carry.
+	gotos map[string]boundFact
+	// returns holds the fact before each reachable return.
+	returns map[*ast.ReturnStmt]boundFact
+}
+
+// A flowFrame is a loop, switch or select, with the facts that leave
+// it by break, reach its next lap by continue, or fall into its next
+// case.
+type flowFrame struct {
+	label           string
+	loop            bool
+	brk, cont, fall boundFact
+}
+
+// joinFact merges src into dst, which it may reuse; a nil fact is
+// unreachable code.
+func joinFact(dst, src boundFact) boundFact {
+	if dst == nil {
+		return maps.Clone(src)
+	}
+	for k, v := range src {
+		if v > dst[k] {
+			dst[k] = v
+		}
+	}
+	return dst
+}
+
+// sameFact reports whether two facts agree, reachability included.
+func sameFact(a, b boundFact) bool {
+	return (a == nil) == (b == nil) && maps.Equal(a, b)
+}
+
+// stmts walks a statement list from fact f and returns the fact at its
+// normal completion. A list holding labels is walked again until the
+// facts its gotos carry stop growing.
+func (be *boundEval) stmts(list []ast.Stmt, f boundFact) boundFact {
+	var labels []string
+	for _, s := range list {
+		for l, ok := s.(*ast.LabeledStmt); ok; l, ok = l.Stmt.(*ast.LabeledStmt) {
+			labels = append(labels, l.Label.Name)
+		}
+	}
+	for {
+		seen := make([]boundFact, len(labels))
+		for i, l := range labels {
+			seen[i] = maps.Clone(be.gotos[l])
+		}
+		out := maps.Clone(f)
+		for _, s := range list {
+			out = be.stmt(s, out)
+		}
+		grew := false
+		for i, l := range labels {
+			grew = grew || !sameFact(seen[i], be.gotos[l])
+		}
+		if !grew {
+			return out
+		}
+	}
+}
+
+// stmt walks one statement from fact f, which it may reuse, and returns
+// the fact at its normal completion: nil when control cannot fall out
+// of it.
+func (be *boundEval) stmt(s ast.Stmt, f boundFact) boundFact {
+	label := ""
+	for l, ok := s.(*ast.LabeledStmt); ok; l, ok = s.(*ast.LabeledStmt) {
+		f = joinFact(f, be.gotos[l.Label.Name])
+		label, s = l.Label.Name, l.Stmt
+	}
+	if f == nil {
+		return nil
+	}
+	switch s := s.(type) {
+	case nil:
+		return f
+	case *ast.BlockStmt:
+		return be.stmts(s.List, f)
+	case *ast.ReturnStmt:
+		be.returns[s] = joinFact(be.returns[s], f)
+		return nil
+	case *ast.BranchStmt:
+		be.branch(s, f)
+		return nil
+	case *ast.IfStmt:
+		t, e := be.cond(s.Cond, be.stmt(s.Init, f))
+		t = be.stmts(s.Body.List, t)
+		if s.Else != nil {
+			e = be.stmt(s.Else, e)
+		}
+		return joinFact(t, e)
+	case *ast.ForStmt:
+		return be.loop(label, be.stmt(s.Init, f), s.Body, s.Post, func(head boundFact) (boundFact, boundFact) {
+			if s.Cond == nil {
+				return head, nil
+			}
+			return be.cond(s.Cond, head)
+		})
+	case *ast.RangeStmt:
+		// The key and value are assigned on every entry to the body.
+		return be.loop(label, f, s.Body, nil, func(head boundFact) (boundFact, boundFact) {
+			head = be.transfer(s, head)
+			return maps.Clone(head), head
+		})
+	case *ast.SwitchStmt:
+		f = be.stmt(s.Init, f)
+		if s.Tag != nil {
+			f = be.transfer(s.Tag, f)
+		}
+		return be.clauses(label, s.Body, f)
+	case *ast.TypeSwitchStmt:
+		return be.clauses(label, s.Body, be.transfer(s.Assign, be.stmt(s.Init, f)))
+	case *ast.SelectStmt:
+		fr := be.push(label, false)
+		var out boundFact
+		for _, c := range s.Body.List {
+			c := c.(*ast.CommClause)
+			out = joinFact(out, be.stmts(c.Body, be.stmt(c.Comm, maps.Clone(f))))
+		}
+		be.pop()
+		return joinFact(out, fr.brk)
+	}
+	// Assignments, declarations, expression, send, inc-dec, defer and go
+	// statements: straight-line.
+	return be.transfer(s, f)
+}
+
+// loop walks a for or range statement entered with fact f. test splits
+// a lap's head fact into the body's and the exit's; the body, then
+// post, is walked again until the head fact stops growing.
+func (be *boundEval) loop(label string, f boundFact, body *ast.BlockStmt, post ast.Stmt, test func(head boundFact) (boundFact, boundFact)) boundFact {
+	head := f
+	for {
+		in, exit := test(maps.Clone(head))
+		fr := be.push(label, true)
+		back := joinFact(be.stmts(body.List, in), fr.cont)
+		be.pop()
+		next := joinFact(maps.Clone(f), be.stmt(post, back))
+		if sameFact(next, head) {
+			return joinFact(exit, fr.brk)
+		}
+		head = next
+	}
+}
+
+// clauses walks the cases of a switch or type switch, dispatched from
+// fact f. Case expressions refine nothing; without a default, control
+// may skip every case.
+func (be *boundEval) clauses(label string, body *ast.BlockStmt, f boundFact) boundFact {
+	fr := be.push(label, false)
+	var out boundFact
+	dflt := false
+	for _, c := range body.List {
+		c := c.(*ast.CaseClause)
+		dflt = dflt || c.List == nil
+		in := joinFact(maps.Clone(f), fr.fall)
+		fr.fall = nil
+		out = joinFact(out, be.stmts(c.Body, in))
+	}
+	be.pop()
+	if !dflt {
+		out = joinFact(out, f)
+	}
+	return joinFact(out, fr.brk)
+}
+
+// branch hands fact f to the target of a goto, break, continue or
+// fallthrough.
+func (be *boundEval) branch(s *ast.BranchStmt, f boundFact) {
+	if s.Tok == token.GOTO {
+		be.gotos[s.Label.Name] = joinFact(be.gotos[s.Label.Name], f)
+		return
+	}
+	for i := len(be.frames) - 1; i >= 0; i-- {
+		fr := be.frames[i]
+		switch {
+		case s.Tok == token.FALLTHROUGH:
+			fr.fall = f
+		case s.Label != nil && s.Label.Name != fr.label, s.Tok == token.CONTINUE && !fr.loop:
+			continue
+		case s.Tok == token.BREAK:
+			fr.brk = joinFact(fr.brk, f)
+		default:
+			fr.cont = joinFact(fr.cont, f)
+		}
+		return
+	}
+}
+
+func (be *boundEval) push(label string, loop bool) *flowFrame {
+	fr := &flowFrame{label: label, loop: loop}
+	be.frames = append(be.frames, fr)
+	return fr
+}
+
+func (be *boundEval) pop() { be.frames = be.frames[:len(be.frames)-1] }
+
+// cond splits fact f at a branch condition into the facts on its true
+// and false exits, refining on one atomic comparison at a time.
+func (be *boundEval) cond(e ast.Expr, f boundFact) (boundFact, boundFact) {
+	switch x := unparen(e).(type) {
+	case *ast.BinaryExpr:
+		switch x.Op {
+		case token.LAND:
+			xt, xf := be.cond(x.X, f)
+			yt, yf := be.cond(x.Y, xt)
+			return yt, joinFact(xf, yf)
+		case token.LOR:
+			xt, xf := be.cond(x.X, f)
+			yt, yf := be.cond(x.Y, xf)
+			return joinFact(xt, yt), yf
+		}
+	case *ast.UnaryExpr:
+		if x.Op == token.NOT {
+			xt, xf := be.cond(x.X, f)
+			return xf, xt
+		}
+	}
+	if f == nil {
+		return nil, nil
+	}
+	leaf := unparen(e)
+	f = be.transfer(leaf, f)
+	return be.refine(leaf, true, maps.Clone(f)), be.refine(leaf, false, f)
 }
 
 // eval computes the level of expression e under fact f.
@@ -296,7 +494,10 @@ func (be *boundEval) evalBinary(x *ast.BinaryExpr, f boundFact) uint8 {
 	return hi
 }
 
-// transfer applies one CFG node's effect on the fact.
+// transfer applies the effect of one statement, condition or switch
+// tag on the fact; for a range statement, the key and value
+// assignment. ForEach folds anywhere inside n apply here too, those in
+// a deferred literal included.
 func (be *boundEval) transfer(n ast.Node, f boundFact) boundFact {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
@@ -427,7 +628,8 @@ func (be *boundEval) setIdent(id *ast.Ident, lv uint8, f boundFact) {
 // foldTransfer applies a ForEach callback's writes to variables that
 // outlive it: the callback runs zero or more times, so every write is
 // a weak update, with the fold parameters at StateMagnitude. Iterated
-// to a local fixed point so accumulator chains settle.
+// until no level changes, so assignment chains of any length settle;
+// levels only rise inside a fold, so this ends.
 func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 	if len(call.Args) == 0 {
 		return
@@ -436,10 +638,7 @@ func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 	if !ok {
 		return
 	}
-	inner := make(boundFact, len(f)+2)
-	for k, v := range f {
-		inner[k] = v
-	}
+	inner := maps.Clone(f)
 	for _, fld := range lit.Type.Params.List {
 		for _, name := range fld.Names {
 			if obj := be.info.Defs[name]; obj != nil {
@@ -447,18 +646,15 @@ func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 			}
 		}
 	}
-	for rounds := 0; rounds < 3; rounds++ {
-		changed := false
+	for changed := true; changed; {
+		changed = false
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			switch m.(type) {
 			case *ast.AssignStmt, *ast.IncDecStmt, *ast.DeclStmt, *ast.RangeStmt, *ast.ExprStmt:
 			default:
 				return true
 			}
-			before := make(boundFact, len(inner))
-			for k, v := range inner {
-				before[k] = v
-			}
+			before := maps.Clone(inner)
 			be.transfer(m, inner)
 			// Weak semantics: never lower a level inside a fold.
 			for k, v := range before {
@@ -473,9 +669,6 @@ func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 			}
 			return true
 		})
-		if !changed {
-			break
-		}
 	}
 	// Export the surviving variables' levels back to the outer fact.
 	for k, v := range inner {
@@ -488,11 +681,11 @@ func (be *boundEval) foldTransfer(call *ast.CallExpr, f boundFact) {
 	}
 }
 
-// refine sharpens facts along conditional edges: on the edge where
+// refine sharpens the fact on one exit of an atomic condition: where
 // `x < B` / `x <= B` holds (or `x > B` / `x >= B` fails), x is
 // bounded by B when B itself is Bounded — the clamp idiom.
-func (be *boundEval) refine(e *Edge, f boundFact) boundFact {
-	cond, ok := e.Cond.(*ast.BinaryExpr)
+func (be *boundEval) refine(e ast.Expr, taken bool, f boundFact) boundFact {
+	cond, ok := e.(*ast.BinaryExpr)
 	if !ok {
 		return f
 	}
@@ -506,7 +699,6 @@ func (be *boundEval) refine(e *Edge, f boundFact) boundFact {
 		}
 		be.setIdent(id, levelBounded, f)
 	}
-	taken := e.Kind == EdgeTrue
 	switch cond.Op {
 	case token.LSS, token.LEQ: // x < B true ⇒ x bounded; B < x false ⇒ x bounded
 		if taken {
