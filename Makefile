@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test cover lint audit contracts race chaos-race chaos-smoke crash-soak mc-smoke bench perf bench-perf bench-hub perf-gate
+.PHONY: check build test cover lint audit contracts race chaos-race chaos-smoke crash-soak mc-smoke bench perf bench-perf perf-gate
 
 # Tier-1 verify path (ROADMAP.md): gofmt + build + vet + tests + race.
 check:
@@ -82,13 +82,6 @@ bench-perf:
 	$(GO) run ./cmd/fssga-bench -perf -out BENCH_engine.json -trajectory BENCH_trajectory.json
 
 perf: bench-perf
-
-# Hub-round series only: steady-state frontier rounds on heavy-hub
-# topologies, linear view scans vs divide-and-conquer tree aggregation,
-# with the linear/agg speedups printed. The fast iteration loop for the
-# aggregation subsystem; writes no JSON artifacts.
-bench-hub:
-	$(GO) run ./cmd/fssga-bench -hub
 
 # The check.sh bench regression gate, standalone: re-measure the gated
 # headline series and fail if any is >1.6x slower than the committed report.

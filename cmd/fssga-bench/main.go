@@ -9,7 +9,6 @@
 //	fssga-bench -quick          # reduced sweeps (seconds, not minutes)
 //	fssga-bench -seed=7         # change the master seed
 //	fssga-bench -perf           # engine perf series (ns/op, allocs/op) → JSON
-//	fssga-bench -hub            # hub-round series only: linear vs aggregated views
 //	fssga-bench -perfgate       # regression gate vs the committed BENCH_engine.json
 package main
 
@@ -39,7 +38,6 @@ func run(args []string, w io.Writer) int {
 	perf := fs.Bool("perf", false, "run the engine perf suite instead of the experiment tables")
 	out := fs.String("out", "BENCH_engine.json", "output path for the -perf JSON report")
 	trajectory := fs.String("trajectory", "BENCH_trajectory.json", "trajectory file the -perf headline subset is appended to (empty disables)")
-	hub := fs.Bool("hub", false, "run only the hub-round aggregation series and print linear/agg speedups")
 	perfgate := fs.Bool("perfgate", false, "re-measure the gated headline series and fail on regression vs -baseline")
 	baseline := fs.String("baseline", "BENCH_engine.json", "committed perf report the -perfgate compares against")
 	tolerance := fs.Float64("tolerance", 1.6, "one-sided slowdown factor the -perfgate tolerates")
@@ -50,14 +48,6 @@ func run(args []string, w io.Writer) int {
 	if *perfgate {
 		if err := runPerfGate(*baseline, *seed, *tolerance, testing.Benchmark, w); err != nil {
 			fmt.Fprintf(w, "fssga-bench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *hub {
-		if err := runHub(*seed, testing.Benchmark, w); err != nil {
-			fmt.Fprintf(w, "fssga-bench: hub suite failed: %v\n", err)
 			return 1
 		}
 		return 0

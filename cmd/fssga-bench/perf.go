@@ -60,16 +60,9 @@ const perfSchema = "fssga-bench/perf/v2"
 // gate re-measures and compares against the committed report.
 const headlineSeries = "SyncRound/lattice/dense/n=2048"
 
-// hubGateSeries is the aggregation-path series the gate guards alongside
-// headlineSeries: steady-state frontier rounds on the 65536-node star
-// with the divide-and-conquer hub trees engaged. A regression here means
-// the incremental O(log deg) path degraded back toward the linear scan.
-const hubGateSeries = "HubRound/star/agg/n=65536"
-
 // trajectoryHeadline is the subset of series names recorded per -perf
 // run in the trajectory file: the gate's guarded serial series, the
-// parallel scaling endpoints, the million-node runs, and the hub-round
-// linear-vs-aggregated pair.
+// parallel scaling endpoints and the million-node runs.
 var trajectoryHeadline = []string{
 	headlineSeries,
 	"SyncRoundParallel/lattice/dense/n=65536/w=1",
@@ -78,9 +71,6 @@ var trajectoryHeadline = []string{
 	"SyncRoundParallel/lattice/dense/n=1048576/w=8",
 	"Checkpoint/write/full/n=1048576",
 	"Checkpoint/restore/delta/n=1048576",
-	"HubRound/star/linear/n=65536",
-	hubGateSeries,
-	"HubRound/plaw/agg/n=1048576",
 }
 
 // measureFunc runs one benchmark body; testing.Benchmark in production,
@@ -103,12 +93,6 @@ func (l lattice) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 	}
 	return self
 }
-
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step reads
-// only AnyState presence, the (1, 1) footprint. Declaring it keeps the
-// headline lattice series exercising the aggregation seam on topologies
-// with no hubs, so the -perfgate continuously prices the seam at zero.
-func (l lattice) SaturationFootprint() (int, int) { return 1, 1 }
 
 const latticeK = 16
 
@@ -141,142 +125,6 @@ func benchRoundParallel[S comparable](net *fssga.Network[S], workers int) func(b
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			net.SyncRoundParallel(workers)
-		}
-	}
-}
-
-func benchFrontierRound[S comparable](net *fssga.Network[S]) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		net.SyncRoundFrontier() // warm up scratch outside the measured region
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.SyncRoundFrontier()
-		}
-	}
-}
-
-// The HubRound series measure the steady-state cost the view-aggregation
-// subsystem exists to remove: a handful of churning neighbours forcing a
-// high-degree node to rebuild its view every round. The blinker automaton
-// models exactly that regime — togglers flip 0<->1 forever, watchers
-// (the hubs) hold state 2 while any toggler is present and absorb to 3
-// otherwise, everyone else is inert — so after a short warm-up the
-// frontier is just the togglers plus the hubs they touch, and each
-// measured round is one view rebuild per live hub: a full degree-scan on
-// the linear path, an O(log deg) tree patch on the aggregated one.
-const (
-	blinkOff   = 0 // toggler, currently off
-	blinkOn    = 1 // toggler, currently on
-	blinkWatch = 2 // high-degree watcher, holding while togglers blink
-	blinkDone  = 3 // absorbing inert state
-)
-
-type blinker struct{}
-
-func (blinker) NumStates() int       { return 4 }
-func (blinker) StateIndex(s int) int { return s }
-
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step reads
-// only AnyState presence, the (1, 1) footprint.
-func (blinker) SaturationFootprint() (int, int) { return 1, 1 }
-
-func (blinker) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
-	switch self {
-	case blinkOff:
-		return blinkOn
-	case blinkOn:
-		return blinkOff
-	case blinkWatch:
-		if view.AnyState(blinkOff) || view.AnyState(blinkOn) {
-			return blinkWatch
-		}
-		return blinkDone
-	default:
-		return blinkDone
-	}
-}
-
-// hubTogglers is the steady-state churn width: how many of the hub's
-// neighbours keep flipping per round.
-const hubTogglers = 16
-
-// hubPlawBlock and hubPlawEPN pin the power-law block shape for the hub
-// series: 16384-node preferential-attachment blocks with four edges per
-// node, replicated to reach each target size.
-const (
-	hubPlawBlock = 16384
-	hubPlawEPN   = 4
-)
-
-// hubCase is one heavy-hub snapshot the HubRound series sweep; csr is a
-// constructor so list literals stay cheap until a case actually runs.
-type hubCase struct {
-	topo string
-	n    int
-	csr  func() *graph.CSR
-}
-
-func hubCases(seed int64) []hubCase {
-	return []hubCase{
-		{"star", 65536, func() *graph.CSR { return graph.StarCSR(65536) }},
-		{"star", 1048576, func() *graph.CSR { return graph.StarCSR(1048576) }},
-		{"plaw", 65536, func() *graph.CSR { return graph.PLawCSR(hubPlawBlock, 4, hubPlawEPN, seed) }},
-		{"plaw", 1048576, func() *graph.CSR { return graph.PLawCSR(hubPlawBlock, 64, hubPlawEPN, seed) }},
-	}
-}
-
-// hubBenchNet builds the blinker network on a heavy-hub snapshot and
-// advances it to the steady state the HubRound series measure. Watchers
-// are the nodes at or above the default aggregation cutoff; the togglers
-// are the first hubTogglers ordinary neighbours of node 0, so node 0 —
-// the heaviest hub in both topologies — rebuilds its view every round.
-// linear pins the cutoff above any degree so the tree path never
-// engages and every rebuild is a full neighbourhood scan.
-func hubBenchNet(c *graph.CSR, seed int64, linear bool) *fssga.Network[int] {
-	watcher := func(v int) bool { return c.Degree(v) >= fssga.AggDefaultCutoff }
-	togglers := make(map[int]bool, hubTogglers)
-	for _, u := range c.Neighbors(0) {
-		if !watcher(int(u)) {
-			togglers[int(u)] = true
-			if len(togglers) == hubTogglers {
-				break
-			}
-		}
-	}
-	init := func(v int) int {
-		switch {
-		case watcher(v):
-			return blinkWatch
-		case togglers[v]:
-			return blinkOff
-		default:
-			return blinkDone
-		}
-	}
-	net := fssga.NewFromCSR[int](c, blinker{}, init, seed)
-	if linear {
-		net.SetAggDegreeCutoff(1 << 30)
-	}
-	for i := 0; i < 4; i++ {
-		net.SyncRoundFrontier() // settle the inert bulk; only the hub ball stays live
-	}
-	return net
-}
-
-// collectHubRounds appends the eight HubRound series through the given
-// serial recorder; shared by collectPerf (section 7) and the standalone
-// -hub mode.
-func collectHubRounds(seed int64, serial func(name string, fn func(b *testing.B))) {
-	for _, tc := range hubCases(seed) {
-		c := tc.csr()
-		for _, mode := range []struct {
-			name   string
-			linear bool
-		}{{"linear", true}, {"agg", false}} {
-			net := hubBenchNet(c, seed, mode.linear)
-			serial(fmt.Sprintf("HubRound/%s/%s/n=%d", tc.topo, mode.name, tc.n),
-				benchFrontierRound(net))
 		}
 	}
 }
@@ -499,13 +347,6 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 		})
 	}
 
-	// 7. Hub rounds: steady-state frontier rounds on heavy-hub
-	// topologies, linear neighbourhood scan vs divide-and-conquer tree
-	// aggregation on the same workload. The star is the worst case (one
-	// degree n-1 hub); the replicated power-law graph has a hub per
-	// block, only one of which stays live.
-	collectHubRounds(seed, serial)
-
 	return results
 }
 
@@ -619,29 +460,8 @@ func appendTrajectory(path string, report perfReport) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// gatedSeries describes one series the -perfgate re-measures against the
-// committed report: its name and a constructor for its benchmark body.
-type gatedSeries struct {
-	name  string
-	bench func(seed int64) func(b *testing.B)
-}
-
-// gatedSeriesList returns the series the gate guards: the general-engine
-// headline (serial lattice rounds on G(n, p)) and the aggregation-path
-// headline (steady-state hub rounds on the star with tree views).
-func gatedSeriesList() []gatedSeries {
-	return []gatedSeries{
-		{headlineSeries, func(seed int64) func(b *testing.B) {
-			return benchRound(latticeNet(seed, 2048))
-		}},
-		{hubGateSeries, func(seed int64) func(b *testing.B) {
-			return benchFrontierRound(hubBenchNet(graph.StarCSR(65536), seed, false))
-		}},
-	}
-}
-
 // runPerfGate is the scripts/check.sh bench regression gate: re-measure
-// each gated headline series (best of three, pinned to one proc like the
+// the headline series (best of three, pinned to one proc like the
 // recorded baseline) and fail if it is slower than the committed
 // BENCH_engine.json value by more than the tolerance factor, or if the
 // hot path started allocating. One-sided on purpose — a faster machine
@@ -659,68 +479,42 @@ func runPerfGate(baselinePath string, seed int64, tolerance float64, measure mea
 		return fmt.Errorf("perf gate: %s has schema %q, want %q (regenerate with `make bench-perf`)",
 			baselinePath, base.Schema, perfSchema)
 	}
-	for _, gs := range gatedSeriesList() {
-		var baseline *perfResult
-		for i := range base.Results {
-			if base.Results[i].Name == gs.name {
-				baseline = &base.Results[i]
-				break
-			}
-		}
-		if baseline == nil {
-			return fmt.Errorf("perf gate: %s lacks the gated headline series %q (regenerate with `make bench-perf`)",
-				baselinePath, gs.name)
-		}
-
-		best := math.Inf(1)
-		bestAllocs := int64(math.MaxInt64)
-		withProcs(1, func() {
-			fn := gs.bench(seed)
-			for rep := 0; rep < 3; rep++ {
-				r := measure(fn)
-				if ns := float64(r.NsPerOp()); ns < best {
-					best = ns
-				}
-				if a := r.AllocsPerOp(); a < bestAllocs {
-					bestAllocs = a
-				}
-			}
-		})
-		limit := baseline.NsPerOp * tolerance
-		fmt.Fprintf(w, "perf gate: %s = %.0f ns/op (baseline %.0f, limit %.2fx = %.0f), %d allocs/op (baseline %d)\n",
-			gs.name, best, baseline.NsPerOp, tolerance, limit, bestAllocs, baseline.AllocsPerOp)
-		if best > limit {
-			return fmt.Errorf("perf gate: %s regressed: %.0f ns/op exceeds %.2fx the committed %.0f ns/op",
-				gs.name, best, tolerance, baseline.NsPerOp)
-		}
-		if bestAllocs > baseline.AllocsPerOp {
-			return fmt.Errorf("perf gate: %s allocates %d objects/op, committed baseline allocates %d",
-				gs.name, bestAllocs, baseline.AllocsPerOp)
+	var baseline *perfResult
+	for i := range base.Results {
+		if base.Results[i].Name == headlineSeries {
+			baseline = &base.Results[i]
+			break
 		}
 	}
-	return nil
-}
+	if baseline == nil {
+		return fmt.Errorf("perf gate: %s lacks the gated headline series %q (regenerate with `make bench-perf`)",
+			baselinePath, headlineSeries)
+	}
 
-// runHub measures only the HubRound series and prints the linear/agg
-// speedup per topology — the quick iteration loop for the aggregation
-// subsystem (`make bench-hub`). No JSON artifacts are written.
-func runHub(seed int64, measure measureFunc, w io.Writer) error {
-	byName := map[string]float64{}
-	serial := func(name string, fn func(b *testing.B)) {
-		withProcs(1, func() {
+	best := math.Inf(1)
+	bestAllocs := int64(math.MaxInt64)
+	withProcs(1, func() {
+		fn := benchRound(latticeNet(seed, 2048))
+		for rep := 0; rep < 3; rep++ {
 			r := measure(fn)
-			byName[name] = float64(r.NsPerOp())
-			fmt.Fprintf(w, "%-32s %12.0f ns/op %8d allocs/op %10d B/op\n",
-				name, float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp())
-		})
-	}
-	collectHubRounds(seed, serial)
-	for _, tc := range hubCases(seed) {
-		lin := byName[fmt.Sprintf("HubRound/%s/linear/n=%d", tc.topo, tc.n)]
-		agg := byName[fmt.Sprintf("HubRound/%s/agg/n=%d", tc.topo, tc.n)]
-		if lin > 0 && agg > 0 {
-			fmt.Fprintf(w, "HubRound/%s/n=%d: linear/agg speedup %.2fx\n", tc.topo, tc.n, lin/agg)
+			if ns := float64(r.NsPerOp()); ns < best {
+				best = ns
+			}
+			if a := r.AllocsPerOp(); a < bestAllocs {
+				bestAllocs = a
+			}
 		}
+	})
+	limit := baseline.NsPerOp * tolerance
+	fmt.Fprintf(w, "perf gate: %s = %.0f ns/op (baseline %.0f, limit %.2fx = %.0f), %d allocs/op (baseline %d)\n",
+		headlineSeries, best, baseline.NsPerOp, tolerance, limit, bestAllocs, baseline.AllocsPerOp)
+	if best > limit {
+		return fmt.Errorf("perf gate: %s regressed: %.0f ns/op exceeds %.2fx the committed %.0f ns/op",
+			headlineSeries, best, tolerance, baseline.NsPerOp)
+	}
+	if bestAllocs > baseline.AllocsPerOp {
+		return fmt.Errorf("perf gate: %s allocates %d objects/op, committed baseline allocates %d",
+			headlineSeries, bestAllocs, baseline.AllocsPerOp)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -93,14 +92,6 @@ func TestRunPerfReportAndTrajectory(t *testing.T) {
 		"Checkpoint/write/delta/n=1048576",
 		"Checkpoint/restore/full/n=1048576",
 		"Checkpoint/restore/delta/n=1048576",
-		"HubRound/star/linear/n=65536",
-		"HubRound/star/agg/n=65536",
-		"HubRound/star/linear/n=1048576",
-		"HubRound/star/agg/n=1048576",
-		"HubRound/plaw/linear/n=65536",
-		"HubRound/plaw/agg/n=65536",
-		"HubRound/plaw/linear/n=1048576",
-		"HubRound/plaw/agg/n=1048576",
 	} {
 		if _, ok := names[want]; !ok {
 			t.Errorf("report lacks series %q", want)
@@ -131,33 +122,6 @@ func TestRunPerfReportAndTrajectory(t *testing.T) {
 	}
 }
 
-// TestRunHubSeriesAndSpeedups drives the standalone -hub mode with a
-// fake measurer: all eight HubRound series must be printed, followed by
-// one linear/agg speedup line per topology/size pair.
-func TestRunHubSeriesAndSpeedups(t *testing.T) {
-	if testing.Short() {
-		t.Skip("constructs million-node networks; skipped in -short mode")
-	}
-	var buf strings.Builder
-	if err := runHub(1, fakeMeasure(1000), &buf); err != nil {
-		t.Fatalf("runHub: %v", err)
-	}
-	out := buf.String()
-	for _, topo := range []string{"star", "plaw"} {
-		for _, mode := range []string{"linear", "agg"} {
-			for _, n := range []int{65536, 1048576} {
-				series := "HubRound/" + topo + "/" + mode + "/n=" + strconv.Itoa(n)
-				if !strings.Contains(out, series) {
-					t.Errorf("output lacks series %q", series)
-				}
-			}
-		}
-	}
-	if got := strings.Count(out, "speedup"); got != 4 {
-		t.Errorf("output has %d speedup lines, want 4:\n%s", got, out)
-	}
-}
-
 // TestAppendTrajectoryRejectsCorruptFile: a corrupt or foreign-schema
 // trajectory file is an error, never silently overwritten.
 func TestAppendTrajectoryRejectsCorruptFile(t *testing.T) {
@@ -175,7 +139,7 @@ func TestAppendTrajectoryRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-// gateBaseline writes a v2 report containing both gated headline series
+// gateBaseline writes a v2 report containing the gated headline series
 // with the given ns/op and allocs and returns its path.
 func gateBaseline(t *testing.T, ns float64, allocs int64) string {
 	t.Helper()
@@ -184,7 +148,6 @@ func gateBaseline(t *testing.T, ns float64, allocs int64) string {
 		Results: []perfResult{
 			{Name: "SyncRound/lattice/map/n=512", NsPerOp: 1, Gomaxprocs: 1},
 			{Name: headlineSeries, NsPerOp: ns, AllocsPerOp: allocs, Gomaxprocs: 1},
-			{Name: hubGateSeries, NsPerOp: ns, AllocsPerOp: allocs, Gomaxprocs: 1},
 		},
 	}
 	data, _ := json.Marshal(report)

@@ -96,12 +96,6 @@ func (automaton) StateIndex(s State) int {
 	return i*3 + int(s.Status)
 }
 
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step uses a
-// min-fold over present labels plus Any/None predicates — all
-// presence-only observations. Verified against the exhaustive multiset
-// semantics by internal/mc's witness check.
-func (automaton) SaturationFootprint() (int, int) { return 1, 1 }
-
 // Step implements fssga.Automaton.
 func (automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {
 	switch {

@@ -107,12 +107,6 @@ func (a automaton) StateIndex(s State) int {
 	return idx
 }
 
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step ORs
-// each distinct neighbour state into self, so only state presence
-// matters. Verified against the exhaustive multiset semantics by
-// internal/mc's witness check.
-func (automaton) SaturationFootprint() (int, int) { return 1, 1 }
-
 // Step implements fssga.Automaton.
 func (automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {
 	out := self

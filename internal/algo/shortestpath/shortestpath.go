@@ -46,12 +46,6 @@ func (a automaton) StateIndex(s State) int {
 	return i
 }
 
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step is a
-// min-fold over the set of present labels, so only state presence
-// matters. Verified against the exhaustive multiset semantics by
-// internal/mc's witness check.
-func (automaton) SaturationFootprint() (int, int) { return 1, 1 }
-
 // Step implements fssga.Automaton.
 func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {
 	if self.InT {

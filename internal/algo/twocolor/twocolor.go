@@ -57,12 +57,6 @@ func (automaton) NumStates() int { return 4 }
 // StateIndex implements fssga.DenseAutomaton.
 func (automaton) StateIndex(s State) int { return int(s) }
 
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step reads
-// only AnyState presence bits, so multiplicities beyond 1 are
-// indistinguishable. Verified against the exhaustive multiset semantics
-// by internal/mc's witness check.
-func (automaton) SaturationFootprint() (int, int) { return 1, 1 }
-
 // Step implements fssga.Automaton.
 func (automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {
 	if self == Failed {

@@ -45,8 +45,7 @@
 // directive lines, built once on first use.
 //
 // Two hot-path analyzers extend the suite beyond determinism to the
-// engine's performance contracts (the sharded rounds and the O(log deg)
-// hub aggregation both depend on them):
+// engine's performance contracts (the sharded rounds depend on them):
 //
 //   - hotalloc: functions marked //fssga:hotpath must be provably free
 //     of heap allocation — no append growth, interface boxing, escaping

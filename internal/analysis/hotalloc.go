@@ -1,10 +1,9 @@
 package analysis
 
 // hotalloc proves the engine's zero-allocation contract at the source
-// level. PR 1 rebuilt the round engine allocation-free and PRs 6/8 kept
-// the sharded rounds and hub aggregation on that diet, but until now the
-// contract was only witnessed dynamically (benches asserting 0
-// allocs/op). This pass makes it a static theorem: a function marked
+// level. Steady-state rounds, serial and sharded, are allocation-free,
+// which benches witness dynamically (asserting 0 allocs/op). This pass
+// makes it a static theorem: a function marked
 //
 //	//fssga:hotpath
 //

@@ -143,24 +143,14 @@ func (sc *viewScratch[S]) add(s S, n int32) {
 }
 
 // buildView assembles a node's symmetric view of the neighbours listed
-// in nbrs (a CSR neighbour row) from snapshot into sc. The returned
-// View aliases the scratch buffers: it is valid only until the next
-// buildView on the same scratch, which is exactly the duration of one
-// Step call.
+// in nbrs (a CSR neighbour row) from snapshot into sc, in one linear
+// scan: a repeated state costs one lookup and one increment, inline;
+// only first-seen states call push. The returned View aliases the
+// scratch buffers: it is valid only until the next buildView on the
+// same scratch, which is exactly the duration of one Step call.
 //
 //fssga:hotpath
 func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32, snapshot []S) *View[S] {
-	return buildViewOver(net, sc, nbrs, snapshot)
-}
-
-// buildViewOver is the single linear-scan view-construction body, generic
-// over the neighbour index width so the engine's CSR []int32 rows and the
-// legacy []int adjacency of hoist_bench_test.go share one implementation
-// (the benchmark cannot drift from the real path). A repeated state costs
-// one lookup and one increment, inline; only first-seen states call push.
-//
-//fssga:hotpath
-func buildViewOver[S comparable, N int | int32](net *Network[S], sc *viewScratch[S], nbrs []N, snapshot []S) *View[S] {
 	sc.reset()
 	v := &sc.view
 	if slot := v.slot; slot != nil {

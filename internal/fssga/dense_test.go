@@ -17,10 +17,6 @@ type denseMax struct{ n int }
 
 func (d denseMax) NumStates() int       { return d.n }
 func (d denseMax) StateIndex(s int) int { return s }
-
-// SaturationFootprint: Step probes only AnyState (presence), so counts
-// beyond 1 are indistinguishable.
-func (d denseMax) SaturationFootprint() (int, int) { return 1, 1 }
 func (d denseMax) Step(self int, view *View[int], rnd *rand.Rand) int {
 	// Max via capped counts: the largest q <= self+... scan states downward.
 	for q := d.n - 1; q > self; q-- {
@@ -37,11 +33,6 @@ type denseCoin struct{}
 
 func (denseCoin) NumStates() int       { return 2 }
 func (denseCoin) StateIndex(s int) int { return s }
-
-// SaturationFootprint: Step reads CountState(1, 2) — a count capped at
-// 2, so saturation at threshold 2 preserves it — and always consumes
-// exactly one draw regardless of the view.
-func (denseCoin) SaturationFootprint() (int, int) { return 2, 1 }
 func (denseCoin) Step(self int, view *View[int], rnd *rand.Rand) int {
 	return (rnd.Intn(2) + view.CountState(1, 2)) % 2
 }

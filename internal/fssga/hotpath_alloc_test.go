@@ -54,8 +54,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	}
 	verdicts := hotpathReport(t)
 	for _, name := range []string{
-		"Network.viewFor", "Network.buildView", "buildViewOver",
-		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.round",
+		"Network.buildView", "Network.SyncRound", "Network.SyncRoundFrontier", "Network.round",
 		"Network.stepChunk", "Network.step", "Network.commit", "Network.Activate",
 		"Network.Quiescent", "viewScratch.stream", "View.Empty", "View.DegreeCapped",
 		"View.CountState", "View.Count", "View.CountMod", "diffRuns",
@@ -68,7 +67,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.RandomConnectedGNP(96, 0.06, rng)
 	net := New[int](g, denseMax{8}, func(v int) int { return v % 8 }, 1)
-	net.SyncRound() // warm up scratch, agg bookkeeping, lazy probe state
+	net.SyncRound() // warm up scratch and lazy probe state
 	net.Quiescent()
 
 	steps := []struct {
@@ -134,7 +133,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 // an automaton interface or growing amortized scratch is audited.
 func TestHotpathProvenSubset(t *testing.T) {
 	verdicts := hotpathReport(t)
-	proven := []string{"View.Empty", "View.DegreeCapped", "aggState.combine", "Network.aggActive"}
+	proven := []string{"View.Empty", "View.DegreeCapped"}
 	for _, name := range proven {
 		if v := verdicts[name]; v != analysis.VerdictProven {
 			t.Errorf("%s: verdict %q, want %q", name, v, analysis.VerdictProven)
@@ -142,7 +141,7 @@ func TestHotpathProvenSubset(t *testing.T) {
 	}
 	audited := []string{
 		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.Activate",
-		"Network.Quiescent", "Network.buildView", "buildViewOver", "diffRuns",
+		"Network.Quiescent", "Network.buildView", "diffRuns",
 		"View.Count", "View.CountMod", "View.ForEach",
 	}
 	for _, name := range audited {

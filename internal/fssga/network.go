@@ -59,12 +59,6 @@ type Network[S comparable] struct {
 	work      []int32
 	mark      []bool
 
-	// Divide-and-conquer view aggregation for high-degree nodes (see
-	// agg.go): non-nil once a round ran with a SaturatingAutomaton on the
-	// dense path; rebuilt whenever the CSR snapshot or cutoff changes.
-	agg       *aggState[S]
-	aggCutoff int
-
 	// Rounds counts completed synchronous rounds; Activations counts
 	// single-node asynchronous activations. Their sum is the epoch of
 	// the next step's random streams (rng.go).
@@ -172,7 +166,6 @@ func (net *Network[S]) State(v int) S { return net.states[v] }
 func (net *Network[S]) SetState(v int, s S) {
 	net.states[v] = s
 	net.changedOn = nil // out-of-band change: the change list no longer covers it
-	net.invalidateAgg() // ...and the hub aggregate trees are stale
 }
 
 // States returns the internal state slice (indexed by node ID). Callers
@@ -195,6 +188,24 @@ func (net *Network[S]) Topology() *graph.CSR { return net.topo() }
 // still make it.
 func (net *Network[S]) RNGPositions() []uint64 { return nil }
 
+// AggStats is the activity record of the hub aggregation trees, which
+// are gone: every view is one linear scan of the node's neighbours.
+//
+// Deprecated: it is always zero. AggStats is kept only for callers that
+// still read it.
+type AggStats struct {
+	Hubs         int
+	HubViews     uint64
+	TreeRebuilds uint64
+	LeafRescans  uint64
+}
+
+// AggStats returns the zero AggStats.
+//
+// Deprecated: drop the call. AggStats is kept only for callers that
+// still make it.
+func (net *Network[S]) AggStats() AggStats { return AggStats{} }
+
 // RestoreStates overwrites the full state vector and round counter,
 // e.g. from a checkpoint. The round counter also restores the random
 // streams: with no activations, a restored network draws exactly what
@@ -213,7 +224,6 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	copy(net.states, states)
 	net.Rounds = rounds
 	net.changedOn = nil
-	net.invalidateAgg()
 	return nil
 }
 
@@ -222,7 +232,7 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 //
 //fssga:hotpath
 func (net *Network[S]) Activate(v int) {
-	c := net.prepare()
+	c := net.topo()
 	if v < 0 || v >= c.Cap() {
 		return
 	}
@@ -230,13 +240,9 @@ func (net *Network[S]) Activate(v int) {
 	if len(nbrs) == 0 {
 		return
 	}
-	old := net.states[v]
 	sc := net.serialScratch()
 	sc.src.epoch = net.epoch()
 	net.states[v] = net.step(sc, v, nbrs)
-	if net.aggActive() && net.states[v] != old {
-		net.agg.noteChanged(int32(v))
-	}
 	net.Activations++
 	net.changedOn = nil
 }
@@ -263,7 +269,7 @@ func (net *Network[S]) beforeRound() {
 //
 //fssga:hotpath
 func (net *Network[S]) Quiescent() bool {
-	c := net.prepare()
+	c := net.topo()
 	sc := net.serialScratch()
 	sc.src.epoch = net.epoch()
 	for v := 0; v < c.Cap(); v++ {

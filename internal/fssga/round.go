@@ -16,8 +16,8 @@ import (
 //   - cuts it into contiguous chunks and steps them inline (one worker or
 //     one chunk) or on the shard pool (shard.go), each chunk appending its
 //     changes to its own buffer while σ stays untouched;
-//   - commits the buffers in chunk order: states written back, hub
-//     aggregate leaves marked, the list kept as the next frontier.
+//   - commits the buffers in chunk order: states written back, the list
+//     kept as the next frontier.
 //
 // For a deterministic automaton a node's successor can differ from its
 // state only if the node or a neighbour changed last round, so frontier
@@ -122,7 +122,7 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 	}
 	defer net.roundActive.Store(false)
 	net.beforeRound() // exactly once, even across supervised retries
-	c := net.prepare()
+	c := net.topo()
 	size := c.Cap()
 	var work []int32 // nil: every node
 	if frontier && net.changedOn == c {
@@ -164,18 +164,6 @@ func (net *Network[S]) mustRound(workers int, frontier bool) bool {
 	return changed
 }
 
-// prepare reads the topology snapshot a round or probe runs on and
-// brings the hub aggregation metadata up to date for it, serially,
-// before any view is built.
-//
-//fssga:hotpath
-func (net *Network[S]) prepare() *graph.CSR {
-	c := net.topo()
-	//fssga:alloc(ensureAgg builds the aggregation tree once per topology snapshot, amortized over all rounds)
-	net.ensureAgg(c)
-	return c
-}
-
 // step computes node v's successor state from the committed states, on
 // v's stream at the scratch's epoch: the one per-node step shared by
 // rounds, activations and the quiescence probe, so all of them see
@@ -183,7 +171,7 @@ func (net *Network[S]) prepare() *graph.CSR {
 //
 //fssga:hotpath
 func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32) S {
-	view := net.viewFor(sc, v, nbrs, net.states)
+	view := net.buildView(sc, nbrs, net.states)
 	//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
 	return net.auto.Step(net.states[v], view, sc.stream(v))
 }
@@ -265,13 +253,9 @@ func (net *Network[S]) frontier(c *graph.CSR) []int32 {
 //
 //fssga:hotpath
 func (net *Network[S]) commit(c *graph.CSR, bufs [][]change[S], always bool) (changed bool) {
-	aggOn := net.aggActive()
 	for _, buf := range bufs {
 		for _, ch := range buf {
 			net.states[ch.v] = ch.s
-			if aggOn {
-				net.agg.noteChanged(ch.v)
-			}
 		}
 		changed = changed || len(buf) > 0
 	}

@@ -247,6 +247,19 @@ func TestDroppedNetworkIsCollected(t *testing.T) {
 	}
 }
 
+// aggParity responds to counts, not just presence: states 0/1 toggle
+// every round, and states 2/3 track the parity of visible togglers.
+type aggParity struct{}
+
+func (aggParity) NumStates() int       { return 4 }
+func (aggParity) StateIndex(s int) int { return s }
+func (aggParity) Step(self int, view *View[int], rnd *rand.Rand) int {
+	if self < 2 {
+		return 1 - self
+	}
+	return 2 + view.CountMod(2, func(s int) bool { return s == 1 || s == 3 })
+}
+
 // TestPoolRoundAllocs pins the pool executor's allocation contract: a
 // multi-chunk round allocates exactly two objects, its worker closures
 // (stepOnPool's chunk loop and runSupervised's per-worker wrapper),

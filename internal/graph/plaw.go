@@ -6,33 +6,11 @@ import (
 	"sort"
 )
 
-// Heavy-hub topologies for the view-aggregation experiments: a streaming
-// star and a symmetry-replicated power-law graph. Both come in two
-// equivalent forms — a streaming CSR builder that never materializes the
-// mutable Graph (million-node benches) and a mutable twin (fault
-// injection needs RemoveNode/RemoveEdge) — pinned identical by
+// The symmetry-replicated power-law graph, a heavy-hub topology. It
+// comes in two equivalent forms — a streaming CSR builder that never
+// materializes the mutable Graph (million-node runs) and a mutable twin
+// (fault injection needs RemoveNode/RemoveEdge) — pinned identical by
 // content-hash tests.
-
-// StarCSR returns the star K_{1,n-1} (hub 0, leaves 1..n-1) as a CSR
-// snapshot, equivalent to Star(n).CSR(). The canonical worst case for
-// linear view scans: one node of degree n-1.
-func StarCSR(n int) *CSR {
-	if n < 2 {
-		panic(fmt.Sprintf("graph: StarCSR(%d) needs n >= 2", n))
-	}
-	c := newFullCSR(n, 2*(n-1), n-1)
-	for i := 1; i < n; i++ {
-		c.neighbors[i-1] = int32(i)
-	}
-	pos := int32(n - 1)
-	for v := 1; v < n; v++ {
-		c.offsets[v] = pos
-		c.neighbors[pos] = 0
-		pos++
-	}
-	c.offsets[n] = pos
-	return c
-}
 
 // plawBase builds one preferential-attachment block: a path over the
 // first epn+1 seed nodes, then each node v attaches to epn distinct

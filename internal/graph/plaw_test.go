@@ -2,12 +2,6 @@ package graph
 
 import "testing"
 
-func TestStarCSRMatchesStar(t *testing.T) {
-	for _, n := range []int{2, 3, 17, 130} {
-		assertCSRMatchesGraph(t, Star(n), StarCSR(n))
-	}
-}
-
 func TestPLawCSRMatchesPLaw(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -44,9 +38,9 @@ func TestPLawDeterministicInSeed(t *testing.T) {
 	}
 }
 
-// TestPLawHubDegree pins the property the aggregation bench relies on:
-// every copy's node 0 (a seed node of the preferential attachment) is a
-// genuine hub, far above the block's median degree.
+// TestPLawHubDegree pins the heavy-hub shape: every copy's node 0 (a
+// seed node of the preferential attachment) is a genuine hub, far above
+// the block's median degree.
 func TestPLawHubDegree(t *testing.T) {
 	const block, copies, epn = 2048, 3, 4
 	c := PLawCSR(block, copies, epn, 1)
@@ -73,7 +67,6 @@ func TestPLawHubDegree(t *testing.T) {
 
 func TestPLawGeneratorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"star-tiny":    func() { StarCSR(1) },
 		"block-small":  func() { PLawCSR(2, 1, 1, 1) },
 		"epn-zero":     func() { PLawCSR(64, 1, 0, 1) },
 		"copies-zero":  func() { PLawCSR(64, 0, 2, 1) },

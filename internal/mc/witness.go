@@ -48,11 +48,6 @@ type WitnessTarget struct {
 	// (counts[q] = multiplicity of state q) for every own-state,
 	// returning the resulting state index per own-state.
 	EvalAll func(counts []int) []int
-	// Footprint is the (threshold, period) bound the automaton declares
-	// via fssga.SaturatingAutomaton, when it declares one. The view
-	// aggregation layer keys its composition tables on this declaration;
-	// VerifyWitness checks it against the exhaustive multiset semantics.
-	Footprint *Witness
 }
 
 // A Witness is a dynamically derived saturation bound: counts are
@@ -82,28 +77,6 @@ func DeriveWitness(tgt WitnessTarget) (Witness, error) {
 		}
 	}
 	return Witness{}, fmt.Errorf("mc: %s has no (threshold, period) witness within multiset total %d — not a Theorem 3.7 finite footprint at this bound", tgt.Name, tgt.MaxTotal)
-}
-
-// VerifyWitness reports whether w is a sound saturation bound for tgt:
-// every pair of multisets (with total <= tgt.MaxTotal) that w's
-// saturating-periodic projection identifies must transition identically
-// for every own-state. This is the soundness contract the fssga
-// aggregation layer relies on when it folds a hub's neighbourhood
-// through the (w.Thresh, w.Mod) composition table instead of scanning
-// it: identified multisets are indistinguishable to the automaton, so
-// the folded view is exact. DeriveWitness finds the minimal w for which
-// this holds; any w it dominates (pointwise larger threshold, or a
-// period that is a multiple at the same threshold) also passes.
-func VerifyWitness(tgt WitnessTarget, w Witness) bool {
-	if w.Thresh < 0 || w.Mod < 1 {
-		return false
-	}
-	mus := enumCounts(tgt.NumStates, tgt.MaxTotal)
-	table := make([][]int, len(mus))
-	for i, mu := range mus {
-		table[i] = tgt.EvalAll(mu)
-	}
-	return witnessInvariant(mus, table, w.Thresh, w.Mod)
 }
 
 // enumCounts lists every count vector of length k with total <= max.
@@ -165,17 +138,11 @@ func witnessTarget[S comparable](name string, auto fssga.Automaton[S], numStates
 		index[states[i]] = i
 	}
 	rnd := rand.New(rand.NewSource(1))
-	var fp *Witness
-	if sa, ok := auto.(fssga.SaturatingAutomaton[S]); ok {
-		t, m := sa.SaturationFootprint()
-		fp = &Witness{Thresh: t, Mod: m}
-	}
 	return WitnessTarget{
 		Name:      name,
 		NumStates: numStates,
 		MaxTotal:  maxTotal,
 		MaxMod:    maxMod,
-		Footprint: fp,
 		EvalAll: func(counts []int) []int {
 			byState := make(map[S]int, len(counts))
 			for i, c := range counts {
@@ -208,10 +175,6 @@ func (parityAutomaton) NumStates() int { return 2 }
 
 // StateIndex implements fssga.DenseAutomaton.
 func (parityAutomaton) StateIndex(s int) int { return s }
-
-// SaturationFootprint implements fssga.SaturatingAutomaton: Step reads
-// a mod-2 count, the purely periodic footprint with no threshold.
-func (parityAutomaton) SaturationFootprint() (int, int) { return 0, 2 }
 
 // Step implements fssga.Automaton.
 func (parityAutomaton) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {

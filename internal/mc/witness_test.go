@@ -142,76 +142,3 @@ func TestDeriveWitnessRejectsUnboundedCounter(t *testing.T) {
 		t.Fatalf("error = %v, want the no-witness message", err)
 	}
 }
-
-// TestDeclaredFootprintsAreSound is the analysis↔aggregation contract
-// check: every automaton that declares a SaturationFootprint (the key
-// the fssga composition tables are built from) must have that declared
-// (threshold, period) verified sound against the exhaustive multiset
-// semantics, and every concrete algorithm automaton must declare one so
-// hub aggregation stays available for it.
-func TestDeclaredFootprintsAreSound(t *testing.T) {
-	mustDeclare := map[string]bool{
-		"(repro/internal/algo/twocolor.automaton).Step":     true,
-		"(repro/internal/algo/shortestpath.automaton).Step": true,
-		"(repro/internal/algo/census.automaton).Step":       true,
-		"(repro/internal/algo/bfs.automaton).Step":          true,
-		"(repro/internal/mc.parityAutomaton).Step":          true,
-		// FormalAutomaton interprets straight-line programs; it makes no
-		// static footprint claim and is excluded deliberately.
-		"(*repro/internal/fssga.FormalAutomaton).Step": false,
-	}
-	for _, tgt := range mc.WitnessTargets() {
-		tgt := tgt
-		t.Run(tgt.Name, func(t *testing.T) {
-			want, known := mustDeclare[tgt.Name]
-			if !known {
-				t.Fatalf("target %q not covered by the declaration map; extend it", tgt.Name)
-			}
-			if tgt.Footprint == nil {
-				if want {
-					t.Fatal("automaton declares no SaturationFootprint; hub aggregation is silently disabled for it")
-				}
-				return
-			}
-			if !want {
-				t.Fatalf("target unexpectedly declares footprint %v; pin it in the map", *tgt.Footprint)
-			}
-			if !mc.VerifyWitness(tgt, *tgt.Footprint) {
-				t.Fatalf("declared footprint %v is UNSOUND: two multisets it identifies transition differently", *tgt.Footprint)
-			}
-			// The declared footprint must dominate the dynamically minimal
-			// witness (equal here for all registered targets); a declaration
-			// looser than MaxTotal would have failed VerifyWitness above.
-			min, err := mc.DeriveWitness(tgt)
-			if err != nil {
-				t.Fatalf("DeriveWitness: %v", err)
-			}
-			if tgt.Footprint.Thresh < min.Thresh || tgt.Footprint.Mod%min.Mod != 0 {
-				t.Errorf("declared %v does not dominate minimal %v", *tgt.Footprint, min)
-			}
-		})
-	}
-}
-
-// TestVerifyWitnessRejectsUnsound: parity genuinely needs the period-2
-// footprint — a presence-only (1,1) claim must be refuted.
-func TestVerifyWitnessRejectsUnsound(t *testing.T) {
-	var parity mc.WitnessTarget
-	for _, tgt := range mc.WitnessTargets() {
-		if strings.Contains(tgt.Name, "parityAutomaton") {
-			parity = tgt
-		}
-	}
-	if parity.Name == "" {
-		t.Fatal("parity target not registered")
-	}
-	if mc.VerifyWitness(parity, mc.Witness{Thresh: 1, Mod: 1}) {
-		t.Fatal("VerifyWitness accepted a presence-only footprint for the parity automaton")
-	}
-	if !mc.VerifyWitness(parity, mc.Witness{Thresh: 0, Mod: 2}) {
-		t.Fatal("VerifyWitness rejected parity's true (0,2) footprint")
-	}
-	if mc.VerifyWitness(parity, mc.Witness{Thresh: -1, Mod: 2}) || mc.VerifyWitness(parity, mc.Witness{Thresh: 0, Mod: 0}) {
-		t.Fatal("VerifyWitness accepted a malformed witness")
-	}
-}

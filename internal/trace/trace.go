@@ -25,24 +25,14 @@ type History[S comparable] struct {
 // nodes after each. Dead nodes at start are excluded; nodes dying mid-run
 // keep reporting their frozen state.
 func Record[S comparable](net *fssga.Network[S], rounds int) *History[S] {
-	h := &History[S]{}
-	h.Nodes = net.G.Nodes(nil)
-	for r := 0; r < rounds; r++ {
-		net.SyncRound()
-		row := make([]S, len(h.Nodes))
-		for i, v := range h.Nodes {
-			row[i] = net.State(v)
-		}
-		h.Rounds = append(h.Rounds, row)
-	}
-	return h
+	return RecordUntil(net, rounds, nil)
 }
 
 // RecordUntil is Record with an early-exit predicate checked after each
-// round.
+// round; a nil done runs all maxRounds.
 func RecordUntil[S comparable](net *fssga.Network[S], maxRounds int, done func(*fssga.Network[S]) bool) *History[S] {
 	h := &History[S]{}
-	h.Nodes = net.G.Nodes(nil)
+	h.Nodes = net.Topology().Nodes(nil)
 	for r := 0; r < maxRounds; r++ {
 		net.SyncRound()
 		row := make([]S, len(h.Nodes))

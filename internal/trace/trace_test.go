@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -97,5 +98,17 @@ func TestRecordSkipsDeadNodes(t *testing.T) {
 	h := Record(net, 1)
 	if len(h.Nodes) != 3 {
 		t.Fatalf("nodes = %v", h.Nodes)
+	}
+}
+
+// TestRecordFromCSR: a network built by NewFromCSR has no mutable graph
+// (G is nil), so the recorder must read its nodes from the topology
+// snapshot. It records the same rows as the same run over the graph.
+func TestRecordFromCSR(t *testing.T) {
+	init := func(v int) int { return v }
+	want := Record(fssga.New[int](graph.Cycle(8), fssga.StepFunc[int](maxStep), init, 1), 3)
+	got := Record(fssga.NewFromCSR[int](graph.CycleCSR(8), fssga.StepFunc[int](maxStep), init, 1), 3)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("NewFromCSR history %+v, New history %+v", got, want)
 	}
 }

@@ -36,9 +36,6 @@ echo "== go test -cover ./... (coverage ratchet)"
 echo "== perf regression gate (gated headline series vs committed BENCH_engine.json)"
 go run ./cmd/fssga-bench -perfgate
 
-echo "== aggregation differential suite under race (tree views vs linear scans)"
-go test -race -run 'TestAggDifferential' ./internal/fssga/
-
 echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings)"
 go test -race -cpu 1,2 ./internal/fssga/...
 
