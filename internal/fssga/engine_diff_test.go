@@ -184,7 +184,9 @@ func runDiff[S comparable](t *testing.T, det bool, mk func(g *graph.Graph, seed 
 	}
 }
 
-func TestEngineDifferential(t *testing.T) {
+// TestAggDifferential is the engine differential. It keeps the name it
+// had when it also held the hub aggregation trees to linear scans.
+func TestAggDifferential(t *testing.T) {
 	testutil.NoLeak(t)
 	t.Run("twocolor", func(t *testing.T) {
 		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[twocolor.State] {
@@ -246,14 +248,14 @@ func TestEngineDifferential(t *testing.T) {
 	})
 }
 
-// TestEngineDifferentialRestore checkpoints a parallel run mid-flight
+// TestAggDifferentialRestore checkpoints a parallel run mid-flight
 // (faults applied) and restores into a fresh network, then finishes the
 // run on a DIFFERENT engine: frontier rounds for the deterministic
 // parity, serial rounds for the coin. Both halves must follow the serial
 // reference's trajectory: the restored round counter names the same
 // streams, the fault injector is replayed to the checkpoint round, and
 // the first frontier round after a restore steps every node.
-func TestEngineDifferentialRestore(t *testing.T) {
+func TestAggDifferentialRestore(t *testing.T) {
 	testutil.NoLeak(t)
 	const rounds, ckptAt = 12, 6
 	autos := []struct {

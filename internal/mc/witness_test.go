@@ -1,6 +1,8 @@
 package mc_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,26 +50,10 @@ func TestDeriveWitnesses(t *testing.T) {
 // caps — threshold at most the largest declared threshold, and period
 // dividing the least common multiple of the declared moduli.
 func TestWitnessesMatchStaticContracts(t *testing.T) {
-	l := analysis.NewLoader("")
-	units, err := l.LoadPatterns("repro/internal/...")
-	if err != nil {
-		t.Fatalf("LoadPatterns: %v", err)
-	}
-	contracts := analysis.InferContracts(units)
-	byName := make(map[string]analysis.Contract, len(contracts))
-	for _, c := range contracts {
-		byName[c.Automaton] = c
-	}
 	for _, tgt := range mc.WitnessTargets() {
 		tgt := tgt
 		t.Run(tgt.Name, func(t *testing.T) {
-			c, ok := byName[tgt.Name]
-			if !ok {
-				t.Fatalf("no static contract inferred for %q; have %v", tgt.Name, contractNames(contracts))
-			}
-			if !c.Bounded {
-				t.Fatalf("static contract claims unbounded footprint, but the target is registered as enumerable")
-			}
+			c := staticContract(t, tgt.Name)
 			w, err := mc.DeriveWitness(tgt)
 			if err != nil {
 				t.Fatalf("DeriveWitness: %v", err)
@@ -77,18 +63,9 @@ func TestWitnessesMatchStaticContracts(t *testing.T) {
 				// claim; the dynamic witness existing at all is the check.
 				return
 			}
-			maxThresh := 0
-			for _, th := range c.Thresh {
-				if th > maxThresh {
-					maxThresh = th
-				}
-			}
+			maxThresh, modLCM := footprint(c)
 			if w.Thresh > maxThresh {
 				t.Errorf("dynamic threshold %d exceeds static cap %d (contract %+v)", w.Thresh, maxThresh, c)
-			}
-			modLCM := 1
-			for _, m := range c.Mods {
-				modLCM = lcm(modLCM, m)
 			}
 			if modLCM%w.Mod != 0 {
 				t.Errorf("dynamic period %d does not divide static modulus lcm %d (contract %+v)", w.Mod, modLCM, c)
@@ -97,12 +74,148 @@ func TestWitnessesMatchStaticContracts(t *testing.T) {
 	}
 }
 
-func contractNames(cs []analysis.Contract) []string {
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.Automaton
+// TestDeclaredFootprintsAreSound checks every footprint held for an
+// automaton against the exhaustive multiset semantics, by brute force
+// (footprintSound) rather than through DeriveWitness's own sweep: the
+// witness DeriveWitness derives, and the footprint the Step declares
+// through the caps and moduli it passes to its View (capinfer's static
+// contract, read as one largest-threshold, lcm-of-moduli bound). ForEach
+// folds, such as FormalAutomaton's, declare none. A sound footprint
+// never identifies two multisets the Step tells apart.
+func TestDeclaredFootprintsAreSound(t *testing.T) {
+	for _, tgt := range mc.WitnessTargets() {
+		tgt := tgt
+		t.Run(tgt.Name, func(t *testing.T) {
+			c := staticContract(t, tgt.Name)
+			w, err := mc.DeriveWitness(tgt)
+			if err != nil {
+				t.Fatalf("DeriveWitness: %v", err)
+			}
+			if !footprintSound(tgt, w.Thresh, w.Mod) {
+				t.Fatalf("derived witness %v is UNSOUND: two multisets it identifies transition differently", w)
+			}
+			if c.ForEach {
+				return
+			}
+			if thresh, mod := footprint(c); !footprintSound(tgt, thresh, mod) {
+				t.Fatalf("declared footprint (t=%d, m=%d) is UNSOUND: two multisets it identifies transition differently (contract %+v)", thresh, mod, c)
+			}
+		})
 	}
-	return out
+}
+
+// TestVerifyWitnessRejectsUnsound keeps the name of the library check
+// that footprintSound replaced, and keeps the soundness checks honest:
+// parity genuinely needs the period-2 footprint, so a presence-only
+// (1,1) claim must be refuted, by footprintSound and by a DeriveWitness
+// sweep denied any period above 1.
+func TestVerifyWitnessRejectsUnsound(t *testing.T) {
+	var parity mc.WitnessTarget
+	for _, tgt := range mc.WitnessTargets() {
+		if strings.Contains(tgt.Name, "parityAutomaton") {
+			parity = tgt
+		}
+	}
+	if parity.Name == "" {
+		t.Fatal("parity target not registered")
+	}
+	if footprintSound(parity, 1, 1) {
+		t.Fatal("footprintSound accepted a presence-only footprint for the parity automaton")
+	}
+	if !footprintSound(parity, 0, 2) {
+		t.Fatal("footprintSound rejected parity's true (0,2) footprint")
+	}
+	if footprintSound(parity, -1, 2) || footprintSound(parity, 0, 0) {
+		t.Fatal("footprintSound accepted a malformed footprint")
+	}
+	presence := parity
+	presence.MaxMod = 1
+	if w, err := mc.DeriveWitness(presence); err == nil {
+		t.Fatalf("DeriveWitness found %v for parity with periods capped at 1", w)
+	}
+}
+
+// contracts caches capinfer's contracts over repro/internal/...: loading
+// and type-checking the packages is the slow part of these tests.
+var contracts []analysis.Contract
+
+// staticContract returns the bounded contract capinfer infers for the
+// named automaton, failing t if there is none.
+func staticContract(t *testing.T, name string) analysis.Contract {
+	t.Helper()
+	if contracts == nil {
+		units, err := analysis.NewLoader("").LoadPatterns("repro/internal/...")
+		if err != nil {
+			t.Fatalf("LoadPatterns: %v", err)
+		}
+		contracts = analysis.InferContracts(units)
+	}
+	names := make([]string, len(contracts))
+	for i, c := range contracts {
+		if c.Automaton == name {
+			if !c.Bounded {
+				t.Fatalf("static contract claims unbounded footprint, but the target is registered as enumerable")
+			}
+			return c
+		}
+		names[i] = c.Automaton
+	}
+	t.Fatalf("no static contract inferred for %q; have %v", name, names)
+	return analysis.Contract{}
+}
+
+// footprint reads a contract as one saturation bound: its largest
+// threshold and the lcm of its moduli.
+func footprint(c analysis.Contract) (thresh, mod int) {
+	mod = 1
+	for _, th := range c.Thresh {
+		thresh = max(thresh, th)
+	}
+	for _, m := range c.Mods {
+		mod = lcm(mod, m)
+	}
+	return thresh, mod
+}
+
+// footprintSound reports whether (thresh, mod) is a sound saturation
+// bound for tgt: any two multisets of total at most tgt.MaxTotal whose
+// counts agree state by state below thresh, and modulo mod at or above
+// it, transition identically for every own-state.
+func footprintSound(tgt mc.WitnessTarget, thresh, mod int) bool {
+	if thresh < 0 || mod < 1 {
+		return false
+	}
+	seen := make(map[string][]int)
+	counts := make([]int, tgt.NumStates)
+	proj := make([]int, tgt.NumStates)
+	var walk func(i, left int) bool
+	walk = func(i, left int) bool {
+		if i == len(counts) {
+			for q, c := range counts {
+				proj[q] = c
+				if c >= thresh {
+					proj[q] = thresh + (c-thresh)%mod
+				}
+			}
+			key := fmt.Sprint(proj)
+			out := tgt.EvalAll(counts)
+			prev, ok := seen[key]
+			if !ok {
+				seen[key] = out
+				return true
+			}
+			return slices.Equal(prev, out)
+		}
+		for c := 0; c <= left; c++ {
+			counts[i] = c
+			if !walk(i+1, left-c) {
+				return false
+			}
+		}
+		counts[i] = 0
+		return true
+	}
+	return walk(0, tgt.MaxTotal)
 }
 
 func lcm(a, b int) int {
