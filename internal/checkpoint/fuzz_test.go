@@ -43,7 +43,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(corrupt(full, 9, 0))            // version
 	f.Add(corrupt(full, 12, 7))           // meta length high bit
 	f.Add(corrupt(full, 20, 3))           // inside gob meta
-	f.Add(corrupt(full, len(full)-20, 1)) // inside gob payload
+	f.Add(corrupt(full, len(full)-20, 1)) // inside the payload
 	f.Add(corrupt(full, len(full)-1, 5))  // checksum
 	f.Add(corrupt(delta, 30, 2))
 
@@ -51,6 +51,20 @@ func FuzzCheckpointDecode(f *testing.F) {
 	lie := append([]byte(nil), full...)
 	lie[10], lie[11], lie[12], lie[13] = 0x7f, 0xff, 0xff, 0xff
 	f.Add(lie)
+
+	// Resealed lies in each region of the palette payload, so that the
+	// fuzzer starts past the checksum.
+	resealed := func(src []byte, off int, b byte) []byte {
+		c := append([]byte(nil), src...)
+		c[off] = b
+		reseal(c)
+		return c
+	}
+	end := len(delta) - tailSize                      // delta body: palette, 1 run (0, 2), 2 indices
+	f.Add(resealed(full, bodyOffset(full), 0x7f))     // palette length past the body
+	f.Add(resealed(full, bodyOffset(full)+4, 0xff))   // inside the gob palette
+	f.Add(resealed(delta, end-4, 3))                  // a run ending past Nodes
+	f.Add(resealed(full, len(full)-tailSize-1, 0xff)) // an index past the palette
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Any of these may error; none may panic.

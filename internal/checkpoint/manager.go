@@ -58,7 +58,7 @@ func (m *Manager[S]) capture(full bool) error {
 	// with a patch against itself; force full instead.
 	if full || m.baseRound < 0 || m.baseRound >= meta.Round || len(m.base) != len(states) {
 		meta.Kind = KindFull
-		pay.States = states // Encode serializes, no mutation: safe to alias
+		pay.States = states // Encode only reads: safe to alias
 	} else {
 		meta.Kind = KindDelta
 		meta.BaseRound = m.baseRound
@@ -78,10 +78,9 @@ func (m *Manager[S]) capture(full bool) error {
 }
 
 // diffRuns returns the changed 64-node chunks of cur relative to base,
-// coalescing adjacent dirty chunks into single runs. The run slices ARE
-// the delta payload handed to Encode, so their allocation is the cost of
-// the checkpoint itself, proportional to churn — the audits below record
-// that the scan loop around them stays allocation-free.
+// coalescing adjacent dirty chunks into single runs. Each run's States
+// is a sub-slice of cur, which Encode only reads, so the only allocation
+// is the runs slice itself.
 //
 //fssga:hotpath
 func diffRuns[S comparable](base, cur []S) []Run[S] {
@@ -102,11 +101,10 @@ func diffRuns[S comparable](base, cur []S) []Run[S] {
 		if dirty {
 			if len(runs) > 0 && runs[len(runs)-1].Lo+len(runs[len(runs)-1].States) == lo {
 				last := &runs[len(runs)-1]
-				//fssga:alloc(the extended run is the delta payload; its growth is the checkpoint's churn cost)
-				last.States = append(last.States, cur[lo:hi]...)
+				last.States = cur[last.Lo:hi]
 			} else {
-				//fssga:alloc(each run is the delta payload; one backing array per dirty region is the checkpoint's churn cost)
-				runs = append(runs, Run[S]{Lo: lo, States: append([]S(nil), cur[lo:hi]...)})
+				//fssga:alloc(the runs slice grows once per dirty region, in proportion to the checkpoint's churn)
+				runs = append(runs, Run[S]{Lo: lo, States: cur[lo:hi]})
 			}
 		}
 		lo = hi
@@ -126,11 +124,12 @@ func diffRuns[S comparable](base, cur []S) []Run[S] {
 // After a successful restore the manager's delta base is reset: the
 // next CheckpointDelta writes a full checkpoint.
 func (m *Manager[S]) Restore() (Meta, error) {
+	// The store verified the envelope's checksum when it read it.
 	round, data, err := m.store.Latest()
 	if err != nil {
 		return Meta{}, err
 	}
-	meta, pay, err := Decode[S](data)
+	meta, pay, err := decodeVerified[S](data)
 	if err != nil {
 		return Meta{}, err
 	}
@@ -166,7 +165,7 @@ func (m *Manager[S]) Restore() (Meta, error) {
 // unusable as a corrupt file.
 func (m *Manager[S]) resolveChain(meta Meta, pay Payload[S]) ([]S, error) {
 	if meta.Kind == KindFull {
-		return append([]S(nil), pay.States...), nil
+		return pay.States, nil
 	}
 	deltas := []Payload[S]{pay}
 	cur := meta
@@ -178,7 +177,7 @@ func (m *Manager[S]) resolveChain(meta Meta, pay Payload[S]) ([]S, error) {
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: delta of round %d: base %w", cur.Round, err)
 		}
-		baseMeta, basePay, err := Decode[S](data)
+		baseMeta, basePay, err := decodeVerified[S](data)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: delta base round %d: %w", cur.BaseRound, err)
 		}
@@ -187,13 +186,12 @@ func (m *Manager[S]) resolveChain(meta Meta, pay Payload[S]) ([]S, error) {
 				ErrFormat, cur.BaseRound, baseMeta.Round, baseMeta.Nodes)
 		}
 		if baseMeta.Kind == KindFull {
-			states := append([]S(nil), basePay.States...)
 			for i := len(deltas) - 1; i >= 0; i-- {
 				for _, run := range deltas[i].Runs {
-					copy(states[run.Lo:], run.States)
+					copy(basePay.States[run.Lo:], run.States)
 				}
 			}
-			return states, nil
+			return basePay.States, nil
 		}
 		deltas = append(deltas, basePay)
 		cur = baseMeta

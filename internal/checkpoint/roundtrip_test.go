@@ -1,6 +1,7 @@
 package checkpoint_test
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/algo/synchronizer"
 	"repro/internal/algo/twocolor"
 	"repro/internal/checkpoint"
+	"repro/internal/graph"
 	"repro/internal/testutil"
 )
 
@@ -125,5 +127,36 @@ func TestRoundTripDeltaRuns(t *testing.T) {
 	}
 	if err := quick.Check(prop, testutil.QuickN(t, 33, 40)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFullEnvelopeOneBytePerNode: a BFS network's states come from a
+// 48-state automaton, so its full envelope holds one byte per node
+// besides the palette and the frame.
+func TestFullEnvelopeOneBytePerNode(t *testing.T) {
+	testutil.NoLeak(t)
+	net, err := bfs.NewNetwork(graph.Torus(256, 256), 0, []int{128*256 + 128}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		net.SyncRoundFrontier()
+	}
+	states := net.States()
+	meta := checkpoint.Meta{Kind: checkpoint.KindFull, Round: net.Rounds, Nodes: len(states), Seed: net.Seed(),
+		TopoHash: net.Topology().ContentHash(), BaseRound: -1}
+	data, err := checkpoint.Encode(meta, checkpoint.Payload[bfs.State]{States: states})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload sits between the 14-byte header plus gob(Meta) and
+	// the 8-byte checksum. It opens with the palette's length.
+	body := data[14+int(binary.BigEndian.Uint32(data[10:14])) : len(data)-8]
+	palLen, k := binary.Uvarint(body)
+	frame := len(data) - len(body)
+	n := len(states)
+	// The palette block, a run count of 0, then one index per node.
+	if limit := frame + k + int(palLen) + 1 + n; len(data) > limit {
+		t.Fatalf("full envelope of %d nodes takes %d bytes, want at most %d (frame %d, palette %d)", n, len(data), limit, frame, palLen)
 	}
 }

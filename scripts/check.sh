@@ -4,9 +4,9 @@
 # coverage ratchet, the race detector over the execution engine and the
 # algorithm layer — the packages with goroutine-parallel rounds and the
 # serial/parallel determinism invariant — and over the graph and
-# checkpoint packages (a lazily computed, shared topology hash), the
-# chaos and model-checker smoke gates, and the end-to-end benchmark's
-# own tests.
+# checkpoint packages (a lazily computed, shared topology hash), a short
+# fuzz of the checkpoint decoder, the chaos and model-checker smoke
+# gates, and the end-to-end benchmark's own tests.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,6 +47,9 @@ go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/...
 
 echo "== go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/... (the memoized topology hash)"
 go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/...
+
+echo "== checkpoint decoder fuzz (10 s)"
+go test -run '^$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint/
 
 echo "== end-to-end benchmark tests (cmd/fssga-e2e is its own module; offline, with run.sh's environment)"
 (
