@@ -534,9 +534,10 @@ func newTracker(g *graph.Graph, seed int64, noVerification bool) *Tracker {
 
 // Remaining returns the current number of remaining live nodes.
 func (t *Tracker) Remaining() int {
+	c := t.Net.Topology()
 	n := 0
-	for v := 0; v < t.Net.G.Cap(); v++ {
-		if t.Net.G.Alive(v) {
+	for v := 0; v < c.Cap(); v++ {
+		if c.Alive(v) {
 			s := t.Net.State(v)
 			if !s.Started || s.Remain {
 				n++
@@ -548,9 +549,10 @@ func (t *Tracker) Remaining() int {
 
 // Leaders returns the live nodes currently in the leader state.
 func (t *Tracker) Leaders() []int {
+	c := t.Net.Topology()
 	var ls []int
-	for v := 0; v < t.Net.G.Cap(); v++ {
-		if t.Net.G.Alive(v) && t.Net.State(v).Leader {
+	for v := 0; v < c.Cap(); v++ {
+		if c.Alive(v) && t.Net.State(v).Leader {
 			ls = append(ls, v)
 		}
 	}
@@ -561,8 +563,9 @@ func (t *Tracker) Leaders() []int {
 // watching any node's transitions; we count transitions at the node with
 // the smallest live ID.
 func (t *Tracker) probeNode() int {
-	for v := 0; v < t.Net.G.Cap(); v++ {
-		if t.Net.G.Alive(v) {
+	c := t.Net.Topology()
+	for v := 0; v < c.Cap(); v++ {
+		if c.Alive(v) {
 			return v
 		}
 	}

@@ -2,8 +2,10 @@ package election
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/fssga"
 	"repro/internal/graph"
 )
 
@@ -135,6 +137,24 @@ func TestLeaderIsARemainingNode(t *testing.T) {
 	s := tr.Net.State(leader)
 	if !s.Remain || s.Dist != 0 {
 		t.Fatalf("leader state %+v: must be a remaining root", s)
+	}
+}
+
+// TestTrackerOnCSR: a Tracker reads the network's topology, not its
+// mutable graph, so it runs on a NewFromCSR network, whose graph is nil,
+// and follows the same run as over the equal mutable graph.
+func TestTrackerOnCSR(t *testing.T) {
+	const seed, n = 5, 64
+	overGraph := New(graph.Torus(8, 8), seed)
+	overCSR := &Tracker{Net: fssga.NewFromCSR(graph.TorusCSR(8, 8), Auto(), func(int) State { return State{} }, seed)}
+	for _, tr := range []*Tracker{overGraph, overCSR} {
+		if _, ok := tr.Run(40000*n, 3*n+10); !ok {
+			t.Fatalf("graph=%v: no stable leader after %d rounds", tr.Net.G != nil, tr.Rounds)
+		}
+	}
+	if overCSR.Rounds != overGraph.Rounds || !slices.Equal(overCSR.Leaders(), overGraph.Leaders()) {
+		t.Fatalf("over the CSR: %d rounds, leaders %v; over the graph: %d rounds, leaders %v",
+			overCSR.Rounds, overCSR.Leaders(), overGraph.Rounds, overGraph.Leaders())
 	}
 }
 

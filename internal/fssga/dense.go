@@ -1,26 +1,39 @@
 package fssga
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+
+	"repro/internal/graph"
 )
+
+// ErrStateIndex is returned by a round that finds a live node whose
+// state StateIndex puts outside [0, NumStates()), which breaks the
+// DenseAutomaton contract. Only initial states and states written by
+// RestoreStates can reach a round unchecked; nothing is committed.
+var ErrStateIndex = errors.New("fssga: a live node's state has a StateIndex outside [0, NumStates())")
 
 // DenseAutomaton is an optional extension of Automaton for automata whose
 // state space admits a small dense enumeration. When the automaton handed
 // to New implements it (and NumStates is within MaxDenseStates), the
-// engine finds a neighbour state's place in the View through a reusable
-// []int32 slot vector indexed by StateIndex instead of a hash map lookup.
-// Automata that do not implement it run unchanged on map views.
+// network keeps each node's StateIndex beside its state, and a View finds
+// a neighbour state's place through a reusable []int32 slot vector
+// indexed by it instead of a hash map lookup. Automata that do not
+// implement it run unchanged on map views.
 //
 // Contract: StateIndex must be a pure function, safe for concurrent use,
 // and must return a value in [0, NumStates()) for every state that can
-// occur in the network (initial states and everything Step can produce);
-// the engine panics on an out-of-range index for an observed neighbour
-// state. Distinct states must map to distinct indices, otherwise their
-// multiplicities merge and observations are silently wrong. NumStates
-// must be constant over the automaton's lifetime. Results are
-// bit-identical to map views: both build the same present list, and a
-// View's observations are functions of the multiplicities only.
+// occur in the network (initial states and everything Step can produce).
+// The engine checks the range where it computes an index: a step or
+// SetState whose state is out of range panics before anything is
+// written, and a round that finds one among the initial or restored
+// states fails with ErrStateIndex. Distinct states must map to distinct
+// indices, otherwise their multiplicities merge and observations are
+// silently wrong. NumStates must be constant over the automaton's
+// lifetime. Results are bit-identical to map views: both build the same
+// present list, and a View's observations are functions of the
+// multiplicities only.
 type DenseAutomaton[S comparable] interface {
 	Automaton[S]
 
@@ -65,7 +78,7 @@ type viewScratch[S comparable] struct {
 // drawing from the network's streams.
 func (net *Network[S]) newScratch() *viewScratch[S] {
 	sc := &viewScratch[S]{src: keyedSource{seed: net.seed}}
-	if net.denseAuto == nil {
+	if net.ids == nil {
 		sc.view.slots = make(map[S]int32)
 	} else {
 		sc.view.slot, sc.view.idx = make([]int32, net.numStates), net.idx
@@ -117,7 +130,7 @@ func (sc *viewScratch[S]) reset() {
 // every view goes through here.
 //
 //fssga:hotpath
-func (sc *viewScratch[S]) push(s S, i int, n int32) {
+func (sc *viewScratch[S]) push(s S, i int32, n int32) {
 	v := &sc.view
 	//fssga:alloc(present grows to the distinct-state count once, then is reused at capacity)
 	v.present = append(v.present, s)
@@ -126,7 +139,7 @@ func (sc *viewScratch[S]) push(s S, i int, n int32) {
 	if v.slot != nil {
 		v.slot[i] = int32(len(v.present))
 		//fssga:alloc(presIdx grows to the distinct-state count once, then is reused at capacity)
-		sc.presIdx = append(sc.presIdx, int32(i))
+		sc.presIdx = append(sc.presIdx, i)
 	} else {
 		v.slots[s] = int32(len(v.present))
 	}
@@ -143,33 +156,32 @@ func (sc *viewScratch[S]) add(s S, n int32) {
 }
 
 // buildView assembles a node's symmetric view of the neighbours listed
-// in nbrs (a CSR neighbour row) from snapshot into sc, in one linear
-// scan: a repeated state costs one lookup and one increment, inline;
-// only first-seen states call push. The returned View aliases the
-// scratch buffers: it is valid only until the next buildView on the
-// same scratch, which is exactly the duration of one Step call.
+// in nbrs (a CSR neighbour row) from the committed states into sc, in one
+// linear scan: a repeated state costs one lookup and one increment,
+// inline; only first-seen states call push. On the dense path the lookup
+// key is the neighbour's id, kept at commit, so a neighbour's state is
+// read only when it is first seen. The returned View aliases the scratch
+// buffers: it is valid only until the next buildView on the same
+// scratch, which is exactly the duration of one Step call.
 //
 //fssga:hotpath
-func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32, snapshot []S) *View[S] {
+func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32) *View[S] {
 	sc.reset()
 	v := &sc.view
+	states := net.states
 	if slot := v.slot; slot != nil {
+		ids := net.ids
 		for _, u := range nbrs {
-			s := snapshot[u]
-			//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
-			i := net.idx(s)
-			if i < 0 || i >= len(slot) {
-				panic(fmt.Sprintf("fssga: StateIndex returned %d for an observed state, want 0..%d", i, len(slot)-1))
-			}
+			i := ids[u]
 			if k := slot[i]; k != 0 {
 				v.mult[k-1]++
 			} else {
-				sc.push(s, i, 1)
+				sc.push(states[u], i, 1)
 			}
 		}
 	} else {
 		for _, u := range nbrs {
-			s := snapshot[u]
+			s := states[u]
 			if k := v.slots[s]; k != 0 {
 				v.mult[k-1]++
 			} else {
@@ -179,6 +191,58 @@ func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32, snapshot []S)
 	}
 	v.total = len(nbrs)
 	return v
+}
+
+// index returns s's dense index, and whether StateIndex kept it in
+// [0, NumStates()) as the DenseAutomaton contract requires. It is the
+// engine's one call of StateIndex outside a View's exact-state lookup.
+//
+//fssga:hotpath
+func (net *Network[S]) index(s S) (int32, bool) {
+	//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
+	i := net.idx(s)
+	return int32(i), i >= 0 && i < net.numStates
+}
+
+// idOf returns the id stored beside state s: its dense index on a dense
+// network, 0 on a map network. Every state a step or SetState writes
+// goes through here, so it panics, before anything is written, if
+// StateIndex puts s out of range.
+//
+//fssga:hotpath
+func (net *Network[S]) idOf(s S) int32 {
+	if net.ids == nil {
+		return 0
+	}
+	id, ok := net.index(s)
+	if !ok {
+		panic(fmt.Sprintf("fssga: StateIndex returned %d for state %v, want 0..%d", net.idx(s), s, net.numStates-1))
+	}
+	return id
+}
+
+// syncIDs brings a stale ids vector up to date over c's live nodes, so
+// that ids[v] == StateIndex(states[v]) for each; a fresh or absent
+// vector costs one test. It returns ErrStateIndex, and leaves the vector
+// stale, if a live node's state is out of StateIndex's range.
+//
+//fssga:hotpath
+func (net *Network[S]) syncIDs(c *graph.CSR) error {
+	if !net.idsStale {
+		return nil
+	}
+	for v := range c.Cap() {
+		if !c.Alive(v) {
+			continue
+		}
+		id, ok := net.index(net.states[v])
+		if !ok {
+			return ErrStateIndex
+		}
+		net.ids[v] = id
+	}
+	net.idsStale = false
+	return nil
 }
 
 // serialScratch returns the shared workspace of the serial execution

@@ -1,8 +1,11 @@
 package fssga
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -101,9 +104,12 @@ func TestDenseViewObservations(t *testing.T) {
 	if !net.DenseViews() {
 		t.Fatal("expected dense path")
 	}
+	if err := net.syncIDs(net.topo()); err != nil { // what a step does first
+		t.Fatal(err)
+	}
 	sc := net.serialScratch()
 	for v := 0; v < g.Cap(); v++ {
-		got := net.buildView(sc, g.CSR().Neighbors(v), net.states)
+		got := net.buildView(sc, g.CSR().Neighbors(v))
 		var nbrStates []int
 		for _, u := range g.SortedNeighbors(v, nil) {
 			nbrStates = append(nbrStates, net.states[u])
@@ -145,21 +151,209 @@ func TestDenseViewObservations(t *testing.T) {
 	}
 }
 
-// badIndex returns an out-of-range index for state 1.
-type badIndex struct{}
+// badIndex returns an out-of-range index for state 1. Its Step keeps the
+// state, or moves to state 1 when jump is set.
+type badIndex struct{ jump bool }
 
-func (badIndex) NumStates() int                                     { return 2 }
-func (badIndex) StateIndex(s int) int                               { return s * 100 }
-func (badIndex) Step(self int, view *View[int], rnd *rand.Rand) int { return self }
+func (badIndex) NumStates() int       { return 2 }
+func (badIndex) StateIndex(s int) int { return s * 100 }
+func (b badIndex) Step(self int, view *View[int], rnd *rand.Rand) int {
+	if b.jump {
+		return 1
+	}
+	return self
+}
 
+// TestDenseOutOfRangeIndexPanics: a state out of StateIndex's range is
+// caught where its index is computed, and nothing is committed. A bad
+// initial or restored state fails the next round: SyncRound panics and
+// TrySyncRoundParallel returns ErrStateIndex. A Step that produces one
+// fails inside the supervised round, and SetState refuses one.
 func TestDenseOutOfRangeIndexPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range StateIndex")
+	testutil.NoLeak(t)
+	zeros := func(int) int { return 0 }
+	// roundsRefused checks that the next round fails with ErrStateIndex
+	// through both entry points and leaves states, ids and Rounds alone.
+	roundsRefused := func(t *testing.T, net *Network[int]) {
+		t.Helper()
+		states, ids, rounds := append([]int(nil), net.states...), append([]int32(nil), net.ids...), net.Rounds
+		func() {
+			defer func() {
+				r := recover()
+				if err, _ := r.(error); !errors.Is(err, ErrStateIndex) {
+					t.Errorf("SyncRound recovered %v, want a panic with ErrStateIndex", r)
+				}
+			}()
+			net.SyncRound()
+		}()
+		if err := net.TrySyncRoundParallel(2); !errors.Is(err, ErrStateIndex) {
+			t.Errorf("TrySyncRoundParallel returned %v, want ErrStateIndex", err)
 		}
-	}()
-	net := New[int](graph.Path(3), badIndex{}, func(v int) int { return 1 }, 1)
-	net.SyncRound()
+		if !reflect.DeepEqual(net.states, states) || !reflect.DeepEqual(net.ids, ids) || net.Rounds != rounds {
+			t.Error("a refused round committed")
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"initial-state", func(t *testing.T) {
+			net := New[int](graph.Cycle(supN), badIndex{}, func(v int) int { return v % 2 }, 1)
+			roundsRefused(t, net)
+		}},
+		{"restored-state", func(t *testing.T) {
+			net := New[int](graph.Cycle(supN), badIndex{}, zeros, 1)
+			net.SyncRound()
+			restored := make([]int, supN)
+			restored[7] = 1
+			if err := net.RestoreStates(restored, 5); err != nil {
+				t.Fatal(err)
+			}
+			roundsRefused(t, net)
+		}},
+		{"step-on-pool", func(t *testing.T) {
+			net := New[int](graph.Cycle(supN), badIndex{jump: true}, zeros, 1)
+			if err := net.syncIDs(net.topo()); err != nil {
+				t.Fatal(err)
+			}
+			ids := append([]int32(nil), net.ids...)
+			err := net.TrySyncRoundParallel(2)
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Attempts != maxRoundAttempts {
+				t.Fatalf("TrySyncRoundParallel returned %v, want a *PanicError after %d attempts", err, maxRoundAttempts)
+			}
+			if !reflect.DeepEqual(net.states, make([]int, supN)) || !reflect.DeepEqual(net.ids, ids) || net.Rounds != 0 {
+				t.Fatal("the failed round committed")
+			}
+		}},
+		{"set-state", func(t *testing.T) {
+			net := New[int](graph.Cycle(supN), badIndex{}, zeros, 1)
+			net.SyncRound()
+			defer func() {
+				if recover() == nil {
+					t.Error("SetState accepted a state out of StateIndex's range")
+				}
+				if net.states[3] != 0 || net.ids[3] != 0 {
+					t.Errorf("SetState wrote state %d, id %d", net.states[3], net.ids[3])
+				}
+			}()
+			net.SetState(3, 1)
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// idsAuto is a dense automaton of int states for the ids tests: inner
+// under the reversed enumeration, so that a state and its id differ, with
+// a Step that panics while budget is positive.
+type idsAuto struct {
+	inner  DenseAutomaton[int]
+	budget *atomic.Int64
+}
+
+func (a idsAuto) NumStates() int       { return a.inner.NumStates() }
+func (a idsAuto) StateIndex(s int) int { return a.inner.NumStates() - 1 - a.inner.StateIndex(s) }
+func (a idsAuto) Step(self int, view *View[int], rnd *rand.Rand) int {
+	if a.budget.Add(-1) >= 0 {
+		panic("injected worker panic")
+	}
+	return a.inner.Step(self, view, rnd)
+}
+
+// TestDenseIDsTrackStates: every operation that writes states keeps the
+// dense ids current, ids[v] == StateIndex(states[v]) for every live
+// node, except RestoreStates, which leaves them stale for the next round,
+// activation or quiescence probe to recompute.
+func TestDenseIDsTrackStates(t *testing.T) {
+	testutil.NoLeak(t)
+	const side = 16
+	for _, tc := range []struct {
+		name  string
+		inner DenseAutomaton[int]
+		det   bool
+	}{
+		{"deterministic", denseMax{side}, true},
+		{"randomized", denseCoin{}, false},
+	} {
+		for _, csr := range []bool{false, true} {
+			name := tc.name + "/new"
+			if csr {
+				name = tc.name + "/csr"
+			}
+			t.Run(name, func(t *testing.T) {
+				var budget atomic.Int64
+				auto := idsAuto{tc.inner, &budget}
+				init := func(v int) int { return v % tc.inner.NumStates() }
+				var net *Network[int]
+				if csr {
+					net = NewFromCSR[int](graph.TorusCSR(side, side), auto, init, 3)
+				} else {
+					net = New[int](graph.Torus(side, side), auto, init, 3)
+				}
+				initial := append([]int(nil), net.states...)
+				restore := func() {
+					if err := net.RestoreStates(initial, 0); err != nil {
+						t.Fatal(err)
+					}
+					if !net.idsStale {
+						t.Fatal("RestoreStates left the ids marked current")
+					}
+				}
+				ops := []struct {
+					name string
+					det  bool // deterministic automata only
+					mut  bool // mutable graph only
+					run  func()
+				}{
+					{"SyncRound", false, false, func() { net.SyncRound() }},
+					{"SyncRoundParallel(2)", false, false, func() { net.SyncRoundParallel(2) }},
+					{"SyncRoundFrontier", true, false, func() { net.SyncRoundFrontier() }},
+					{"SyncRoundParallelFrontier(2)", true, false, func() { net.SyncRoundParallelFrontier(2) }},
+					{"Activate", false, false, func() { net.Activate(5) }},
+					{"SetState", false, false, func() { net.SetState(6, 1) }},
+					{"RestoreStates+SyncRound", false, false, func() { restore(); net.SyncRound() }},
+					{"RestoreStates+SyncRoundParallel(2)", false, false, func() { restore(); net.SyncRoundParallel(2) }},
+					{"RestoreStates+Activate", false, false, func() { restore(); net.Activate(9) }},
+					{"OnBeforeRound removal", false, true, func() {
+						// The removed node's state is out of range: the
+						// round recomputes the ids over the nodes live
+						// after its hook.
+						bad := append([]int(nil), initial...)
+						bad[17] = tc.inner.NumStates()
+						if err := net.RestoreStates(bad, 0); err != nil {
+							t.Fatal(err)
+						}
+						net.OnBeforeRound = func(int) { net.G.RemoveNode(17) }
+						net.SyncRoundParallel(2)
+						net.OnBeforeRound = nil
+					}},
+					{"supervised retry", false, false, func() {
+						budget.Store(1)
+						net.SyncRoundParallel(2)
+					}},
+					{"RestoreStates+Quiescent", false, false, func() { restore(); net.Quiescent() }},
+				}
+				for _, op := range ops {
+					if op.det && !tc.det || op.mut && csr {
+						continue
+					}
+					budget.Store(-1)
+					op.run()
+					if net.idsStale {
+						t.Fatalf("after %s: ids left stale", op.name)
+					}
+					c := net.topo()
+					for v := range c.Cap() {
+						if c.Alive(v) && int(net.ids[v]) != auto.StateIndex(net.states[v]) {
+							t.Fatalf("after %s: node %d has id %d, its state %d has StateIndex %d",
+								op.name, v, net.ids[v], net.states[v], auto.StateIndex(net.states[v]))
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestSyncRoundZeroAllocs: after warm-up, the synchronous-round hot path

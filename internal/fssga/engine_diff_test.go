@@ -3,7 +3,8 @@ package fssga_test
 // Differential suite for the round engines: every registered automaton,
 // run through every engine on every topology family — with and without
 // a chaos fault schedule — must produce the exact state trajectory of
-// the serial SyncRound reference. A separate test checkpoints mid-run
+// a serial SyncRound reference on map views, which shares no dense
+// index with the engines it checks. A separate test checkpoints mid-run
 // and restores into a fresh process image, crossing engines over the
 // restore boundary.
 //
@@ -125,8 +126,22 @@ func attachFaults[S comparable](net *fssga.Network[S], sched faults.Schedule) {
 	net.OnBeforeRound = func(r int) { inj.Advance(net.G, r) }
 }
 
+// mapReference builds the reference of a differential: the family's
+// automaton wrapped in StepFunc, which hides any DenseAutomaton methods
+// and so runs on map views, over g from cand's states and seed.
+func mapReference[S comparable](t *testing.T, g *graph.Graph, auto fssga.Automaton[S], cand *fssga.Network[S]) *fssga.Network[S] {
+	t.Helper()
+	init := append([]S(nil), cand.States()...)
+	ref := fssga.New[S](g, fssga.StepFunc[S](auto.Step), func(v int) S { return init[v] }, cand.Seed())
+	if ref.DenseViews() {
+		t.Fatal("the reference runs on dense views")
+	}
+	return ref
+}
+
 // runDiff runs the full topology × engine × fault matrix for one
-// automaton family; det gates the frontier engines.
+// automaton family, whose automaton is auto; det gates the frontier
+// engines.
 //
 // Trajectories are compared per committed round: ref[r] is the
 // reference state vector after round r, and after every engine call the
@@ -134,7 +149,7 @@ func attachFaults[S comparable](net *fssga.Network[S], sched faults.Schedule) {
 // quiescent rounds (and so may legitimately finish at a smaller Rounds
 // than the reference — exactly the trajectory of a SyncRound loop
 // guarded by Quiescent), which this indexing handles uniformly.
-func runDiff[S comparable](t *testing.T, det bool, mk func(g *graph.Graph, seed int64) *fssga.Network[S]) {
+func runDiff[S comparable](t *testing.T, det bool, auto fssga.Automaton[S], mk func(g *graph.Graph, seed int64) *fssga.Network[S]) {
 	t.Helper()
 	for _, tp := range diffTopos() {
 		tp := tp
@@ -151,7 +166,7 @@ func runDiff[S comparable](t *testing.T, det bool, mk func(g *graph.Graph, seed 
 				}
 
 				ref := make([][]S, diffRounds+1)
-				refNet := mk(tp.make(), diffSeed)
+				refNet := mapReference(t, tp.make(), auto, mk(tp.make(), diffSeed))
 				attachFaults(refNet, sched)
 				ref[0] = append([]S(nil), refNet.States()...)
 				for r := 1; r <= diffRounds; r++ {
@@ -189,12 +204,12 @@ func runDiff[S comparable](t *testing.T, det bool, mk func(g *graph.Graph, seed 
 func TestAggDifferential(t *testing.T) {
 	testutil.NoLeak(t)
 	t.Run("twocolor", func(t *testing.T) {
-		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[twocolor.State] {
+		runDiff(t, true, twocolor.Auto(), func(g *graph.Graph, seed int64) *fssga.Network[twocolor.State] {
 			return twocolor.NewNetwork(g, 0, seed)
 		})
 	})
 	t.Run("shortestpath", func(t *testing.T) {
-		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[shortestpath.State] {
+		runDiff(t, true, shortestpath.Auto(8), func(g *graph.Graph, seed int64) *fssga.Network[shortestpath.State] {
 			net, err := shortestpath.NewNetwork(g, []int{0}, 8, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +218,7 @@ func TestAggDifferential(t *testing.T) {
 		})
 	})
 	t.Run("bfs", func(t *testing.T) {
-		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[bfs.State] {
+		runDiff(t, true, bfs.Auto(), func(g *graph.Graph, seed int64) *fssga.Network[bfs.State] {
 			net, err := bfs.NewNetwork(g, 0, []int{g.Cap() - 1}, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +227,7 @@ func TestAggDifferential(t *testing.T) {
 		})
 	})
 	t.Run("census-dense", func(t *testing.T) {
-		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[census.State] {
+		runDiff(t, true, census.Auto(census.Config{Bits: 2, Sketches: 2}), func(g *graph.Graph, seed int64) *fssga.Network[census.State] {
 			net, err := census.NewNetwork(g, census.Config{Bits: 2, Sketches: 2, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +237,7 @@ func TestAggDifferential(t *testing.T) {
 	})
 	// Oversized census states fall back to map views.
 	t.Run("census-map", func(t *testing.T) {
-		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[census.State] {
+		runDiff(t, true, census.Auto(census.Config{Bits: 8, Sketches: 4}), func(g *graph.Graph, seed int64) *fssga.Network[census.State] {
 			net, err := census.NewNetwork(g, census.Config{Bits: 8, Sketches: 4, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
@@ -232,17 +247,17 @@ func TestAggDifferential(t *testing.T) {
 	})
 	// Election is randomized: no frontier engines.
 	t.Run("election", func(t *testing.T) {
-		runDiff(t, false, func(g *graph.Graph, seed int64) *fssga.Network[election.State] {
+		runDiff(t, false, election.Auto(), func(g *graph.Graph, seed int64) *fssga.Network[election.State] {
 			return election.New(g, seed).Net
 		})
 	})
 	t.Run("parity", func(t *testing.T) {
-		runDiff(t, true, func(g *graph.Graph, seed int64) *fssga.Network[int] {
+		runDiff(t, true, diffParity{}, func(g *graph.Graph, seed int64) *fssga.Network[int] {
 			return fssga.New[int](g, diffParity{}, func(v int) int { return v % 2 }, seed)
 		})
 	})
 	t.Run("coin", func(t *testing.T) {
-		runDiff(t, false, func(g *graph.Graph, seed int64) *fssga.Network[int] {
+		runDiff(t, false, diffCoin{}, func(g *graph.Graph, seed int64) *fssga.Network[int] {
 			return fssga.New[int](g, diffCoin{}, func(v int) int { return v % 2 }, seed)
 		})
 	})
@@ -251,22 +266,24 @@ func TestAggDifferential(t *testing.T) {
 // TestAggDifferentialRestore checkpoints a parallel run mid-flight
 // (faults applied) and restores into a fresh network, then finishes the
 // run on a DIFFERENT engine: frontier rounds for the deterministic
-// parity, serial rounds for the coin. Both halves must follow the serial
-// reference's trajectory: the restored round counter names the same
-// streams, the fault injector is replayed to the checkpoint round, and
-// the first frontier round after a restore steps every node.
+// parity, serial rounds for the coin. Both halves must follow the
+// trajectory of a serial reference on map views: the restored round
+// counter names the same streams, the fault injector is replayed to the
+// checkpoint round, and the first frontier round after a restore steps
+// every node.
 func TestAggDifferentialRestore(t *testing.T) {
 	testutil.NoLeak(t)
 	const rounds, ckptAt = 12, 6
 	autos := []struct {
 		name   string
+		auto   fssga.Automaton[int]
 		mk     func(g *graph.Graph, seed int64) *fssga.Network[int]
 		finish func(net *fssga.Network[int]) // one round of the restored half
 	}{
-		{"parity", func(g *graph.Graph, seed int64) *fssga.Network[int] {
+		{"parity", diffParity{}, func(g *graph.Graph, seed int64) *fssga.Network[int] {
 			return fssga.New[int](g, diffParity{}, func(v int) int { return v % 2 }, seed)
 		}, func(n *fssga.Network[int]) { n.SyncRoundFrontier() }},
-		{"coin", func(g *graph.Graph, seed int64) *fssga.Network[int] {
+		{"coin", diffCoin{}, func(g *graph.Graph, seed int64) *fssga.Network[int] {
 			return fssga.New[int](g, diffCoin{}, func(v int) int { return v % 2 }, seed)
 		}, func(n *fssga.Network[int]) { n.SyncRound() }},
 	}
@@ -289,7 +306,7 @@ func TestAggDifferentialRestore(t *testing.T) {
 
 				// Serial reference over the full 12 rounds: ref[r] is the
 				// state vector after round r.
-				refNet := au.mk(tp.make(), diffSeed)
+				refNet := mapReference(t, tp.make(), au.auto, au.mk(tp.make(), diffSeed))
 				attachFaults(refNet, sched)
 				ref := [][]int{append([]int(nil), refNet.States()...)}
 				for r := 0; r < rounds; r++ {

@@ -97,7 +97,7 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	net2.SyncRound()
 	sc := net2.serialScratch()
 	c := net2.topo()
-	view := net2.buildView(sc, c.Neighbors(3), net2.states)
+	view := net2.buildView(sc, c.Neighbors(3))
 	isOdd := func(s int) bool { return s%2 == 1 }
 	viewOps := []struct {
 		name string

@@ -384,7 +384,10 @@ func FuzzAggregateFold(f *testing.F) {
 					}
 					return leaves[v-1]
 				}, 1)
-				view := net.buildView(net.serialScratch(), net.topo().Neighbors(0), net.states)
+				if err := net.syncIDs(net.topo()); err != nil { // what a step does first
+					t.Fatal(err)
+				}
+				view := net.buildView(net.serialScratch(), net.topo().Neighbors(0))
 
 				got := make(map[int]int)
 				view.ForEach(func(s, c int) { got[s] += c })

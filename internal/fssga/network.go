@@ -32,10 +32,15 @@ type Network[S comparable] struct {
 	seed int64
 
 	// Dense fast path (see dense.go): set when auto implements
-	// DenseAutomaton with a state space within MaxDenseStates.
-	denseAuto DenseAutomaton[S]
+	// DenseAutomaton with a state space within MaxDenseStates; ids is nil
+	// on map networks. ids[v] is StateIndex(states[v]) for every live
+	// node v whenever a step runs: commit, SetState and Activate write it
+	// with the state, and New and RestoreStates mark it stale for the
+	// next round, Activate or Quiescent to recompute (syncIDs).
 	numStates int
 	idx       func(S) int
+	ids       []int32
+	idsStale  bool
 
 	serial  *viewScratch[S]   // shared by all serial execution paths
 	workers []*viewScratch[S] // one per worker of the shard pool
@@ -85,9 +90,10 @@ type Network[S comparable] struct {
 // independent of execution order and worker count.
 //
 // If auto implements DenseAutomaton and its NumStates fits MaxDenseStates,
-// views find neighbour states through a dense slot vector indexed by
-// StateIndex; otherwise through a map. Both build the same present list
-// and expose identical observations, so the choice never changes results.
+// the network keeps each node's StateIndex beside its state and views
+// find neighbour states through a dense slot vector indexed by it;
+// otherwise through a map. Both build the same present list and expose
+// identical observations, so the choice never changes results.
 func New[S comparable](g *graph.Graph, auto Automaton[S], init func(v int) S, seed int64) *Network[S] {
 	net := newNetwork[S](g, g.CSR(), auto, init, seed)
 	net.csr = nil // always re-snapshot from the mutable graph
@@ -122,9 +128,9 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 	}
 	if d, ok := auto.(DenseAutomaton[S]); ok {
 		if ns := d.NumStates(); ns > 0 && ns <= MaxDenseStates {
-			net.denseAuto = d
 			net.numStates = ns
 			net.idx = d.StateIndex
+			net.ids, net.idsStale = make([]int32, n), true
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -156,16 +162,27 @@ func (net *Network[S]) topo() *graph.CSR {
 func (net *Network[S]) epoch() uint64 { return uint64(net.Rounds + net.Activations) }
 
 // DenseViews reports whether the network runs on the dense view fast path.
-func (net *Network[S]) DenseViews() bool { return net.denseAuto != nil }
+func (net *Network[S]) DenseViews() bool { return net.ids != nil }
 
 // State returns the current state of node v (meaningless for dead nodes).
 func (net *Network[S]) State(v int) S { return net.states[v] }
 
 // SetState overrides the state of node v; used to set up distinguished
-// initial conditions (e.g. "one node is RED").
+// initial conditions (e.g. "one node is RED"). On a dense network it
+// panics, writing nothing, if StateIndex puts s out of range.
 func (net *Network[S]) SetState(v int, s S) {
-	net.states[v] = s
+	net.set(v, s, net.idOf(s))
 	net.changedOn = nil // out-of-band change: the change list no longer covers it
+}
+
+// set writes node v's state s and its id, as returned by idOf.
+//
+//fssga:hotpath
+func (net *Network[S]) set(v int, s S, id int32) {
+	net.states[v] = s
+	if net.ids != nil {
+		net.ids[v] = id
+	}
 }
 
 // States returns the internal state slice (indexed by node ID). Callers
@@ -210,10 +227,11 @@ func (net *Network[S]) AggStats() AggStats { return AggStats{} }
 // e.g. from a checkpoint. The round counter also restores the random
 // streams: with no activations, a restored network draws exactly what
 // the checkpointed one would have. The slice length must equal the
-// network's node capacity. Frontier bookkeeping is invalidated; the
-// topology is NOT restored — callers must reconstruct it (and any faults
-// applied to it) before restoring states, which internal/checkpoint
-// verifies via the topology content hash.
+// network's node capacity. Frontier bookkeeping and the dense ids are
+// invalidated, and the next step recomputes them; the topology is NOT
+// restored — callers must reconstruct it (and any faults applied to it)
+// before restoring states, which internal/checkpoint verifies via the
+// topology content hash.
 func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	if len(states) != len(net.states) {
 		return fmt.Errorf("fssga: RestoreStates got %d states for %d nodes", len(states), len(net.states))
@@ -224,11 +242,13 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	copy(net.states, states)
 	net.Rounds = rounds
 	net.changedOn = nil
+	net.idsStale = net.ids != nil
 	return nil
 }
 
 // Activate performs one asynchronous activation of node v (no-op for dead
-// or isolated nodes, since SM functions are defined on Q^+ only).
+// or isolated nodes, since SM functions are defined on Q^+ only). It
+// panics, writing nothing, on a state out of StateIndex's range.
 //
 //fssga:hotpath
 func (net *Network[S]) Activate(v int) {
@@ -240,9 +260,13 @@ func (net *Network[S]) Activate(v int) {
 	if len(nbrs) == 0 {
 		return
 	}
+	if err := net.syncIDs(c); err != nil {
+		panic(err)
+	}
 	sc := net.serialScratch()
 	sc.src.epoch = net.epoch()
-	net.states[v] = net.step(sc, v, nbrs)
+	s := net.step(sc, v, nbrs)
+	net.set(v, s, net.idOf(s))
 	net.Activations++
 	net.changedOn = nil
 }
@@ -270,6 +294,9 @@ func (net *Network[S]) beforeRound() {
 //fssga:hotpath
 func (net *Network[S]) Quiescent() bool {
 	c := net.topo()
+	if err := net.syncIDs(c); err != nil {
+		panic(err)
+	}
 	sc := net.serialScratch()
 	sc.src.epoch = net.epoch()
 	for v := 0; v < c.Cap(); v++ {

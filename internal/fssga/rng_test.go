@@ -249,21 +249,36 @@ func liveHeap() uint64 {
 
 // TestDeterministicHeapIsStates: at n = 2^20 a deterministic network
 // built over a CSR costs its state vector plus O(1), through a full
-// round: no node carries a stream.
+// round: no node carries a stream. On dense views each node adds its
+// 4-byte id.
 func TestDeterministicHeapIsStates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are perturbed under -race")
 	}
 	c := graph.TorusCSR(1024, 1024)
-	base := liveHeap()
-	net := NewFromCSR[int](c, maxAutomaton{}, func(int) int { return 7 }, 1)
-	net.SyncRound() // every node steps; none changes
-	grown := liveHeap() - base
-	states := uint64(c.Cap()) * uint64(unsafe.Sizeof(int(0)))
-	if grown > states+64<<10 {
-		t.Fatalf("network heap %d B, want its %d B of states plus at most 64 KiB", grown, states)
+	for _, tc := range []struct {
+		name string
+		auto Automaton[int]
+		id   uint64 // bytes per node beside its state
+	}{
+		{"map", maxAutomaton{}, 0},
+		{"dense", denseMax{8}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := liveHeap()
+			net := NewFromCSR[int](c, tc.auto, func(int) int { return 7 }, 1)
+			if net.DenseViews() != (tc.id > 0) {
+				t.Fatalf("DenseViews() = %v", net.DenseViews())
+			}
+			net.SyncRound() // every node steps; none changes
+			grown := liveHeap() - base
+			want := uint64(c.Cap()) * (uint64(unsafe.Sizeof(int(0))) + tc.id)
+			if grown > want+64<<10 {
+				t.Fatalf("network heap %d B, want its %d B of states and ids plus at most 64 KiB", grown, want)
+			}
+			runtime.KeepAlive(net)
+		})
 	}
-	runtime.KeepAlive(net)
 }
 
 // TestRandomizedHeapFlat: a randomized network's heap does not grow

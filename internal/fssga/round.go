@@ -55,9 +55,10 @@ func (net *Network[S]) SyncRoundParallel(workers int) { net.mustRound(workers, f
 
 // TrySyncRoundParallel is SyncRoundParallel returning errors instead of
 // panicking: ErrConcurrentRound if another round is in flight on this
-// network, or a *PanicError if a worker panic survived every supervised
-// retry. On error the network is unchanged: still on its last committed
-// round, whose epoch names the streams a retry draws again.
+// network, ErrStateIndex if a live node's state has no dense index, or a
+// *PanicError if a worker panic survived every supervised retry. On
+// error the network is unchanged: still on its last committed round,
+// whose epoch names the streams a retry draws again.
 func (net *Network[S]) TrySyncRoundParallel(workers int) error {
 	_, err := net.round(workers, false)
 	return err
@@ -97,11 +98,12 @@ func (net *Network[S]) RunSyncUntilQuiescent(maxRounds int) (rounds int, finishe
 	return maxRounds, net.Quiescent()
 }
 
-// change is one node's successor state, buffered by the chunk that
-// computed it until the round commits.
+// change is one node's successor state and its id (idOf), buffered by
+// the chunk that computed it until the round commits.
 type change[S comparable] struct {
-	v int32
-	s S
+	v  int32
+	id int32
+	s  S
 }
 
 // round runs one synchronous round on workers workers, over every node
@@ -109,8 +111,9 @@ type change[S comparable] struct {
 // full round always commits; a frontier round commits only if some state
 // changed, so a quiescent frontier round leaves Rounds alone and fires no
 // OnRound. It reports whether any state changed. Errors are those of the
-// supervisor (supervisor.go) and ErrConcurrentRound; on error no state is
-// committed and the next frontier round steps every node.
+// supervisor (supervisor.go), ErrConcurrentRound and ErrStateIndex; on
+// error no state is committed and the next frontier round steps every
+// node.
 //
 //fssga:hotpath
 func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
@@ -130,6 +133,9 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 		size = len(work)
 	}
 	net.changedOn = nil // the buffers are rewritten below and valid again only at commit
+	if err := net.syncIDs(c); err != nil {
+		return false, err
+	}
 
 	span := size
 	if workers > 1 {
@@ -171,14 +177,15 @@ func (net *Network[S]) mustRound(workers int, frontier bool) bool {
 //
 //fssga:hotpath
 func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32) S {
-	view := net.buildView(sc, nbrs, net.states)
+	view := net.buildView(sc, nbrs)
 	//fssga:alloc(Step is automaton-interface dispatch; each automaton's Step is vetted separately)
 	return net.auto.Step(net.states[v], view, sc.stream(v))
 }
 
 // stepChunk steps work-set positions [lo, hi) — node IDs themselves when
 // work is nil — and appends every node whose successor differs from its
-// state to out. Dead and isolated nodes (empty CSR rows) are frozen.
+// state to out, with the successor's id. Dead and isolated nodes (empty
+// CSR rows) are frozen.
 //
 //fssga:hotpath
 func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32, lo, hi int, out []change[S]) []change[S] {
@@ -194,7 +201,7 @@ func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32,
 		}
 		if s := net.step(sc, v, nbrs); s != net.states[v] {
 			//fssga:alloc(a chunk's change buffer grows to its largest change count once, then is reused at capacity)
-			out = append(out, change[S]{v: int32(v), s: s})
+			out = append(out, change[S]{v: int32(v), id: net.idOf(s), s: s})
 		}
 	}
 	return out
@@ -247,15 +254,15 @@ func (net *Network[S]) frontier(c *graph.CSR) []int32 {
 	return work
 }
 
-// commit applies the chunk buffers in chunk order and keeps them as the
-// change list the next frontier derives from. The round counts (Rounds,
-// OnRound) if it changed a state or always is set.
+// commit applies the chunk buffers in chunk order, states and ids, and
+// keeps them as the change list the next frontier derives from. The
+// round counts (Rounds, OnRound) if it changed a state or always is set.
 //
 //fssga:hotpath
 func (net *Network[S]) commit(c *graph.CSR, bufs [][]change[S], always bool) (changed bool) {
 	for _, buf := range bufs {
 		for _, ch := range buf {
-			net.states[ch.v] = ch.s
+			net.set(int(ch.v), ch.s, ch.id)
 		}
 		changed = changed || len(buf) > 0
 	}
