@@ -318,12 +318,11 @@ func BenchmarkSemiLattice(b *testing.B) {
 	}
 }
 
-// denseMaxAuto is maxAuto with the DenseAutomaton extension: the same
-// diffusion step, but views find states through a dense slot vector.
+// denseMaxAuto is maxAuto over states 0..k-1: the same diffusion step,
+// named for the dense view path it ran on before every network numbered
+// its states.
 type denseMaxAuto struct{ k int }
 
-func (d denseMaxAuto) NumStates() int       { return d.k }
-func (d denseMaxAuto) StateIndex(s int) int { return s }
 func (d denseMaxAuto) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 	best := self
 	view.ForEach(func(s, _ int) {
@@ -335,8 +334,10 @@ func (d denseMaxAuto) Step(self int, view *fssga.View[int], rnd *rand.Rand) int 
 }
 
 // BenchmarkViewDenseVsMap isolates the view-engine cost: identical
-// max-diffusion rounds on the same graph, dense slot-vector lookup
-// versus map lookup (DenseAutomaton methods hidden behind StepFunc). The dense path must report 0 allocs/op.
+// max-diffusion rounds on the same graph, the automaton called directly
+// ("dense") and through a StepFunc ("map"). Both build views on the one
+// palette path and must report 0 allocs/op; the names are those of the
+// two view paths there were.
 func BenchmarkViewDenseVsMap(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(2048, 0.004, rng)

@@ -77,13 +77,11 @@ var trajectoryHeadline = []string{
 // a fake in tests so the suite's plumbing is testable in milliseconds.
 type measureFunc func(fn func(b *testing.B)) testing.BenchmarkResult
 
-// lattice is the perf suite's reference dense automaton: max-diffusion
-// over states 0..K-1, implemented with closure-free observations so the
-// hot path is purely view construction plus O(K) capped lookups.
+// lattice is the perf suite's reference automaton: max-diffusion over
+// states 0..K-1, implemented with closure-free observations so the hot
+// path is purely view construction plus O(K) exact-state lookups.
 type lattice struct{ k int }
 
-func (l lattice) NumStates() int       { return l.k }
-func (l lattice) StateIndex(s int) int { return s }
 func (l lattice) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 	for q := l.k - 1; q > self; q-- {
 		if view.AnyState(q) {
@@ -163,9 +161,11 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 		withProcs(runtime.NumCPU(), func() { record(name, fn) })
 	}
 
-	// 1. Dense vs map view construction on the same workload: one
-	// synchronous round of max-diffusion on a sparse G(n, p). The map
-	// variant hides the DenseAutomaton methods behind StepFunc.
+	// 1. View construction on one workload: a synchronous round of
+	// max-diffusion on a sparse G(n, p). Every automaton runs on the
+	// one palette view path; the "map" series is the same automaton
+	// behind a StepFunc, and keeps the name it had when that put it on
+	// map views, until the committed record is regenerated.
 	for _, n := range []int{512, 2048} {
 		serial(fmt.Sprintf("SyncRound/lattice/dense/n=%d", n),
 			benchRound(latticeNet(seed, n)))
@@ -176,8 +176,9 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 			benchRound(fssga.New[int](g, fssga.StepFunc[int](lattice{latticeK}.Step), init, seed)))
 	}
 
-	// 2. Real algorithm rounds. Census engages the dense path only for
-	// small sketch configurations; election and BFS are always dense.
+	// 2. Real algorithm rounds, on the one view path. The census series
+	// keep the "dense" and "map" of the paths the small and the paper's
+	// sketch configurations ran on before.
 	gC := graph.RandomConnectedGNP(512, 0.02, rand.New(rand.NewSource(seed+101)))
 	if net, err := census.NewNetwork(gC.Clone(), census.Config{Bits: 4, Sketches: 3, Seed: seed}); err == nil {
 		serial("SyncRound/census/dense/bits=4x3/n=512", benchRound(net))

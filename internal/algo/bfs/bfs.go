@@ -69,32 +69,11 @@ func pred(s, t State) bool {
 	return s.Label != NoLabel && t.Label != NoLabel && t.Label == (s.Label+2)%3
 }
 
-// automaton is Algorithm 4.1 as a View-based transition function. It
-// implements fssga.DenseAutomaton — the state space is tiny (48 states)
-// — so BFS rounds run on the engine's zero-allocation dense view path.
+// automaton is Algorithm 4.1 as a View-based transition function. Its
+// 48 states (Originator × Target × Label × Status) need no enumeration:
+// the network numbers the states that occur, and BFS rounds run on the
+// engine's one zero-allocation view path.
 type automaton struct{}
-
-// numStates is the dense state-space size: Originator × Target × Label
-// (⋆, 0, 1, 2) × Status (waiting, found, failed).
-const numStates = 2 * 2 * 4 * 3
-
-// NumStates implements fssga.DenseAutomaton.
-func (automaton) NumStates() int { return numStates }
-
-// StateIndex implements fssga.DenseAutomaton: mixed-radix packing of the
-// four fields over their value ranges.
-func (automaton) StateIndex(s State) int {
-	i := 0
-	if s.Originator {
-		i = 1
-	}
-	i *= 2
-	if s.Target {
-		i++
-	}
-	i = i*4 + int(s.Label+1) // NoLabel(-1)..2
-	return i*3 + int(s.Status)
-}
 
 // Step implements fssga.Automaton.
 func (automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {

@@ -77,34 +77,14 @@ func InitialState(cfg Config, rng *rand.Rand) State {
 }
 
 // automaton ORs the node's state with all neighbour states — the
-// iterated-OR semi-lattice update. It implements fssga.DenseAutomaton by
-// concatenating the active sketch words into one integer index, so small
-// sketch configurations (Bits·Sketches ≤ 20) run on the engine's
-// zero-allocation dense view path; larger ones (including the paper's
-// 14-bit × 8 default) report an oversized NumStates and fall back to map
-// views automatically.
+// iterated-OR semi-lattice update. Its state space, 2^(Bits·Sketches)
+// sketch vectors, is far too large to enumerate at the paper's sizes,
+// but a network numbers only the states that occur (fssga's palette),
+// so every configuration runs on the engine's one zero-allocation view
+// path.
 type automaton struct {
 	bits     int // sketch width (Config.Bits)
 	sketches int // active sketch count (Config.Sketches)
-}
-
-// NumStates implements fssga.DenseAutomaton.
-func (a automaton) NumStates() int {
-	total := a.bits * a.sketches
-	if total < 1 || total >= 31 {
-		return math.MaxInt // unconfigured or oversized: engine uses the map fallback
-	}
-	return 1 << total
-}
-
-// StateIndex implements fssga.DenseAutomaton. Only called when the dense
-// path is active, i.e. when the concatenation fits an int.
-func (a automaton) StateIndex(s State) int {
-	idx := 0
-	for j := 0; j < a.sketches; j++ {
-		idx |= int(s[j]) << (j * a.bits)
-	}
-	return idx
 }
 
 // Step implements fssga.Automaton.

@@ -8,64 +8,48 @@ import (
 	"repro/internal/graph"
 )
 
-// TestDenseForSmallConfigs: small sketch configurations run on the dense
-// view path; the paper's 14-bit × 8 default exceeds MaxDenseStates and
-// falls back to map views. Both must agree with a forced-map replica.
+// TestDenseForSmallConfigs holds census networks to the linear-scan
+// reference, with a small sketch configuration and with the paper's
+// 14-bit × 8 default, whose states are far too many to enumerate. It
+// keeps the name it had when only the small one ran on dense views.
 func TestDenseForSmallConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.RandomConnectedGNP(48, 0.1, rng)
-
-	small := Config{Bits: 4, Sketches: 3, Seed: 9} // 4096 states: dense
-	net, err := NewNetwork(g.Clone(), small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.DenseViews() {
-		t.Fatal("small census config should run on the dense view path")
-	}
-
-	big := Config{Bits: 14, Sketches: 8, Seed: 9} // 2^112 states: map fallback
-	bigNet, err := NewNetwork(g.Clone(), big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bigNet.DenseViews() {
-		t.Fatal("default census config must fall back to map views")
-	}
-
-	// Dense and forced-map replicas of the small config agree exactly.
-	auto := automaton{bits: small.Bits, sketches: small.Sketches}
-	mapped := fssga.New[State](g.Clone(), fssga.StepFunc[State](auto.Step), InitialSketches(small), small.Seed)
-	for r := 0; r < 12; r++ {
-		net.SyncRound()
-		mapped.SyncRound()
-	}
-	for v := 0; v < 48; v++ {
-		if net.State(v) != mapped.State(v) {
-			t.Fatalf("state[%d] differs between dense and map paths", v)
+	for _, cfg := range []Config{
+		{Bits: 4, Sketches: 3, Seed: 9},
+		{Bits: 14, Sketches: 8, Seed: 9},
+	} {
+		net, err := NewNetwork(g.Clone(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auto := automaton{bits: cfg.Bits, sketches: cfg.Sketches}
+		want := append([]State(nil), net.States()...)
+		for r := 0; r < 12; r++ {
+			net.SyncRound()
+			want = linearRound(g, auto, want, net.Seed(), uint64(r))
+		}
+		for v := 0; v < 48; v++ {
+			if net.State(v) != want[v] {
+				t.Fatalf("%d×%d sketches: state[%d] is %v, the reference's %v", cfg.Bits, cfg.Sketches, v, net.State(v), want[v])
+			}
 		}
 	}
 }
 
-// TestStateIndexPacksSketches: the index concatenates the active sketch
-// words, so distinct states get distinct indices within NumStates.
-func TestStateIndexPacksSketches(t *testing.T) {
-	a := automaton{bits: 3, sketches: 2}
-	if got := a.NumStates(); got != 64 {
-		t.Fatalf("NumStates = %d, want 64", got)
-	}
-	seen := map[int]State{}
-	for w0 := uint16(0); w0 < 8; w0++ {
-		for w1 := uint16(0); w1 < 8; w1++ {
-			s := State{w0, w1}
-			i := a.StateIndex(s)
-			if i < 0 || i >= 64 {
-				t.Fatalf("StateIndex(%v) = %d out of range", s, i)
-			}
-			if prev, dup := seen[i]; dup {
-				t.Fatalf("collision: %v and %v both map to %d", prev, s, i)
-			}
-			seen[i] = s
+// linearRound is the reference round: every node with neighbours in g
+// steps on a NewView of their states in prev, on the stream a network
+// seeded seed draws from at the given epoch.
+func linearRound(g *graph.Graph, auto fssga.Automaton[State], prev []State, seed int64, epoch uint64) []State {
+	next := append([]State(nil), prev...)
+	for v := range prev {
+		var ns []State
+		for _, u := range g.SortedNeighbors(v, nil) {
+			ns = append(ns, prev[u])
+		}
+		if len(ns) > 0 {
+			next[v] = auto.Step(prev[v], fssga.NewView(ns), fssga.KeyedRand(fssga.StreamKey(seed, v, epoch)))
 		}
 	}
+	return next
 }

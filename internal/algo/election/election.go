@@ -117,41 +117,6 @@ type automaton struct {
 	noVerification bool
 }
 
-// numStates is the product of the State fields' value ranges — the
-// mixed-radix capacity StateIndex packs into. 933120 < fssga.MaxDenseStates,
-// so election rounds run on the engine's zero-allocation dense view path.
-const numStates = 2 * 2 * 3 * 2 * 3 * 2 * 4 * 2 * 2 * 3 * 3 * 5 * 9
-
-// NumStates implements fssga.DenseAutomaton.
-func (automaton) NumStates() int { return numStates }
-
-// StateIndex implements fssga.DenseAutomaton: mixed-radix packing of every
-// State field over its value range (the -1 sentinels NoNP, NoDist and
-// NoColour shift their fields by one). Injective by construction, which
-// TestStateIndexInjective verifies exhaustively.
-func (automaton) StateIndex(s State) int {
-	i := b2i(s.Started)
-	i = i*2 + b2i(s.Remain)
-	i = i*3 + int(s.Phase) // 0..2
-	i = i*2 + int(s.Label) // 0..1
-	i = i*3 + int(s.NP+1)  // NoNP(-1)..1
-	i = i*2 + b2i(s.Leader)
-	i = i*4 + int(s.Dist+1)    // NoDist(-1)..2
-	i = i*2 + int(s.RootLabel) // 0..1
-	i = i*2 + b2i(s.Complete)
-	i = i*3 + int(s.CEpoch)    // 0..2
-	i = i*3 + int(s.CColour+1) // NoColour(-1)..1
-	i = i*5 + int(s.MSt)       // MBlank..MVisited
-	return i*9 + int(s.MEl)    // ENone..EOneTails
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Step implements fssga.Automaton.
 func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {
 	// First activation: draw a label and become a root.

@@ -3,35 +3,44 @@ package shortestpath
 import (
 	"testing"
 
+	"repro/internal/fssga"
 	"repro/internal/graph"
 )
 
-// TestDenseWiring: labels 0..cap with the InT bit pack injectively into
-// 2·(cap+1) indices, and label diffusion runs on the dense view path.
+// TestDenseWiring: label diffusion matches the linear-scan reference
+// round by round. The test keeps the name it had when it checked the
+// automaton's dense state enumeration.
 func TestDenseWiring(t *testing.T) {
-	a := automaton{cap: 5}
-	if a.NumStates() != 12 {
-		t.Fatalf("NumStates = %d, want 12", a.NumStates())
-	}
-	seen := map[int]State{}
-	for _, inT := range []bool{false, true} {
-		for label := 0; label <= 5; label++ {
-			s := State{InT: inT, Label: label}
-			i := a.StateIndex(s)
-			if i < 0 || i >= 12 {
-				t.Fatalf("StateIndex(%+v) = %d out of range", s, i)
-			}
-			if prev, dup := seen[i]; dup {
-				t.Fatalf("collision: %+v and %+v both map to %d", prev, s, i)
-			}
-			seen[i] = s
-		}
-	}
-	net, err := NewNetwork(graph.Grid(4, 4), []int{0}, 16, 1)
+	g := graph.Grid(4, 4)
+	net, err := NewNetwork(g, []int{0}, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !net.DenseViews() {
-		t.Fatal("shortestpath should run on the dense view path")
+	want := append([]State(nil), net.States()...)
+	for r := 0; r < 8; r++ {
+		net.SyncRound()
+		want = linearRound(g, automaton{cap: 16}, want, net.Seed(), uint64(r))
+		for v := 0; v < 16; v++ {
+			if net.State(v) != want[v] {
+				t.Fatalf("round %d: state[%d] is %+v, the reference's %+v", r+1, v, net.State(v), want[v])
+			}
+		}
 	}
+}
+
+// linearRound is the reference round: every node with neighbours in g
+// steps on a NewView of their states in prev, on the stream a network
+// seeded seed draws from at the given epoch.
+func linearRound(g *graph.Graph, auto fssga.Automaton[State], prev []State, seed int64, epoch uint64) []State {
+	next := append([]State(nil), prev...)
+	for v := range prev {
+		var ns []State
+		for _, u := range g.SortedNeighbors(v, nil) {
+			ns = append(ns, prev[u])
+		}
+		if len(ns) > 0 {
+			next[v] = auto.Step(prev[v], fssga.NewView(ns), fssga.KeyedRand(fssga.StreamKey(seed, v, epoch)))
+		}
+	}
+	return next
 }

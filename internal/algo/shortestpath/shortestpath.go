@@ -26,24 +26,11 @@ type State struct {
 }
 
 // automaton applies the balancing rule ℓ(v) := 1 + min over neighbours,
-// capped; targets stay pinned at 0. Labels range over 0..cap, so the
-// automaton implements fssga.DenseAutomaton with 2·(cap+1) states and
-// label diffusion runs on the engine's zero-allocation dense view path
-// (the engine falls back to map views automatically for huge caps).
+// capped; targets stay pinned at 0. Labels range over 0..cap, so there
+// are 2·(cap+1) states, and label diffusion runs on the engine's one
+// zero-allocation view path whatever the cap.
 type automaton struct {
 	cap int
-}
-
-// NumStates implements fssga.DenseAutomaton.
-func (a automaton) NumStates() int { return 2 * (a.cap + 1) }
-
-// StateIndex implements fssga.DenseAutomaton.
-func (a automaton) StateIndex(s State) int {
-	i := s.Label
-	if s.InT {
-		i += a.cap + 1
-	}
-	return i
 }
 
 // Step implements fssga.Automaton.

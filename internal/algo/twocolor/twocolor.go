@@ -46,16 +46,9 @@ func (s State) String() string {
 }
 
 // automaton is the View-based transition function, a direct transcription
-// of the paper's mod-thresh pseudocode. With only four states it
-// trivially implements fssga.DenseAutomaton, putting colouring rounds on
-// the engine's zero-allocation dense view path.
+// of the paper's mod-thresh pseudocode. Colouring rounds run on the
+// engine's one zero-allocation view path.
 type automaton struct{}
-
-// NumStates implements fssga.DenseAutomaton.
-func (automaton) NumStates() int { return 4 }
-
-// StateIndex implements fssga.DenseAutomaton.
-func (automaton) StateIndex(s State) int { return int(s) }
 
 // Step implements fssga.Automaton.
 func (automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) State {

@@ -1,10 +1,7 @@
 package fssga
 
 import (
-	"errors"
-	"math"
 	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -14,12 +11,11 @@ import (
 	"repro/internal/graph"
 )
 
-// denseMax is maxAutomaton with dense indexing over states 0..n-1. Its
-// Step avoids closures so it can back the zero-allocation assertions.
+// denseMax is maxAutomaton over states 0..n-1 written with exact-state
+// observations. Its Step avoids closures so it can back the
+// zero-allocation assertions.
 type denseMax struct{ n int }
 
-func (d denseMax) NumStates() int       { return d.n }
-func (d denseMax) StateIndex(s int) int { return s }
 func (d denseMax) Step(self int, view *View[int], rnd *rand.Rand) int {
 	// Max via capped counts: the largest q <= self+... scan states downward.
 	for q := d.n - 1; q > self; q-- {
@@ -30,58 +26,29 @@ func (d denseMax) Step(self int, view *View[int], rnd *rand.Rand) int {
 	return self
 }
 
-// denseCoin is coinAutomaton with dense indexing: probabilistic, consuming
-// one draw per activation, states {0, 1}.
+// denseCoin is coinAutomaton with an exact-state count: probabilistic,
+// consuming one draw per activation, states {0, 1}.
 type denseCoin struct{}
 
-func (denseCoin) NumStates() int       { return 2 }
-func (denseCoin) StateIndex(s int) int { return s }
 func (denseCoin) Step(self int, view *View[int], rnd *rand.Rand) int {
 	return (rnd.Intn(2) + view.CountState(1, 2)) % 2
 }
 
-// hugeDense declares an oversized state space, forcing the map fallback.
-type hugeDense struct{}
-
-func (hugeDense) NumStates() int       { return math.MaxInt }
-func (hugeDense) StateIndex(s int) int { return s }
-func (hugeDense) Step(self int, view *View[int], rnd *rand.Rand) int {
-	return maxAutomaton{}.Step(self, view, rnd)
-}
-
-func TestDenseDetection(t *testing.T) {
-	g := graph.Path(4)
-	if net := New[int](g.Clone(), denseMax{8}, func(v int) int { return v % 8 }, 1); !net.DenseViews() {
-		t.Fatal("denseMax should run on the dense path")
-	}
-	// Wrapping in StepFunc hides the DenseAutomaton methods.
-	wrapped := StepFunc[int](denseMax{8}.Step)
-	if net := New[int](g.Clone(), wrapped, func(v int) int { return v % 8 }, 1); net.DenseViews() {
-		t.Fatal("StepFunc wrapper must use the map fallback")
-	}
-	if net := New[int](g.Clone(), hugeDense{}, func(v int) int { return v }, 1); net.DenseViews() {
-		t.Fatal("oversized NumStates must use the map fallback")
-	}
-}
-
-// TestDenseMatchesMap runs the same automaton dense-wired and map-wrapped
-// over random graphs and checks the state trajectories are identical.
+// TestDenseMatchesMap holds denseMax networks on random graphs to the
+// linear-scan reference round by round. It keeps the name it had when
+// the reference was the same automaton on map views.
 func TestDenseMatchesMap(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := graph.RandomConnectedGNP(32, 0.12, rng)
 		k := 8
-		init := func(v int) int { return v % k }
-		dense := New[int](g.Clone(), denseMax{k}, init, seed)
-		mapped := New[int](g.Clone(), StepFunc[int](denseMax{k}.Step), init, seed)
-		if !dense.DenseViews() || mapped.DenseViews() {
-			return false
-		}
+		net := New[int](g.Clone(), denseMax{k}, func(v int) int { return v % k }, seed)
+		want := append([]int(nil), net.states...)
 		for r := 0; r < 6; r++ {
-			dense.SyncRound()
-			mapped.SyncRound()
+			net.SyncRound()
+			want = linearRound(g, denseMax{k}, want)
 			for v := 0; v < 32; v++ {
-				if dense.State(v) != mapped.State(v) {
+				if net.State(v) != want[v] {
 					return false
 				}
 			}
@@ -93,20 +60,14 @@ func TestDenseMatchesMap(t *testing.T) {
 	}
 }
 
-// TestDenseViewObservations builds engine views on the dense path and
-// cross-checks every observation method against a freshly built map view
-// of the same neighbourhood.
+// TestDenseViewObservations builds engine views and cross-checks every
+// observation method against a NewView of the same neighbourhood.
 func TestDenseViewObservations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.RandomConnectedGNP(24, 0.2, rng)
 	k := 5
 	net := New[int](g, denseMax{k}, func(v int) int { return rng.Intn(k) }, 1)
-	if !net.DenseViews() {
-		t.Fatal("expected dense path")
-	}
-	if err := net.syncIDs(net.topo()); err != nil { // what a step does first
-		t.Fatal(err)
-	}
+	net.sync() // what a step does first
 	sc := net.serialScratch()
 	for v := 0; v < g.Cap(); v++ {
 		got := net.buildView(sc, g.CSR().Neighbors(v))
@@ -151,110 +112,57 @@ func TestDenseViewObservations(t *testing.T) {
 	}
 }
 
-// badIndex returns an out-of-range index for state 1. Its Step keeps the
-// state, or moves to state 1 when jump is set.
-type badIndex struct{ jump bool }
-
-func (badIndex) NumStates() int       { return 2 }
-func (badIndex) StateIndex(s int) int { return s * 100 }
-func (b badIndex) Step(self int, view *View[int], rnd *rand.Rand) int {
-	if b.jump {
-		return 1
+// checkPalette fails unless the network's palette numbers its states:
+// for every node, dead ones included, pal.ent[ids[v]].s is states[v];
+// each id's count is the number of nodes that name it, and live the
+// number of ids in use; the index maps each entry's state to its id;
+// and every slot vector has the length sync last gave them.
+func checkPalette[S comparable](t *testing.T, what string, net *Network[S]) {
+	t.Helper()
+	p := &net.pal
+	if net.stale {
+		t.Fatalf("%s: ids left stale", what)
 	}
-	return self
-}
-
-// TestDenseOutOfRangeIndexPanics: a state out of StateIndex's range is
-// caught where its index is computed, and nothing is committed. A bad
-// initial or restored state fails the next round: SyncRound panics and
-// TrySyncRoundParallel returns ErrStateIndex. A Step that produces one
-// fails inside the supervised round, and SetState refuses one.
-func TestDenseOutOfRangeIndexPanics(t *testing.T) {
-	testutil.NoLeak(t)
-	zeros := func(int) int { return 0 }
-	// roundsRefused checks that the next round fails with ErrStateIndex
-	// through both entry points and leaves states, ids and Rounds alone.
-	roundsRefused := func(t *testing.T, net *Network[int]) {
-		t.Helper()
-		states, ids, rounds := append([]int(nil), net.states...), append([]int32(nil), net.ids...), net.Rounds
-		func() {
-			defer func() {
-				r := recover()
-				if err, _ := r.(error); !errors.Is(err, ErrStateIndex) {
-					t.Errorf("SyncRound recovered %v, want a panic with ErrStateIndex", r)
-				}
-			}()
-			net.SyncRound()
-		}()
-		if err := net.TrySyncRoundParallel(2); !errors.Is(err, ErrStateIndex) {
-			t.Errorf("TrySyncRoundParallel returned %v, want ErrStateIndex", err)
+	counts := make([]int32, len(p.ent))
+	for v, s := range net.states {
+		id := net.ids[v]
+		if id < 0 || int(id) >= len(p.ent) || p.ent[id].s != s {
+			t.Fatalf("%s: node %d in state %v has id %d, which the palette of %d entries does not give it", what, v, s, id, len(p.ent))
 		}
-		if !reflect.DeepEqual(net.states, states) || !reflect.DeepEqual(net.ids, ids) || net.Rounds != rounds {
-			t.Error("a refused round committed")
+		counts[id]++
+	}
+	live := 0
+	for id, e := range p.ent {
+		if e.n != counts[id] {
+			t.Fatalf("%s: id %d (state %v) counts %d nodes, %d name it", what, id, e.s, e.n, counts[id])
+		}
+		if e.n > 0 {
+			live++
+		}
+		if got, ok := p.index[e.s]; !ok || got != int32(id) {
+			t.Fatalf("%s: the index gives state %v id %d (present %v), want %d", what, e.s, got, ok, id)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		run  func(t *testing.T)
-	}{
-		{"initial-state", func(t *testing.T) {
-			net := New[int](graph.Cycle(supN), badIndex{}, func(v int) int { return v % 2 }, 1)
-			roundsRefused(t, net)
-		}},
-		{"restored-state", func(t *testing.T) {
-			net := New[int](graph.Cycle(supN), badIndex{}, zeros, 1)
-			net.SyncRound()
-			restored := make([]int, supN)
-			restored[7] = 1
-			if err := net.RestoreStates(restored, 5); err != nil {
-				t.Fatal(err)
-			}
-			roundsRefused(t, net)
-		}},
-		{"step-on-pool", func(t *testing.T) {
-			net := New[int](graph.Cycle(supN), badIndex{jump: true}, zeros, 1)
-			if err := net.syncIDs(net.topo()); err != nil {
-				t.Fatal(err)
-			}
-			ids := append([]int32(nil), net.ids...)
-			err := net.TrySyncRoundParallel(2)
-			var pe *PanicError
-			if !errors.As(err, &pe) || pe.Attempts != maxRoundAttempts {
-				t.Fatalf("TrySyncRoundParallel returned %v, want a *PanicError after %d attempts", err, maxRoundAttempts)
-			}
-			if !reflect.DeepEqual(net.states, make([]int, supN)) || !reflect.DeepEqual(net.ids, ids) || net.Rounds != 0 {
-				t.Fatal("the failed round committed")
-			}
-		}},
-		{"set-state", func(t *testing.T) {
-			net := New[int](graph.Cycle(supN), badIndex{}, zeros, 1)
-			net.SyncRound()
-			defer func() {
-				if recover() == nil {
-					t.Error("SetState accepted a state out of StateIndex's range")
-				}
-				if net.states[3] != 0 || net.ids[3] != 0 {
-					t.Errorf("SetState wrote state %d, id %d", net.states[3], net.ids[3])
-				}
-			}()
-			net.SetState(3, 1)
-		}},
-	} {
-		t.Run(tc.name, tc.run)
+	if len(p.index) != len(p.ent) {
+		t.Fatalf("%s: the index holds %d states, the palette %d", what, len(p.index), len(p.ent))
+	}
+	if p.live != live {
+		t.Fatalf("%s: the palette counts %d live ids, %d are in use", what, p.live, live)
+	}
+	for _, sc := range append([]*viewScratch[S]{net.serial}, net.workers...) {
+		if sc != nil && len(sc.slot) != net.slots {
+			t.Fatalf("%s: a slot vector of %d slots, want %d", what, len(sc.slot), net.slots)
+		}
 	}
 }
 
-// idsAuto is a dense automaton of int states for the ids tests: inner
-// under the reversed enumeration, so that a state and its id differ, with
-// a Step that panics while budget is positive.
-type idsAuto struct {
-	inner  DenseAutomaton[int]
+// budgetAuto is inner with a Step that panics while budget is positive.
+type budgetAuto struct {
+	inner  Automaton[int]
 	budget *atomic.Int64
 }
 
-func (a idsAuto) NumStates() int       { return a.inner.NumStates() }
-func (a idsAuto) StateIndex(s int) int { return a.inner.NumStates() - 1 - a.inner.StateIndex(s) }
-func (a idsAuto) Step(self int, view *View[int], rnd *rand.Rand) int {
+func (a budgetAuto) Step(self int, view *View[int], rnd *rand.Rand) int {
 	if a.budget.Add(-1) >= 0 {
 		panic("injected worker panic")
 	}
@@ -262,15 +170,19 @@ func (a idsAuto) Step(self int, view *View[int], rnd *rand.Rand) int {
 }
 
 // TestDenseIDsTrackStates: every operation that writes states keeps the
-// dense ids current, ids[v] == StateIndex(states[v]) for every live
-// node, except RestoreStates, which leaves them stale for the next round,
-// activation or quiescence probe to recompute.
+// palette and the ids current (checkPalette), except New and
+// RestoreStates, which leave them stale for the next round, activation
+// or quiescence probe to renumber. A palette holding more than 2·live +
+// paletteSlack entries is renumbered by the next sync, reusing its
+// storage, or reallocating it at the live count once it has room for
+// many times that. The test keeps the name it had when ids were dense
+// state indices.
 func TestDenseIDsTrackStates(t *testing.T) {
 	testutil.NoLeak(t)
 	const side = 16
 	for _, tc := range []struct {
 		name  string
-		inner DenseAutomaton[int]
+		inner Automaton[int]
 		det   bool
 	}{
 		{"deterministic", denseMax{side}, true},
@@ -283,21 +195,57 @@ func TestDenseIDsTrackStates(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				var budget atomic.Int64
-				auto := idsAuto{tc.inner, &budget}
-				init := func(v int) int { return v % tc.inner.NumStates() }
+				auto := budgetAuto{tc.inner, &budget}
+				init := func(v int) int { return v % side }
 				var net *Network[int]
 				if csr {
 					net = NewFromCSR[int](graph.TorusCSR(side, side), auto, init, 3)
 				} else {
 					net = New[int](graph.Torus(side, side), auto, init, 3)
 				}
+				if !net.stale {
+					t.Fatal("New left the ids marked current")
+				}
 				initial := append([]int(nil), net.states...)
-				restore := func() {
-					if err := net.RestoreStates(initial, 0); err != nil {
+				restore := func(states []int) {
+					if err := net.RestoreStates(states, 0); err != nil {
 						t.Fatal(err)
 					}
-					if !net.idsStale {
+					if !net.stale {
 						t.Fatal("RestoreStates left the ids marked current")
+					}
+				}
+				// bloat numbers distinct states over the nodes, then walks
+				// node 6 through fresh states until the palette holds
+				// more than 2·live + paletteSlack entries and has room
+				// for many times its live ids or not, as roomy says. The
+				// next sync, Quiescent's, must renumber it, reallocating
+				// its storage at the live count exactly when it was roomy.
+				bloat := func(distinct int, roomy bool) {
+					states := make([]int, len(initial))
+					for v := range states {
+						states[v] = v % distinct
+					}
+					restore(states)
+					net.Quiescent()
+					p := &net.pal
+					for k := 0; len(p.ent) <= 2*p.live+paletteSlack || p.roomy() != roomy; k++ {
+						if k > 8*paletteSlack {
+							t.Fatalf("%d SetStates left %d entries, room for %d, for %d live ids", k, len(p.ent), cap(p.ent), p.live)
+						}
+						net.SetState(6, 1<<20+k)
+					}
+					checkPalette(t, "before the renumbering", net)
+					room := cap(p.ent)
+					net.Quiescent()
+					if len(p.ent) != p.live {
+						t.Fatalf("Quiescent left %d entries for %d live ids", len(p.ent), p.live)
+					}
+					if reused := cap(p.ent) == room; reused == roomy {
+						t.Fatalf("room for %d states and %d live ids: the renumbering reused the storage = %v", room, p.live, reused)
+					}
+					if roomy && cap(p.ent) != p.live {
+						t.Fatalf("the reallocated palette has room for %d states, want its %d live ids", cap(p.ent), p.live)
 					}
 				}
 				ops := []struct {
@@ -312,18 +260,21 @@ func TestDenseIDsTrackStates(t *testing.T) {
 					{"SyncRoundParallelFrontier(2)", true, false, func() { net.SyncRoundParallelFrontier(2) }},
 					{"Activate", false, false, func() { net.Activate(5) }},
 					{"SetState", false, false, func() { net.SetState(6, 1) }},
-					{"RestoreStates+SyncRound", false, false, func() { restore(); net.SyncRound() }},
-					{"RestoreStates+SyncRoundParallel(2)", false, false, func() { restore(); net.SyncRoundParallel(2) }},
-					{"RestoreStates+Activate", false, false, func() { restore(); net.Activate(9) }},
+					{"SetState(new state)", false, false, func() { net.SetState(7, 3*side) }},
+					{"RestoreStates+SyncRound", false, false, func() { restore(initial); net.SyncRound() }},
+					{"RestoreStates+SyncRoundParallel(2)", false, false, func() { restore(initial); net.SyncRoundParallel(2) }},
+					{"RestoreStates+Activate", false, false, func() { restore(initial); net.Activate(9) }},
+					{"RestoreStates+SetState+SyncRound", false, false, func() {
+						restore(initial)
+						net.SetState(8, 5*side) // written while stale, numbered by the round
+						net.SyncRound()
+					}},
 					{"OnBeforeRound removal", false, true, func() {
-						// The removed node's state is out of range: the
-						// round recomputes the ids over the nodes live
-						// after its hook.
-						bad := append([]int(nil), initial...)
-						bad[17] = tc.inner.NumStates()
-						if err := net.RestoreStates(bad, 0); err != nil {
-							t.Fatal(err)
-						}
+						// The removed node is frozen in a state no live
+						// node holds; it stays numbered and counted.
+						states := append([]int(nil), initial...)
+						states[17] = 7 * side
+						restore(states)
 						net.OnBeforeRound = func(int) { net.G.RemoveNode(17) }
 						net.SyncRoundParallel(2)
 						net.OnBeforeRound = nil
@@ -332,7 +283,10 @@ func TestDenseIDsTrackStates(t *testing.T) {
 						budget.Store(1)
 						net.SyncRoundParallel(2)
 					}},
-					{"RestoreStates+Quiescent", false, false, func() { restore(); net.Quiescent() }},
+					{"RestoreStates+Quiescent", false, false, func() { restore(initial); net.Quiescent() }},
+					{"renumbering in place", false, false, func() { bloat(len(initial), false) }},
+					{"renumbering reallocated", false, false, func() { bloat(side, true) }},
+					{"SyncRound after renumbering", false, false, func() { net.SyncRound() }},
 				}
 				for _, op := range ops {
 					if op.det && !tc.det || op.mut && csr {
@@ -340,16 +294,7 @@ func TestDenseIDsTrackStates(t *testing.T) {
 					}
 					budget.Store(-1)
 					op.run()
-					if net.idsStale {
-						t.Fatalf("after %s: ids left stale", op.name)
-					}
-					c := net.topo()
-					for v := range c.Cap() {
-						if c.Alive(v) && int(net.ids[v]) != auto.StateIndex(net.states[v]) {
-							t.Fatalf("after %s: node %d has id %d, its state %d has StateIndex %d",
-								op.name, v, net.ids[v], net.states[v], auto.StateIndex(net.states[v]))
-						}
-					}
+					checkPalette(t, "after "+op.name, net)
 				}
 			})
 		}
@@ -413,4 +358,47 @@ func TestQuiescentZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { net.Quiescent() }); allocs != 0 {
 		t.Fatalf("Quiescent allocates %.1f objects/op, want 0 (the serial scratch should be reused)", allocs)
 	}
+}
+
+// TestPaletteBoundedOnCensus: a census network, iterated OR over
+// Flajolet–Martin sketches, meets many more distinct states on a
+// power-law graph on its way to quiescence than it ends with: one. The
+// palette must end with at most 2·live + paletteSlack entries, which
+// only renumbering on the live count ensures.
+func TestPaletteBoundedOnCensus(t *testing.T) {
+	g := graph.PLaw(4096, 2, 4, 5)
+	rng := rand.New(rand.NewSource(11))
+	init := make([]uint64, g.Cap())
+	for v := range init {
+		for j := 0; j < 4; j++ { // four 16-bit sketches; bit i is set with probability 2^-(i+1)
+			i := 0
+			for i < 15 && rng.Intn(2) == 0 {
+				i++
+			}
+			init[v] |= 1 << (16*j + i)
+		}
+	}
+	net := New[uint64](g, SemiLattice[uint64]{Join: OrJoin}, func(v int) uint64 { return init[v] }, 1)
+	met := make(map[uint64]bool)
+	see := func(int) {
+		for _, s := range net.States() {
+			met[s] = true
+		}
+	}
+	see(0)
+	net.OnRound = see
+	if _, ok := net.RunSyncUntilQuiescent(100); !ok {
+		t.Fatal("the census did not quiesce within 100 rounds")
+	}
+	checkPalette(t, "at quiescence", net)
+	p := &net.pal
+	if len(met) <= 2*p.live+paletteSlack {
+		t.Fatalf("the census met %d distinct states and ends with %d: too few to test the bound", len(met), p.live)
+	}
+	if len(p.ent) > 2*p.live+paletteSlack {
+		t.Fatalf("after meeting %d distinct states the palette holds %d entries for %d live ids, want at most %d",
+			len(met), len(p.ent), p.live, 2*p.live+paletteSlack)
+	}
+	t.Logf("met %d distinct states over %d rounds; the palette ends with %d entries, room for %d, %d live",
+		len(met), net.Rounds, len(p.ent), cap(p.ent), p.live)
 }

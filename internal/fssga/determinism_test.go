@@ -18,22 +18,30 @@ import (
 // and sharded parallel rounds at any worker count produce bit-identical
 // state vectors — including across mid-run faults (which invalidate the
 // CSR snapshot), probabilistic automata, and both view representations
-// (dense and map fallback). n is kept above shardAlign so the parallel
-// modes genuinely run on the shard pool rather than the small-network
-// serial fallback.
+// (the subtests keep the names of the two view paths there were). The
+// palette and the ids must be identical too, whatever the worker count:
+// commit interns in change-list order. n is kept above shardAlign so
+// the parallel modes genuinely run on the shard pool rather than the
+// small-network serial fallback.
 func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 	testutil.NoLeak(t)
 	const n = 192
+	mod := func(m int) func(v int) int { return func(v int) int { return v % m } }
 	autos := map[string]struct {
 		auto Automaton[int]
-		mod  int // initial states drawn from 0..mod-1
+		init func(v int) int
+		det  bool // frontier rounds apply
 	}{
-		"probabilistic-map":   {coinAutomaton{}, 2},
-		"probabilistic-dense": {denseCoin{}, 2},
-		"deterministic-dense": {denseMax{8}, 8},
+		"probabilistic-map":   {coinAutomaton{}, mod(2), false},
+		"probabilistic-dense": {denseCoin{}, mod(2), false},
+		"deterministic-dense": {denseMax{8}, mod(8), true},
+		// OR over one-hot states: every round commits states the
+		// palette has not seen, in every chunk.
+		"deterministic-census": {SemiLattice[int]{Join: func(a, b int) int { return a | b }},
+			func(v int) int { return 1 << (v % 62) }, true},
 	}
 	for name, tc := range autos {
-		auto, mod := tc.auto, tc.mod
+		auto, init := tc.auto, tc.init
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{1, 7, 42} {
 				rng := rand.New(rand.NewSource(seed))
@@ -52,11 +60,11 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 						g.RemoveEdge(cut.U, cut.V)
 					}
 				}
-				init := func(v int) int { return v % mod }
 
 				// run returns the final states and, per round, the kernel's
-				// change list and the frontier derived from it, each checked
-				// against a brute-force recomputation.
+				// change list, the frontier derived from it, the palette
+				// and the ids, each checked against a brute-force
+				// recomputation.
 				run := func(mode string, round func(net *Network[int])) ([]int, []roundTrace) {
 					net := New[int](g0.Clone(), auto, init, seed)
 					var traces []roundTrace
@@ -81,7 +89,7 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 						}
 					}
 					if wantTraces != nil && !reflect.DeepEqual(gotTraces, wantTraces) {
-						t.Fatalf("seed %d %s: change lists or frontiers differ from the one-worker run", seed, mode)
+						t.Fatalf("seed %d %s: change lists, frontiers, palettes or ids differ from the one-worker run", seed, mode)
 					}
 				}
 				for _, w := range []int{1, 2, 4, 8} {
@@ -93,7 +101,7 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 				// there they must reproduce the full-round trajectory exactly,
 				// faults and all, with the same change lists at every worker
 				// count.
-				if _, ok := auto.(denseMax); ok {
+				if tc.det {
 					got, frontTraces := run("serial frontier", func(net *Network[int]) { net.SyncRoundFrontier() })
 					check("serial frontier", got, frontTraces, nil)
 					for _, w := range []int{1, 2, 4, 5, 8} {
@@ -108,23 +116,31 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 }
 
 // roundTrace is what one round leaves for the next: its change list,
-// flattened in chunk order, and the frontier work set derived from it.
+// flattened in chunk order, the frontier work set derived from it, and
+// the palette and ids it committed.
 type roundTrace struct {
 	changes []change[int]
 	work    []int32
+	pal     []entry[int]
+	ids     []int32
 }
 
 // checkRoundInvariants asserts the round kernel's invariants after one
 // round that started from the states prev: the change list is exactly
-// the snapshot diff, and the derived frontier is exactly the set of
-// nodes that changed or have a changed neighbour.
+// the snapshot diff, the derived frontier is exactly the set of nodes
+// that changed or have a changed neighbour, and the palette numbers
+// the states (checkPalette).
 func checkRoundInvariants(t *testing.T, what string, net *Network[int], prev []int) roundTrace {
 	t.Helper()
 	c := net.topo()
 	if net.changedOn != c {
 		t.Fatalf("%s: change list not committed on the round's snapshot", what)
 	}
-	var tr roundTrace
+	checkPalette(t, what, net)
+	tr := roundTrace{
+		pal: append([]entry[int](nil), net.pal.ent...),
+		ids: append([]int32(nil), net.ids...),
+	}
 	for _, buf := range net.changes {
 		tr.changes = append(tr.changes, buf...)
 	}

@@ -3,10 +3,11 @@ package fssga_test
 // Differential suite for the round engines: every registered automaton,
 // run through every engine on every topology family — with and without
 // a chaos fault schedule — must produce the exact state trajectory of
-// a serial SyncRound reference on map views, which shares no dense
-// index with the engines it checks. A separate test checkpoints mid-run
-// and restores into a fresh process image, crossing engines over the
-// restore boundary.
+// the linear-scan reference (linearReference), which steps every node
+// on a fresh NewView of its neighbours and shares no palette with the
+// engines it checks. A separate test checkpoints mid-run and restores
+// into a fresh process image, crossing engines over the restore
+// boundary.
 //
 // check.sh runs the package under the race detector on one and two
 // cores, so the suite doubles as a concurrency check of the shard pool
@@ -39,8 +40,6 @@ const (
 // bit: it responds to exact counts, not only to presence.
 type diffParity struct{}
 
-func (diffParity) NumStates() int       { return 2 }
-func (diffParity) StateIndex(s int) int { return s }
 func (diffParity) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 	if view.CountMod(2, func(s int) bool { return s == 1 }) == 1 {
 		return self ^ 1
@@ -53,8 +52,6 @@ func (diffParity) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 // alignment across engines (and across checkpoint restore).
 type diffCoin struct{}
 
-func (diffCoin) NumStates() int       { return 2 }
-func (diffCoin) StateIndex(s int) int { return s }
 func (diffCoin) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 	return (rnd.Intn(2) + view.CountState(1, 2)) % 2
 }
@@ -126,15 +123,31 @@ func attachFaults[S comparable](net *fssga.Network[S], sched faults.Schedule) {
 	net.OnBeforeRound = func(r int) { inj.Advance(net.G, r) }
 }
 
-// mapReference builds the reference of a differential: the family's
-// automaton wrapped in StepFunc, which hides any DenseAutomaton methods
-// and so runs on map views, over g from cand's states and seed.
-func mapReference[S comparable](t *testing.T, g *graph.Graph, auto fssga.Automaton[S], cand *fssga.Network[S]) *fssga.Network[S] {
-	t.Helper()
-	init := append([]S(nil), cand.States()...)
-	ref := fssga.New[S](g, fssga.StepFunc[S](auto.Step), func(v int) S { return init[v] }, cand.Seed())
-	if ref.DenseViews() {
-		t.Fatal("the reference runs on dense views")
+// linearReference returns the reference trajectory of a differential:
+// ref[r] is the state vector after round r of auto on g, from cand's
+// initial states and seed, with sched's faults applied before each
+// round as attachFaults applies them to a network. Round r steps every
+// live node with a neighbour on a NewView of its neighbours' states,
+// read from g, on the stream KeyedRand(StreamKey(seed, v, r-1)), the
+// one a network draws from in that round.
+func linearReference[S comparable](g *graph.Graph, auto fssga.Automaton[S], cand *fssga.Network[S], sched faults.Schedule, rounds int) [][]S {
+	inj := faults.NewInjector(sched)
+	ref := [][]S{append([]S(nil), cand.States()...)}
+	for r := 1; r <= rounds; r++ {
+		inj.Advance(g, r)
+		prev := ref[r-1]
+		next := append([]S(nil), prev...)
+		for v := range prev {
+			var ns []S
+			for _, u := range g.SortedNeighbors(v, nil) {
+				ns = append(ns, prev[u])
+			}
+			if len(ns) > 0 {
+				rnd := fssga.KeyedRand(fssga.StreamKey(cand.Seed(), v, uint64(r-1)))
+				next[v] = auto.Step(prev[v], fssga.NewView(ns), rnd)
+			}
+		}
+		ref = append(ref, next)
 	}
 	return ref
 }
@@ -165,14 +178,7 @@ func runDiff[S comparable](t *testing.T, det bool, auto fssga.Automaton[S], mk f
 					sched = diffSchedule(tp.make)
 				}
 
-				ref := make([][]S, diffRounds+1)
-				refNet := mapReference(t, tp.make(), auto, mk(tp.make(), diffSeed))
-				attachFaults(refNet, sched)
-				ref[0] = append([]S(nil), refNet.States()...)
-				for r := 1; r <= diffRounds; r++ {
-					refNet.SyncRound()
-					ref[r] = append([]S(nil), refNet.States()...)
-				}
+				ref := linearReference(tp.make(), auto, mk(tp.make(), diffSeed), sched, diffRounds)
 
 				for _, eng := range diffEngines[S]() {
 					eng := eng
@@ -235,7 +241,8 @@ func TestAggDifferential(t *testing.T) {
 			return net
 		})
 	})
-	// Oversized census states fall back to map views.
+	// Census with the paper's sketch sizes: states far too many to
+	// enumerate, of which the network numbers only those that occur.
 	t.Run("census-map", func(t *testing.T) {
 		runDiff(t, true, census.Auto(census.Config{Bits: 8, Sketches: 4}), func(g *graph.Graph, seed int64) *fssga.Network[census.State] {
 			net, err := census.NewNetwork(g, census.Config{Bits: 8, Sketches: 4, Seed: seed})
@@ -267,7 +274,7 @@ func TestAggDifferential(t *testing.T) {
 // (faults applied) and restores into a fresh network, then finishes the
 // run on a DIFFERENT engine: frontier rounds for the deterministic
 // parity, serial rounds for the coin. Both halves must follow the
-// trajectory of a serial reference on map views: the restored round
+// trajectory of the linear-scan reference: the restored round
 // counter names the same streams, the fault injector is replayed to the
 // checkpoint round, and the first frontier round after a restore steps
 // every node.
@@ -304,15 +311,9 @@ func TestAggDifferentialRestore(t *testing.T) {
 				rng := rand.New(rand.NewSource(0x0ddca7))
 				sched := faults.RandomSchedule(g, rounds, 0.4, 0.2, rng)
 
-				// Serial reference over the full 12 rounds: ref[r] is the
-				// state vector after round r.
-				refNet := mapReference(t, tp.make(), au.auto, au.mk(tp.make(), diffSeed))
-				attachFaults(refNet, sched)
-				ref := [][]int{append([]int(nil), refNet.States()...)}
-				for r := 0; r < rounds; r++ {
-					refNet.SyncRound()
-					ref = append(ref, append([]int(nil), refNet.States()...))
-				}
+				// Reference over the full 12 rounds: ref[r] is the state
+				// vector after round r.
+				ref := linearReference(tp.make(), au.auto, au.mk(tp.make(), diffSeed), sched, rounds)
 
 				// Live parallel run, checkpointed after round ckptAt.
 				store := checkpoint.NewStore(checkpoint.NewMemFS(), 3)

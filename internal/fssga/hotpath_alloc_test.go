@@ -56,7 +56,8 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	for _, name := range []string{
 		"Network.buildView", "Network.SyncRound", "Network.SyncRoundFrontier", "Network.round",
 		"Network.stepChunk", "Network.step", "Network.commit", "Network.Activate",
-		"Network.Quiescent", "viewScratch.stream", "View.Empty", "View.DegreeCapped",
+		"Network.Quiescent", "Network.sync", "palette.intern", "palette.lookup",
+		"viewScratch.stream", "View.Empty", "View.DegreeCapped",
 		"View.CountState", "View.Count", "View.CountMod", "diffRuns",
 	} {
 		if verdicts[name] == "" {
@@ -91,8 +92,8 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 	}
 
 	// The pure View observations are transitively proven or audited only
-	// for table lookups / caller predicates; all must measure 0 on the
-	// dense path with an allocation-free predicate.
+	// for caller predicates; all must measure 0 on an engine view with an
+	// allocation-free predicate.
 	net2 := New[int](graph.Cycle(16), denseMax{8}, func(v int) int { return v % 8 }, 1)
 	net2.SyncRound()
 	sc := net2.serialScratch()
@@ -128,12 +129,13 @@ func TestHotpathStaticDominatesDynamic(t *testing.T) {
 }
 
 // TestHotpathProvenSubset pins that the transitive-verdict machinery
-// still distinguishes proven from audited: the pure threshold
-// observations are proven outright, while everything dispatching through
-// an automaton interface or growing amortized scratch is audited.
+// still distinguishes proven from audited: the pure threshold and
+// exact-state observations and the frozen palette's lookup are proven
+// outright, while everything dispatching through an automaton interface
+// or growing amortized scratch is audited.
 func TestHotpathProvenSubset(t *testing.T) {
 	verdicts := hotpathReport(t)
-	proven := []string{"View.Empty", "View.DegreeCapped"}
+	proven := []string{"View.Empty", "View.DegreeCapped", "View.CountState", "View.AnyState", "palette.lookup"}
 	for _, name := range proven {
 		if v := verdicts[name]; v != analysis.VerdictProven {
 			t.Errorf("%s: verdict %q, want %q", name, v, analysis.VerdictProven)
@@ -141,7 +143,7 @@ func TestHotpathProvenSubset(t *testing.T) {
 	}
 	audited := []string{
 		"Network.SyncRound", "Network.SyncRoundFrontier", "Network.Activate",
-		"Network.Quiescent", "Network.buildView", "diffRuns",
+		"Network.Quiescent", "Network.buildView", "Network.sync", "palette.intern", "diffRuns",
 		"View.Count", "View.CountMod", "View.ForEach",
 	}
 	for _, name := range audited {

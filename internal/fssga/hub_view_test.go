@@ -21,8 +21,6 @@ import (
 // while any toggler is visible and decays to the absorbing 3 otherwise.
 type aggProbe struct{}
 
-func (aggProbe) NumStates() int       { return 4 }
-func (aggProbe) StateIndex(s int) int { return s }
 func (aggProbe) Step(self int, view *View[int], rnd *rand.Rand) int {
 	switch self {
 	case 0:
@@ -92,7 +90,7 @@ func assertMatchesLinear(t *testing.T, calls int, net *Network[int], step func(n
 
 func TestHubViewMatchesLinearScan(t *testing.T) {
 	testutil.NoLeak(t)
-	for _, auto := range []DenseAutomaton[int]{aggProbe{}, aggParity{}} {
+	for _, auto := range []Automaton[int]{aggProbe{}, aggParity{}} {
 		for name, step := range map[string]func(net *Network[int]){
 			"sync":     func(net *Network[int]) { net.SyncRound() },
 			"frontier": func(net *Network[int]) { net.SyncRoundFrontier() },
@@ -100,9 +98,6 @@ func TestHubViewMatchesLinearScan(t *testing.T) {
 		} {
 			t.Run(name, func(t *testing.T) {
 				net := New[int](graph.Star(300), auto, starInit(17), 1)
-				if !net.DenseViews() {
-					t.Fatal("probe automaton should run on the dense path")
-				}
 				assertMatchesLinear(t, 12, net, step)
 			})
 		}
@@ -285,17 +280,16 @@ func TestAggRestoreInvalidates(t *testing.T) {
 	assertMatchesLinear(t, 3, net, step)
 }
 
-// TestAggMapFallbackStaysLinear: automata without dense views build their
-// hub views on the map path, and those match the linear scan too.
+// TestAggMapFallbackStaysLinear: the automata that ran on map views
+// before every network numbered its states, a StepFunc and one with a
+// state per node, build their hub views like any other, and those match
+// the linear scan too.
 func TestAggMapFallbackStaysLinear(t *testing.T) {
 	testutil.NoLeak(t)
-	for name, net := range map[string]*Network[int]{
-		"StepFunc":  New[int](graph.Star(200), StepFunc[int](aggParity{}.Step), starInit(9), 1),
-		"oversized": New[int](graph.Star(200), hugeDense{}, func(v int) int { return v % 3 }, 1),
+	for _, net := range []*Network[int]{
+		New[int](graph.Star(200), StepFunc[int](aggParity{}.Step), starInit(9), 1),
+		New[int](graph.Star(200), maxAutomaton{}, func(v int) int { return v }, 1),
 	} {
-		if net.DenseViews() {
-			t.Fatalf("%s automaton runs on the dense path", name)
-		}
 		assertMatchesLinear(t, 8, net, func(net *Network[int]) { net.SyncRound() })
 	}
 }
@@ -304,8 +298,6 @@ func TestAggMapFallbackStaysLinear(t *testing.T) {
 // neighbours in state 1 through a cap-4 count and a mod-3 count.
 type foldProbe struct{}
 
-func (foldProbe) NumStates() int       { return 17 }
-func (foldProbe) StateIndex(s int) int { return s }
 func (foldProbe) Step(self int, view *View[int], rnd *rand.Rand) int {
 	if self < 2 {
 		return self
@@ -345,8 +337,8 @@ func TestQuickTreeFoldMatchesDirectProjection(t *testing.T) {
 // leaves in state i mod 4 around a hub; the hub's view must report, per
 // state, the exact multiplicity (ForEach), the thresholded count
 // (CountState, Count) and the periodic count (CountMod) of the true
-// totals, on the dense and the map path, with the leaf states laid
-// along the hub's row in listed and in reversed order.
+// totals, with the leaf states laid along the hub's row in listed and
+// in reversed order.
 func FuzzAggregateFold(f *testing.F) {
 	f.Add(byte(1), byte(0), []byte{1, 0, 1})             // presence footprint
 	f.Add(byte(0), byte(1), []byte{3, 1, 4, 1, 5})       // pure parity
@@ -369,49 +361,45 @@ func FuzzAggregateFold(f *testing.F) {
 			want[i%4] += int(b)
 		}
 		odd := func(s int) bool { return s%2 == 1 }
-		for _, auto := range []Automaton[int]{aggProbe{}, StepFunc[int](aggProbe{}.Step)} {
-			for _, reversed := range []bool{false, true} {
-				g := graph.New(1 + len(leaves))
-				for v := 1; v <= len(leaves); v++ {
-					g.AddEdge(0, v)
+		for _, reversed := range []bool{false, true} {
+			g := graph.New(1 + len(leaves))
+			for v := 1; v <= len(leaves); v++ {
+				g.AddEdge(0, v)
+			}
+			net := New[int](g, aggProbe{}, func(v int) int {
+				if v == 0 {
+					return 0
 				}
-				net := New[int](g, auto, func(v int) int {
-					if v == 0 {
-						return 0
-					}
-					if reversed {
-						return leaves[len(leaves)-v]
-					}
-					return leaves[v-1]
-				}, 1)
-				if err := net.syncIDs(net.topo()); err != nil { // what a step does first
-					t.Fatal(err)
+				if reversed {
+					return leaves[len(leaves)-v]
 				}
-				view := net.buildView(net.serialScratch(), net.topo().Neighbors(0))
+				return leaves[v-1]
+			}, 1)
+			net.sync() // what a step does first
+			view := net.buildView(net.serialScratch(), net.topo().Neighbors(0))
 
-				got := make(map[int]int)
-				view.ForEach(func(s, c int) { got[s] += c })
-				for q := 0; q < 4; q++ {
-					if got[q] != want[q] {
-						t.Fatalf("dense=%v reversed=%v: ForEach saw %d of state %d, want %d", net.DenseViews(), reversed, got[q], q, want[q])
-					}
-					if c, w := view.CountState(q, thresh), min(want[q], thresh); c != w {
-						t.Fatalf("dense=%v reversed=%v: CountState(%d, %d) = %d, want %d", net.DenseViews(), reversed, q, thresh, c, w)
-					}
-					if c, w := view.CountMod(period, func(s int) bool { return s == q }), want[q]%period; c != w {
-						t.Fatalf("dense=%v reversed=%v: CountMod(%d) of state %d = %d, want %d", net.DenseViews(), reversed, period, q, c, w)
-					}
+			got := make(map[int]int)
+			view.ForEach(func(s, c int) { got[s] += c })
+			for q := 0; q < 4; q++ {
+				if got[q] != want[q] {
+					t.Fatalf("reversed=%v: ForEach saw %d of state %d, want %d", reversed, got[q], q, want[q])
 				}
-				total, odds := len(leaves), want[1]+want[3]
-				if c, w := view.Count(thresh, odd), min(odds, thresh); c != w {
-					t.Fatalf("dense=%v reversed=%v: Count(%d, odd) = %d, want %d", net.DenseViews(), reversed, thresh, c, w)
+				if c, w := view.CountState(q, thresh), min(want[q], thresh); c != w {
+					t.Fatalf("reversed=%v: CountState(%d, %d) = %d, want %d", reversed, q, thresh, c, w)
 				}
-				if c, w := view.CountMod(period, odd), odds%period; c != w {
-					t.Fatalf("dense=%v reversed=%v: CountMod(%d, odd) = %d, want %d", net.DenseViews(), reversed, period, c, w)
+				if c, w := view.CountMod(period, func(s int) bool { return s == q }), want[q]%period; c != w {
+					t.Fatalf("reversed=%v: CountMod(%d) of state %d = %d, want %d", reversed, period, q, c, w)
 				}
-				if c, w := view.DegreeCapped(thresh), min(total, thresh); c != w || view.Empty() != (total == 0) {
-					t.Fatalf("dense=%v reversed=%v: DegreeCapped(%d) = %d, Empty = %v; %d leaves", net.DenseViews(), reversed, thresh, c, view.Empty(), total)
-				}
+			}
+			total, odds := len(leaves), want[1]+want[3]
+			if c, w := view.Count(thresh, odd), min(odds, thresh); c != w {
+				t.Fatalf("reversed=%v: Count(%d, odd) = %d, want %d", reversed, thresh, c, w)
+			}
+			if c, w := view.CountMod(period, odd), odds%period; c != w {
+				t.Fatalf("reversed=%v: CountMod(%d, odd) = %d, want %d", reversed, period, c, w)
+			}
+			if c, w := view.DegreeCapped(thresh), min(total, thresh); c != w || view.Empty() != (total == 0) {
+				t.Fatalf("reversed=%v: DegreeCapped(%d) = %d, Empty = %v; %d leaves", reversed, thresh, c, view.Empty(), total)
 			}
 		}
 	})

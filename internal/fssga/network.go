@@ -31,16 +31,16 @@ type Network[S comparable] struct {
 	// seed is the master seed the per-step streams derive from (rng.go).
 	seed int64
 
-	// Dense fast path (see dense.go): set when auto implements
-	// DenseAutomaton with a state space within MaxDenseStates; ids is nil
-	// on map networks. ids[v] is StateIndex(states[v]) for every live
-	// node v whenever a step runs: commit, SetState and Activate write it
-	// with the state, and New and RestoreStates mark it stale for the
-	// next round, Activate or Quiescent to recompute (syncIDs).
-	numStates int
-	idx       func(S) int
-	ids       []int32
-	idsStale  bool
+	// The palette (palette.go) numbers the states that occur, and
+	// pal.ent[ids[v]].s is states[v] for every node whenever a step
+	// runs: commit, SetState and Activate write state and id together,
+	// and New and RestoreStates mark the ids stale for the next round,
+	// Activate or Quiescent to renumber (sync). slots is the length of
+	// every scratch's slot vector.
+	pal   palette[S]
+	ids   []int32
+	stale bool
+	slots int
 
 	serial  *viewScratch[S]   // shared by all serial execution paths
 	workers []*viewScratch[S] // one per worker of the shard pool
@@ -89,11 +89,10 @@ type Network[S comparable] struct {
 // function of (seed, node, epoch) (rng.go), so runs are reproducible and
 // independent of execution order and worker count.
 //
-// If auto implements DenseAutomaton and its NumStates fits MaxDenseStates,
-// the network keeps each node's StateIndex beside its state and views
-// find neighbour states through a dense slot vector indexed by it;
-// otherwise through a map. Both build the same present list and expose
-// identical observations, so the choice never changes results.
+// Any automaton runs on one view path: the network numbers the states
+// that occur in a palette and keeps each node's id beside its state,
+// and a view counts neighbours by id. The first round, Activate or
+// Quiescent numbers the initial states.
 func New[S comparable](g *graph.Graph, auto Automaton[S], init func(v int) S, seed int64) *Network[S] {
 	net := newNetwork[S](g, g.CSR(), auto, init, seed)
 	net.csr = nil // always re-snapshot from the mutable graph
@@ -124,14 +123,9 @@ func newNetwork[S comparable](g *graph.Graph, c *graph.CSR, auto Automaton[S], i
 		csr:    c,
 		auto:   auto,
 		states: make([]S, n),
+		ids:    make([]int32, n),
+		stale:  true,
 		seed:   seed,
-	}
-	if d, ok := auto.(DenseAutomaton[S]); ok {
-		if ns := d.NumStates(); ns > 0 && ns <= MaxDenseStates {
-			net.numStates = ns
-			net.idx = d.StateIndex
-			net.ids, net.idsStale = make([]int32, n), true
-		}
 	}
 	for v := 0; v < n; v++ {
 		if c.Alive(v) {
@@ -161,28 +155,28 @@ func (net *Network[S]) topo() *graph.CSR {
 //fssga:hotpath
 func (net *Network[S]) epoch() uint64 { return uint64(net.Rounds + net.Activations) }
 
-// DenseViews reports whether the network runs on the dense view fast path.
-func (net *Network[S]) DenseViews() bool { return net.ids != nil }
-
 // State returns the current state of node v (meaningless for dead nodes).
 func (net *Network[S]) State(v int) S { return net.states[v] }
 
 // SetState overrides the state of node v; used to set up distinguished
-// initial conditions (e.g. "one node is RED"). On a dense network it
-// panics, writing nothing, if StateIndex puts s out of range.
+// initial conditions (e.g. "one node is RED").
 func (net *Network[S]) SetState(v int, s S) {
-	net.set(v, s, net.idOf(s))
+	if net.stale {
+		net.states[v] = s // the next sync numbers it
+	} else {
+		net.set(v, s, net.pal.intern(s))
+	}
 	net.changedOn = nil // out-of-band change: the change list no longer covers it
 }
 
-// set writes node v's state s and its id, as returned by idOf.
+// set writes node v's state s and its palette id, moving v's count
+// from its old id.
 //
 //fssga:hotpath
 func (net *Network[S]) set(v int, s S, id int32) {
-	net.states[v] = s
-	if net.ids != nil {
-		net.ids[v] = id
-	}
+	net.pal.count(net.ids[v], -1)
+	net.pal.count(id, 1)
+	net.states[v], net.ids[v] = s, id
 }
 
 // States returns the internal state slice (indexed by node ID). Callers
@@ -227,8 +221,8 @@ func (net *Network[S]) AggStats() AggStats { return AggStats{} }
 // e.g. from a checkpoint. The round counter also restores the random
 // streams: with no activations, a restored network draws exactly what
 // the checkpointed one would have. The slice length must equal the
-// network's node capacity. Frontier bookkeeping and the dense ids are
-// invalidated, and the next step recomputes them; the topology is NOT
+// network's node capacity. Frontier bookkeeping and the ids are
+// invalidated, and the next step renumbers them; the topology is NOT
 // restored — callers must reconstruct it (and any faults applied to it)
 // before restoring states, which internal/checkpoint verifies via the
 // topology content hash.
@@ -242,13 +236,12 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	copy(net.states, states)
 	net.Rounds = rounds
 	net.changedOn = nil
-	net.idsStale = net.ids != nil
+	net.stale = true
 	return nil
 }
 
 // Activate performs one asynchronous activation of node v (no-op for dead
-// or isolated nodes, since SM functions are defined on Q^+ only). It
-// panics, writing nothing, on a state out of StateIndex's range.
+// or isolated nodes, since SM functions are defined on Q^+ only).
 //
 //fssga:hotpath
 func (net *Network[S]) Activate(v int) {
@@ -260,13 +253,11 @@ func (net *Network[S]) Activate(v int) {
 	if len(nbrs) == 0 {
 		return
 	}
-	if err := net.syncIDs(c); err != nil {
-		panic(err)
-	}
+	net.sync()
 	sc := net.serialScratch()
 	sc.src.epoch = net.epoch()
 	s := net.step(sc, v, nbrs)
-	net.set(v, s, net.idOf(s))
+	net.set(v, s, net.pal.intern(s))
 	net.Activations++
 	net.changedOn = nil
 }
@@ -294,9 +285,7 @@ func (net *Network[S]) beforeRound() {
 //fssga:hotpath
 func (net *Network[S]) Quiescent() bool {
 	c := net.topo()
-	if err := net.syncIDs(c); err != nil {
-		panic(err)
-	}
+	net.sync()
 	sc := net.serialScratch()
 	sc.src.epoch = net.epoch()
 	for v := 0; v < c.Cap(); v++ {

@@ -55,10 +55,9 @@ func (net *Network[S]) SyncRoundParallel(workers int) { net.mustRound(workers, f
 
 // TrySyncRoundParallel is SyncRoundParallel returning errors instead of
 // panicking: ErrConcurrentRound if another round is in flight on this
-// network, ErrStateIndex if a live node's state has no dense index, or a
-// *PanicError if a worker panic survived every supervised retry. On
-// error the network is unchanged: still on its last committed round,
-// whose epoch names the streams a retry draws again.
+// network, or a *PanicError if a worker panic survived every supervised
+// retry. On error the network is unchanged: still on its last committed
+// round, whose epoch names the streams a retry draws again.
 func (net *Network[S]) TrySyncRoundParallel(workers int) error {
 	_, err := net.round(workers, false)
 	return err
@@ -98,8 +97,9 @@ func (net *Network[S]) RunSyncUntilQuiescent(maxRounds int) (rounds int, finishe
 	return maxRounds, net.Quiescent()
 }
 
-// change is one node's successor state and its id (idOf), buffered by
-// the chunk that computed it until the round commits.
+// change is one node's successor state and its palette id, -1 if the
+// palette frozen for the round lacks it, buffered by the chunk that
+// computed it until the round commits.
 type change[S comparable] struct {
 	v  int32
 	id int32
@@ -111,9 +111,8 @@ type change[S comparable] struct {
 // full round always commits; a frontier round commits only if some state
 // changed, so a quiescent frontier round leaves Rounds alone and fires no
 // OnRound. It reports whether any state changed. Errors are those of the
-// supervisor (supervisor.go), ErrConcurrentRound and ErrStateIndex; on
-// error no state is committed and the next frontier round steps every
-// node.
+// supervisor (supervisor.go) and ErrConcurrentRound; on error no state
+// is committed and the next frontier round steps every node.
 //
 //fssga:hotpath
 func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
@@ -133,9 +132,7 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 		size = len(work)
 	}
 	net.changedOn = nil // the buffers are rewritten below and valid again only at commit
-	if err := net.syncIDs(c); err != nil {
-		return false, err
-	}
+	net.sync()
 
 	span := size
 	if workers > 1 {
@@ -184,8 +181,8 @@ func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32) S {
 
 // stepChunk steps work-set positions [lo, hi) — node IDs themselves when
 // work is nil — and appends every node whose successor differs from its
-// state to out, with the successor's id. Dead and isolated nodes (empty
-// CSR rows) are frozen.
+// state to out, with the successor's id in the frozen palette. Dead and
+// isolated nodes (empty CSR rows) are frozen.
 //
 //fssga:hotpath
 func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32, lo, hi int, out []change[S]) []change[S] {
@@ -201,7 +198,7 @@ func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32,
 		}
 		if s := net.step(sc, v, nbrs); s != net.states[v] {
 			//fssga:alloc(a chunk's change buffer grows to its largest change count once, then is reused at capacity)
-			out = append(out, change[S]{v: int32(v), id: net.idOf(s), s: s})
+			out = append(out, change[S]{v: int32(v), id: net.pal.lookup(s), s: s})
 		}
 	}
 	return out
@@ -254,15 +251,21 @@ func (net *Network[S]) frontier(c *graph.CSR) []int32 {
 	return work
 }
 
-// commit applies the chunk buffers in chunk order, states and ids, and
-// keeps them as the change list the next frontier derives from. The
-// round counts (Rounds, OnRound) if it changed a state or always is set.
+// commit applies the chunk buffers in chunk order, states and ids,
+// interning the successors the frozen palette lacked in that order, so
+// ids do not depend on the worker count. It keeps the buffers as the
+// change list the next frontier derives from. The round counts (Rounds,
+// OnRound) if it changed a state or always is set.
 //
 //fssga:hotpath
 func (net *Network[S]) commit(c *graph.CSR, bufs [][]change[S], always bool) (changed bool) {
 	for _, buf := range bufs {
 		for _, ch := range buf {
-			net.set(int(ch.v), ch.s, ch.id)
+			id := ch.id
+			if id < 0 {
+				id = net.pal.intern(ch.s)
+			}
+			net.set(int(ch.v), ch.s, id)
 		}
 		changed = changed || len(buf) > 0
 	}

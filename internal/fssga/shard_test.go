@@ -251,8 +251,6 @@ func TestDroppedNetworkIsCollected(t *testing.T) {
 // every round, and states 2/3 track the parity of visible togglers.
 type aggParity struct{}
 
-func (aggParity) NumStates() int       { return 4 }
-func (aggParity) StateIndex(s int) int { return s }
 func (aggParity) Step(self int, view *View[int], rnd *rand.Rand) int {
 	if self < 2 {
 		return 1 - self

@@ -25,9 +25,8 @@ import "math"
 // constant caps and moduli to stay finite-state.
 //
 // Every View is a present list: the distinct neighbour states and their
-// multiplicities as parallel slices, so an observation costs O(distinct
-// states). Only the exact-state lookup differs by mode: a slot vector
-// indexed by DenseAutomaton.StateIndex, or a map from state to slot.
+// multiplicities as parallel slices, so an observation, an exact-state
+// one included, costs O(distinct states).
 //
 // Views handed to Automaton.Step by the engine are backed by reusable
 // scratch: they are valid only for the duration of the Step call and must
@@ -36,40 +35,32 @@ type View[S comparable] struct {
 	present []S     // the distinct neighbour states
 	mult    []int32 // mult[k] is the multiplicity of present[k]
 	total   int
-
-	// Exact-state lookup: slot k+1 names present[k], 0 means absent.
-	// Dense mode (idx non-nil) reads slot[idx(q)]; map mode reads slots[q].
-	slot  []int32
-	idx   func(S) int
-	slots map[S]int32
 }
 
 // NewView builds a View from a slice of neighbour states. The slice order
 // is irrelevant (only multiplicities are retained).
 func NewView[S comparable](states []S) *View[S] {
-	sc := newMapScratch[S](len(states))
+	p := newPalette[S](len(states))
 	for _, s := range states {
-		sc.add(s, 1)
+		p.add(s, 1)
 	}
-	sc.view.total = len(states)
-	return &sc.view
+	return p.view()
 }
 
 // NewViewFromCounts builds a View from a multiplicity map, which it only
 // reads. Multiplicities must lie in [0, math.MaxInt32]; a state with
 // multiplicity 0 is not a neighbour state and is left out.
 func NewViewFromCounts[S comparable](counts map[S]int) *View[S] {
-	sc := newMapScratch[S](len(counts))
+	p := newPalette[S](len(counts))
 	for s, c := range counts {
 		if c < 0 || c > math.MaxInt32 {
 			panic("fssga: multiplicity out of int32 range")
 		}
 		if c > 0 {
-			sc.push(s, 0, int32(c))
-			sc.view.total += c
+			p.add(s, int32(c))
 		}
 	}
-	return &sc.view
+	return p.view()
 }
 
 // Empty reports whether the node has no live neighbours. The FSSGA model
@@ -98,23 +89,12 @@ func (v *View[S]) DegreeCapped(cap int) int {
 //
 //fssga:hotpath
 func (v *View[S]) count(q S) int {
-	var k int32
-	if v.idx != nil {
-		//fssga:alloc(StateIndex is a table lookup by the DenseAutomaton contract; dispatch through the stored func value)
-		i := v.idx(q)
-		if i < 0 || i >= len(v.slot) {
-			// A state outside the automaton's declared index range cannot
-			// occur as a neighbour state, so its multiplicity is zero.
-			return 0
+	for k, s := range v.present {
+		if s == q {
+			return int(v.mult[k])
 		}
-		k = v.slot[i]
-	} else {
-		k = v.slots[q]
 	}
-	if k == 0 {
-		return 0
-	}
-	return int(v.mult[k-1])
+	return 0
 }
 
 // CountState returns min(μ_q, cap) for the exact state q.
@@ -219,12 +199,11 @@ func (v *View[S]) ForEach(f func(state S, count int)) {
 // neighbour in state s is observed as being in state f(s). Used by the
 // synchronizer transform, where a wrapped automaton must observe either
 // the current or the previous component of each neighbour's composite
-// state. The result is always a map-mode View with its own buffers.
+// state. The result has its own buffers.
 func Remap[S, T comparable](v *View[S], f func(S) T) *View[T] {
-	sc := newMapScratch[T](len(v.present))
+	p := newPalette[T](len(v.present))
 	for k, s := range v.present {
-		sc.add(f(s), v.mult[k])
+		p.add(f(s), v.mult[k])
 	}
-	sc.view.total = v.total
-	return &sc.view
+	return p.view()
 }

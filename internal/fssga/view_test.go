@@ -225,7 +225,8 @@ func hubCycle(n, deg int) *graph.Graph {
 	return g
 }
 
-// mapMax is max-diffusion on map views (StepFunc hides any dense index).
+// mapMax is max-diffusion as a StepFunc, the form that once put an
+// automaton on map views.
 var mapMax = StepFunc[int](func(self int, view *View[int], _ *rand.Rand) int {
 	view.ForEach(func(s, _ int) {
 		if s > self {
@@ -235,9 +236,11 @@ var mapMax = StepFunc[int](func(self int, view *View[int], _ *rand.Rand) int {
 	return self
 })
 
-// TestMapViewCostIndependentOfLargestView: a map-view round costs what
-// its nodes see. One node whose view once held 1,000 distinct states
-// must not make every later view on the same scratch pay for them.
+// TestMapViewCostIndependentOfLargestView: a round costs what its nodes
+// see. One node whose view once held 1,000 distinct states must not make
+// every later view on the same scratch pay for them: a reset clears only
+// the last view's slots. The test keeps the name it had when it held
+// map views to this.
 func TestMapViewCostIndependentOfLargestView(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timings are perturbed under -race")

@@ -170,12 +170,6 @@ func witnessTarget[S comparable](name string, auto fssga.Automaton[S], numStates
 // (t=0, m=2) with no finite threshold form.
 type parityAutomaton struct{}
 
-// NumStates implements fssga.DenseAutomaton.
-func (parityAutomaton) NumStates() int { return 2 }
-
-// StateIndex implements fssga.DenseAutomaton.
-func (parityAutomaton) StateIndex(s int) int { return s }
-
 // Step implements fssga.Automaton.
 func (parityAutomaton) Step(self int, view *fssga.View[int], rnd *rand.Rand) int {
 	if view.CountMod(2, func(s int) bool { return s == 1 }) == 1 {

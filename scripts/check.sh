@@ -39,7 +39,7 @@ go run ./cmd/fssga-bench -perfgate
 echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings)"
 go test -race -cpu 1,2 ./internal/fssga/...
 
-echo "== go test -race -cpu 2 -count=10 (the round owner writes the dense ids that every pool worker reads)"
+echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette and ids that every pool worker reads)"
 go test -race -cpu 2 -count=10 -run '^(TestAggDifferential|TestDenseIDsTrackStates)$' ./internal/fssga/
 
 echo "== go test -race -cpu 1,2 ./internal/algo/..."
