@@ -28,10 +28,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/trace"
+	"repro/internal/wordhash"
 )
 
 // Envelope layout (fixed-width integers big-endian):
@@ -41,7 +41,7 @@ import (
 //	offset 10: meta length M (uint32)
 //	offset 14: gob(Meta), M bytes
 //	offset 14+M: the palette payload, until len-8
-//	last 8:    FNV-1a 64 checksum of every preceding byte
+//	last 8:    wordhash.Sum of every preceding byte
 //
 // The palette payload stores each state as an index into a table of
 // the payload's distinct states, which the paper's finite-state model
@@ -56,7 +56,7 @@ import (
 //	  else 4.
 const (
 	Magic      = "FSSGACKP"
-	Version    = 3
+	Version    = 4
 	headerSize = len(Magic) + 2 + 4
 	tailSize   = 8
 )
@@ -122,23 +122,89 @@ type Payload[S any] struct {
 // refuses a payload whose shape does not match meta, so that every
 // envelope it writes can be read back.
 func Encode[S comparable](meta Meta, pay Payload[S]) ([]byte, error) {
+	runs := pay.runs()
+	n := 0
+	for _, r := range runs {
+		n += len(r.States)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("checkpoint: encode payload: %d states overflow an int32 id", n)
+	}
+	// Number the states in first-seen order. Neighbouring nodes often
+	// share a state; an equal neighbour skips the map.
+	index := make(map[S]int32)
+	flat := make([]int32, n)
+	ids := make([][]int32, len(runs))
+	for i, r := range runs {
+		p, out := r.States, flat[:len(r.States):len(r.States)]
+		var id int32
+		for j, s := range p {
+			if j == 0 || s != p[j-1] {
+				var ok bool
+				if id, ok = index[s]; !ok {
+					id = int32(len(index))
+					index[s] = id
+				}
+			}
+			out[j] = id
+		}
+		ids[i], flat = out, flat[len(out):]
+	}
+	return encode(meta, pay, ids, len(index))
+}
+
+// encode is the one encoder behind Encode and Manager. ids numbers the
+// states of the payload's runs (see runs): ids[i][j] < n for the j-th
+// state of run i, and two states share an id iff they are equal. The
+// palette takes the states in first-seen order, numbered through an
+// n-entry table, and each state's index is written once, at the width
+// the whole palette needs.
+func encode[S comparable](meta Meta, pay Payload[S], ids [][]int32, n int) ([]byte, error) {
 	if err := pay.validate(meta); err != nil {
 		return nil, fmt.Errorf("checkpoint: encode payload: %w", err)
 	}
-	n := len(pay.States)
-	for _, r := range pay.Runs {
-		n += len(r.States)
+	runs := pay.runs()
+	nb := numbering[S]{index: make([]uint32, n)}
+	count := 0
+	for _, part := range ids {
+		count += len(part)
 	}
-	if uint64(n) > 1<<32 {
-		return nil, fmt.Errorf("checkpoint: encode payload: %d states overflow a 4-byte palette index", n)
+	// With at most 256 ids an index takes one byte whatever the payload
+	// holds, so the states are numbered as their indices are written.
+	// With more, the payload may still hold few enough states for
+	// narrower indices, so a first pass numbers them.
+	w := indexWidth(n)
+	if w > 1 {
+		for i, part := range ids {
+			for j, id := range part {
+				nb.of(id, runs[i].States[j])
+			}
+		}
+		w = indexWidth(len(nb.pal))
 	}
-	pal := palette[S]{index: make(map[S]uint32), idx: make([]byte, 0, n), width: 1}
-	pal.add(pay.States)
-	for _, r := range pay.Runs {
-		pal.add(r.States)
+	idx := make([]byte, count*w)
+	at := 0
+	for i, part := range ids {
+		states, dst := runs[i].States, idx[at:at+len(part)*w]
+		switch w {
+		case 1:
+			for j, id := range part {
+				dst[j] = byte(nb.of(id, states[j]))
+			}
+		case 2:
+			for j, id := range part {
+				binary.BigEndian.PutUint16(dst[2*j:], uint16(nb.of(id, states[j])))
+			}
+		default:
+			for j, id := range part {
+				binary.BigEndian.PutUint32(dst[4*j:], nb.of(id, states[j]))
+			}
+		}
+		at += len(dst)
 	}
+
 	var states bytes.Buffer
-	if err := gob.NewEncoder(&states).Encode(pal.states); err != nil {
+	if err := gob.NewEncoder(&states).Encode(nb.pal); err != nil {
 		return nil, fmt.Errorf("checkpoint: encode palette: %w", err)
 	}
 	head := binary.AppendUvarint(nil, uint64(states.Len()))
@@ -147,7 +213,16 @@ func Encode[S comparable](meta Meta, pay Payload[S]) ([]byte, error) {
 		table = binary.AppendUvarint(table, uint64(r.Lo))
 		table = binary.AppendUvarint(table, uint64(len(r.States)))
 	}
-	return seal(meta, head, states.Bytes(), table, pal.idx)
+	return seal(meta, head, states.Bytes(), table, idx)
+}
+
+// runs returns the payload's states as runs in envelope order: a full
+// payload is one run from node 0.
+func (p Payload[S]) runs() []Run[S] {
+	if p.Runs == nil {
+		return []Run[S]{{States: p.States}}
+	}
+	return p.Runs
 }
 
 // seal frames body parts into an envelope: the header, gob(meta), the
@@ -169,48 +244,7 @@ func seal(meta Meta, parts ...[]byte) ([]byte, error) {
 	for _, p := range parts {
 		buf = append(buf, p...)
 	}
-	sum := fnv.New64a()
-	sum.Write(buf)
-	return binary.BigEndian.AppendUint64(buf, sum.Sum64()), nil
-}
-
-// palette numbers a payload's distinct states in first-seen order and
-// records one index per state, width bytes each.
-type palette[S comparable] struct {
-	states []S
-	index  map[S]uint32
-	idx    []byte
-	width  int
-}
-
-func (p *palette[S]) add(states []S) {
-	var x uint32
-	for i, s := range states {
-		// Neighbouring nodes often share a state; skip the map for them.
-		if i == 0 || s != states[i-1] {
-			x = p.lookup(s)
-		}
-		p.idx = appendIndex(p.idx, x, p.width)
-	}
-}
-
-// lookup returns the index of s, adding s to the palette if it is new
-// and widening the recorded indices once the palette outgrows them.
-func (p *palette[S]) lookup(s S) uint32 {
-	if x, ok := p.index[s]; ok {
-		return x
-	}
-	x := uint32(len(p.states))
-	p.index[s] = x
-	p.states = append(p.states, s)
-	if w := indexWidth(len(p.states)); w != p.width {
-		wide := make([]byte, 0, cap(p.idx)/p.width*w)
-		for i := 0; i < len(p.idx)/p.width; i++ {
-			wide = appendIndex(wide, readIndex(p.idx, i, p.width), w)
-		}
-		p.idx, p.width = wide, w
-	}
-	return x
+	return binary.BigEndian.AppendUint64(buf, wordhash.Sum(buf)), nil
 }
 
 // indexWidth is the width in bytes of an index into a palette of n
@@ -225,14 +259,22 @@ func indexWidth(n int) int {
 	return 4
 }
 
-func appendIndex(b []byte, x uint32, w int) []byte {
-	switch w {
-	case 1:
-		return append(b, byte(x))
-	case 2:
-		return binary.BigEndian.AppendUint16(b, uint16(x))
+// numbering gives ids palette indices in order of first sight.
+type numbering[S comparable] struct {
+	index []uint32 // index[id] is 1 + id's palette index, 0 until seen
+	pal   []S
+}
+
+// of returns the palette index of id, whose state is s, numbering it
+// next if it is unseen.
+func (nb *numbering[S]) of(id int32, s S) uint32 {
+	x := nb.index[id]
+	if x == 0 {
+		nb.pal = append(nb.pal, s)
+		x = uint32(len(nb.pal))
+		nb.index[id] = x
 	}
-	return binary.BigEndian.AppendUint32(b, x)
+	return x - 1
 }
 
 // readIndex returns the i-th index of b, w bytes each.
@@ -265,10 +307,8 @@ func Verify(data []byte) error {
 		return fmt.Errorf("%w: meta length %d exceeds envelope", ErrTruncated, metaLen)
 	}
 	want := binary.BigEndian.Uint64(data[len(data)-tailSize:])
-	sum := fnv.New64a()
-	sum.Write(data[:len(data)-tailSize])
-	if sum.Sum64() != want {
-		return fmt.Errorf("%w: want %016x, got %016x", ErrChecksum, want, sum.Sum64())
+	if got := wordhash.Sum(data[:len(data)-tailSize]); got != want {
+		return fmt.Errorf("%w: want %016x, got %016x", ErrChecksum, want, got)
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/wordhash"
 )
 
 func fullMeta(nodes int) Meta {
@@ -140,19 +141,7 @@ func bodyOffset(data []byte) int {
 // reseal recomputes the checksum trailer after a deliberate mutation,
 // so tests can reach the structural checks behind it.
 func reseal(data []byte) {
-	sum := newBodySum(data[:len(data)-tailSize])
-	for i := 0; i < tailSize; i++ {
-		data[len(data)-tailSize+i] = byte(sum >> (8 * (7 - i)))
-	}
-}
-
-func newBodySum(body []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, b := range body {
-		h = (h ^ uint64(b)) * prime
-	}
-	return h
+	binary.BigEndian.PutUint64(data[len(data)-tailSize:], wordhash.Sum(data[:len(data)-tailSize]))
 }
 
 func TestMetaValidation(t *testing.T) {
@@ -232,12 +221,16 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 	huge := fullMeta(5)
 	huge.Nodes = 1 << 40
-	version2, err := Encode(fullMeta(5), Payload[int]{States: []int{3, 1, 4, 1, 5}})
-	if err != nil {
-		t.Fatal(err)
+	older := func(version uint16) []byte {
+		data, err := Encode(fullMeta(5), Payload[int]{States: []int{3, 1, 4, 1, 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint16(data[8:10], version)
+		reseal(data)
+		return data
 	}
-	binary.BigEndian.PutUint16(version2[8:10], 2)
-	reseal(version2)
+	version2, version3 := older(2), older(3)
 
 	pal := []int{3, 1, 4}
 	palBlock := rawBody(t, pal, nil, nil)
@@ -275,6 +268,7 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 		})
 	}
 	t.Run("version 2", func(t *testing.T) { assertRejected(t, version2, ErrFormat) })
+	t.Run("version 3", func(t *testing.T) { assertRejected(t, version3, ErrFormat) })
 }
 
 func assertRejected(t *testing.T, data []byte, want error) {
@@ -302,7 +296,7 @@ func assertRejected(t *testing.T, data []byte, want error) {
 func TestEnvelopeLayoutPinned(t *testing.T) {
 	const pinned = "" +
 		"4653534741434b50" + // magic
-		"0003" + // version
+		"0004" + // version
 		"000000e9" + // meta length
 		"ff87ff81030101044d65746101ff8200010a01044b696e64010c000105526f75" +
 		"6e6401040001054e6f6465730104000104536565640104000108546f706f4861" +
@@ -316,7 +310,7 @@ func TestEnvelopeLayoutPinned(t *testing.T) {
 		"0b7f020102ff80000104000008ff8000040602080a" + // gob([]int{3, 1, 4, 5})
 		"00" + // run count
 		"0001020103" + // one index per state
-		"7a12d918c1688da3" // checksum
+		"1776606535bb0ffc" // checksum
 	if os.Getenv("CHECKPOINT_LAYOUT_CHILD") == "" {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestEnvelopeLayoutPinned$", "-test.count=1")
 		cmd.Env = append(os.Environ(), "CHECKPOINT_LAYOUT_CHILD=1")
@@ -331,5 +325,63 @@ func TestEnvelopeLayoutPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(data); got != pinned {
 		t.Fatalf("envelope bytes changed without a version bump:\n got %s\nwant %s", got, pinned)
+	}
+}
+
+// BenchmarkVerify checks the frame and trailer of a 1 MB envelope: a
+// full checkpoint of 2²⁰ one-byte palette indices, as bfs-torus writes.
+func BenchmarkVerify(b *testing.B) {
+	states := make([]int, 1<<20)
+	for v := range states {
+		states[v] = v % 48
+	}
+	data, err := Encode(fullMeta(len(states)), Payload[int]{States: states})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncode encodes a full checkpoint of 2²⁰ states of 48 kinds in
+// runs of 1 to 3 equal neighbours: from the payload alone (Encode, which
+// numbers the states with a map), and from ids the caller already holds,
+// as the Manager does with the network's palette ids.
+func BenchmarkEncode(b *testing.B) {
+	states := make([]int, 1<<20)
+	for v := range states {
+		states[v] = (v / (1 + v%3)) % 48
+	}
+	meta, pay := fullMeta(len(states)), Payload[int]{States: states}
+	ids, n := make([]int32, len(states)), 0
+	index := map[int]int32{}
+	for v, s := range states {
+		id, ok := index[s]
+		if !ok {
+			id = int32(len(index))
+			index[s] = id
+		}
+		ids[v], n = id, len(index)
+	}
+	for _, tc := range []struct {
+		name string
+		f    func() ([]byte, error)
+	}{
+		{"Encode", func() ([]byte, error) { return Encode(meta, pay) }},
+		{"ids", func() ([]byte, error) { return encode(meta, pay, [][]int32{ids}, n) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(states)))
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

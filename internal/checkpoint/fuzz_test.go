@@ -66,6 +66,18 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(resealed(delta, end-4, 3))                  // a run ending past Nodes
 	f.Add(resealed(full, len(full)-tailSize-1, 0xff)) // an index past the palette
 
+	// Full envelopes of 2⁹ to 2¹² states. The trailer hashes 32 bytes per
+	// loop iteration, so only inputs of 0.5 to 4 KB reach the loop's
+	// higher coverage counts; seeded here, the fuzzer need not find such
+	// long inputs and spend its time minimizing them.
+	for n := 1 << 9; n <= 1<<12; n *= 2 {
+		big, err := Encode(Meta{Kind: KindFull, Nodes: n, BaseRound: -1}, Payload[int]{States: make([]int, n)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(big)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Any of these may error; none may panic.
 		_ = Verify(data)

@@ -45,6 +45,7 @@ func (m *Manager[S]) Checkpoint() error { return m.capture(true) }
 func (m *Manager[S]) CheckpointDelta() error { return m.capture(false) }
 
 func (m *Manager[S]) capture(full bool) error {
+	nodeIDs, n := m.net.StateIDs()
 	states := m.net.States()
 	meta := m.Meta
 	meta.Round = m.net.Rounds
@@ -58,14 +59,19 @@ func (m *Manager[S]) capture(full bool) error {
 	// with a patch against itself; force full instead.
 	if full || m.baseRound < 0 || m.baseRound >= meta.Round || len(m.base) != len(states) {
 		meta.Kind = KindFull
-		pay.States = states // Encode only reads: safe to alias
+		pay.States = states // encode only reads: safe to alias
 	} else {
 		meta.Kind = KindDelta
 		meta.BaseRound = m.baseRound
 		pay.Runs = diffRuns(m.base, states)
 	}
 
-	data, err := Encode(meta, pay)
+	runs := pay.runs()
+	ids := make([][]int32, len(runs))
+	for i, r := range runs {
+		ids[i] = nodeIDs[r.Lo : r.Lo+len(r.States)]
+	}
+	data, err := encode(meta, pay, ids, n)
 	if err != nil {
 		return err
 	}
@@ -79,7 +85,7 @@ func (m *Manager[S]) capture(full bool) error {
 
 // diffRuns returns the changed 64-node chunks of cur relative to base,
 // coalescing adjacent dirty chunks into single runs. Each run's States
-// is a sub-slice of cur, which Encode only reads, so the only allocation
+// is a sub-slice of cur, which encode only reads, so the only allocation
 // is the runs slice itself.
 //
 //fssga:hotpath

@@ -302,9 +302,11 @@ func TestDenseIDsTrackStates(t *testing.T) {
 }
 
 // TestSyncRoundZeroAllocs: after warm-up, the synchronous-round hot path
-// allocates nothing, on dense and map views alike (the scratch View and
-// its present list are recycled). map-hub resets a map that once held a
-// 1,000-state view by deleting each key of the last view.
+// allocates nothing on the one palette view path (the scratch View and
+// its present list are recycled). The subtest names are historical: all
+// three run the same path. map-hub's hub sees 1,000 distinct states in
+// the warm-up round; a view build resets only the slots of the last
+// view's states, so later rounds do not pay for that view again.
 func TestSyncRoundZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")

@@ -183,6 +183,16 @@ func (net *Network[S]) set(v int, s S, id int32) {
 // must treat it as read-only.
 func (net *Network[S]) States() []S { return net.states }
 
+// StateIDs returns every node's palette id (indexed by node ID, like
+// States) and the id bound n: ids[v] < n, and two nodes share an id iff
+// they share a state. It first numbers the states if a restore or the
+// constructor left the ids stale. Callers must treat ids as read-only;
+// it is current until the next step or state change.
+func (net *Network[S]) StateIDs() (ids []int32, n int) {
+	net.sync()
+	return net.ids, len(net.pal.ent)
+}
+
 // Seed returns the master seed the per-step random streams derive from.
 func (net *Network[S]) Seed() int64 { return net.seed }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/wordhash"
 )
 
 // CSR is an immutable compressed-sparse-row snapshot of a graph's
@@ -85,11 +87,11 @@ func (c *CSR) String() string {
 	return fmt.Sprintf("csr{n=%d m=%d cap=%d}", c.nAlive, c.mAlive, len(c.alive))
 }
 
-// ContentHash returns an FNV-1a digest of the snapshot's full topology:
-// capacity, alive mask, and the offset/neighbour arrays. Two snapshots
-// hash equal iff they describe the same topology over the same node-ID
-// space, regardless of how they were built (mutable-graph snapshot or
-// streaming generator). Checkpoints store this hash as a
+// ContentHash returns a word hash (internal/wordhash) of the snapshot's
+// full topology: capacity, alive mask, and the offset/neighbour arrays.
+// Two snapshots hash equal iff they describe the same topology over the
+// same node-ID space, regardless of how they were built (mutable-graph
+// snapshot or streaming generator). Checkpoints store this hash as a
 // content-addressed reference to the topology they were captured
 // against, so a restore onto the wrong (or wrongly reconstructed) graph
 // fails loudly instead of resuming a run on a different network. A
@@ -100,32 +102,23 @@ func (c *CSR) ContentHash() uint64 {
 	return c.hash
 }
 
-// contentHash is the byte-wise FNV-1a pass behind ContentHash.
+// contentHash is the pass behind ContentHash. The alive mask is written
+// as the capacity, the live count and the dead nodes; most snapshots
+// have none, and then the mask is not read.
 func (c *CSR) contentHash() uint64 {
-	const (
-		offset uint64 = 14695981039346656037
-		prime  uint64 = 1099511628211
-	)
-	h := offset
-	mix64 := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (x & 0xff)) * prime
-			x >>= 8
+	d := wordhash.New()
+	d.WriteWord(uint64(len(c.alive)))
+	d.WriteWord(uint64(c.nAlive))
+	if c.nAlive < len(c.alive) {
+		for v, a := range c.alive {
+			if !a {
+				d.WriteWord(uint64(v))
+			}
 		}
 	}
-	mix64(uint64(len(c.alive)))
-	for v, a := range c.alive {
-		if a {
-			mix64(uint64(v))
-		}
-	}
-	for _, o := range c.offsets {
-		mix64(uint64(o))
-	}
-	for _, u := range c.neighbors {
-		mix64(uint64(u))
-	}
-	return h
+	d.WriteInt32s(c.offsets)
+	d.WriteInt32s(c.neighbors)
+	return d.Sum64()
 }
 
 // CSR returns an immutable snapshot of the graph's current topology,
