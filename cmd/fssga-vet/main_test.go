@@ -265,7 +265,7 @@ func TestAuditRatchetViolations(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb bytes.Buffer
-			// election.go carries symcontract suppressions; scope the audit
+			// election.go carries a symcontract suppression; scope the audit
 			// to one package so the fixture ceilings stay readable.
 			code := run([]string{"-audit", "-ratchet", write("r.txt", tc.ratchet), "repro/internal/algo/election"}, &out, &errb)
 			if code != tc.code {

@@ -8,37 +8,29 @@ import (
 	"repro/internal/graph"
 )
 
-// debugWhy reports which inconsistency rule fires for node v, mirroring
-// inconsistent(). Test-only diagnostics.
+// debugWhy reports which inconsistency rule fires for node v, read from
+// the observation Step folds its view into. Test-only diagnostics.
 func debugWhy(net *fssga.Network[State], g *graph.Graph, v int) string {
 	self := net.State(v)
 	var nbrs []State
 	for _, u := range g.SortedNeighbors(v, nil) {
 		nbrs = append(nbrs, net.State(u))
 	}
-	view := fssga.NewView(nbrs)
-	// Mirror the branch gating of Step: arms 1 and 2 preempt arm 3.
-	behind := (self.Phase + 2) % 3
-	ahead := (self.Phase + 1) % 3
-	if !self.Started || self.NP != NoNP ||
-		view.Any(func(t State) bool { return t.Started && t.Phase == behind }) ||
-		view.Any(func(t State) bool { return t.Started && t.Phase == ahead }) {
+	o := observe(self, fssga.NewView(nbrs))
+	// Step's branch gating: arms 1 and 2 preempt arm 3.
+	if !self.Started || self.NP != NoNP || o.laggard || o.ahead || !inconsistent(self, &o, false) {
 		return ""
 	}
-	if !inconsistent(self, view, false) {
-		return ""
-	}
-	if self.labeled() && view.Any(func(t State) bool { return t.labeled() && t.RootLabel != self.RootLabel }) {
+	switch {
+	case self.labeled() && o.otherLabel:
 		return "a:rootlabel"
-	}
-	if self.Dist == 0 && view.Any(func(t State) bool { return t.Dist == 0 }) {
+	case self.Remain && self.Dist == 0 && o.root:
 		return "b:adjacent-roots"
-	}
-	hands := view.Count(2, func(t State) bool { return t.MSt == MHand })
-	if hands >= 2 || (self.MSt == MHand && hands >= 1) {
+	case self.labeled() && self.Complete && o.clash:
+		return "d:colour"
+	default:
 		return "e:hands"
 	}
-	return "d:colour"
 }
 
 func TestDebugGridTrace(t *testing.T) {

@@ -32,6 +32,7 @@
 package election
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/fssga"
@@ -105,8 +106,6 @@ type State struct {
 
 func (s State) labeled() bool { return s.Dist != NoDist }
 
-func isMArmOrHand(t State) bool { return t.MSt == MArm || t.MSt == MHand }
-
 // automaton implements Algorithm 4.4. The noVerification flag disables
 // the uniqueness-verification channels — the Dolev-style colour clash rule
 // and agent-collision detection — leaving only root-label comparison; it
@@ -123,22 +122,19 @@ func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) Sta
 	if !self.Started {
 		return freshRoot(self, rnd)
 	}
-
-	phase := self.Phase
-	behind := (phase + 2) % 3
-	ahead := (phase + 1) % 3
+	o := observe(self, view)
 
 	// 1. Wait for laggards from the previous phase.
-	if view.Any(func(t State) bool { return t.Started && t.Phase == behind }) {
+	if o.laggard {
 		return self
 	}
 
 	// 2. Enter the next phase.
-	if self.NP != NoNP || view.Any(func(t State) bool { return t.Started && t.Phase == ahead }) {
+	if self.NP != NoNP || o.ahead {
 		if self.NP == 1 && self.Remain && self.Label == 0 {
 			self.Remain = false
 		}
-		self.Phase = ahead
+		self.Phase = (self.Phase + 1) % 3
 		self.NP = NoNP
 		self.Leader = false
 		self.Complete = false
@@ -155,14 +151,8 @@ func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) Sta
 	}
 
 	// 3. Raise NP on any evidence of multiple clusters.
-	if inconsistent(self, view, a.noVerification) || view.Any(func(t State) bool { return t.NP != NoNP }) {
-		one := self.labeled() && self.RootLabel == 1
-		if !one {
-			one = view.Any(func(t State) bool {
-				return (t.NP == 1) || (t.labeled() && t.RootLabel == 1)
-			})
-		}
-		if one {
+	if inconsistent(self, &o, a.noVerification) || o.np {
+		if o.one || (self.labeled() && self.RootLabel == 1) {
 			self.NP = 1
 		} else {
 			self.NP = 0
@@ -174,21 +164,9 @@ func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) Sta
 	if !self.labeled() {
 		// Adopt from a labelled neighbour; minimum (Dist, RootLabel) keeps
 		// the step deterministic (genuine conflicts raise NP in arm 3).
-		found := false
-		var bestDist int8
-		var bestLabel uint8
-		view.ForEach(func(t State, _ int) {
-			if !t.labeled() {
-				return
-			}
-			if !found || t.Dist < bestDist || (t.Dist == bestDist && t.RootLabel < bestLabel) {
-				bestDist, bestLabel = t.Dist, t.RootLabel
-				found = true
-			}
-		})
-		if found {
-			self.Dist = (bestDist + 1) % 3
-			self.RootLabel = bestLabel
+		if o.found {
+			self.Dist = (o.bestDist + 1) % 3
+			self.RootLabel = o.bestLabel
 		}
 		return self
 	}
@@ -202,7 +180,7 @@ func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) Sta
 		// earlier verification start it permits at worst yields the
 		// premature leaders the paper already tolerates, which later
 		// colour-pulse clashes demote.)
-		if view.All(func(t State) bool { return t.labeled() }) {
+		if !o.unlabeled {
 			self.Complete = true
 		}
 		return self
@@ -212,7 +190,7 @@ func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) Sta
 	if self.Remain && self.Dist == 0 {
 		// Root: drive the colour pulses; release the agent once; leader
 		// when the agent returns.
-		self = colourStep(self, view, rnd, true)
+		self = colourStep(self, &o, rnd, true)
 		switch self.MSt {
 		case MBlank:
 			self.MSt = MHand
@@ -220,13 +198,13 @@ func (a automaton) Step(self State, view *fssga.View[State], rnd *rand.Rand) Sta
 		case MVisited:
 			self.Leader = true
 		default:
-			self = agentStep(self, view, rnd)
+			self = agentStep(self, &o, rnd)
 		}
 		return self
 	}
 	// Non-root: follow the colour pulses, then run agent logic.
-	self = colourStep(self, view, rnd, false)
-	return agentStep(self, view, rnd)
+	self = colourStep(self, &o, rnd, false)
+	return agentStep(self, &o, rnd)
 }
 
 // freshRoot initializes a node as a remaining root at phase 0.
@@ -251,20 +229,140 @@ func freshRootKeepPhase(s State, rnd *rand.Rand) State {
 	return s
 }
 
+// observation is everything one step reads of its neighbourhood. By
+// Theorem 3.7 each rule of Algorithm 4.4 reads a mod-thresh function of
+// the neighbour multiset, so all of them together are one fold, and
+// observe computes it in one pass over the view. A participant is a
+// labelled, complete neighbour: one taking part in verification.
+type observation struct {
+	laggard bool // arm 1: a started neighbour one phase behind
+	ahead   bool // arm 2: a started neighbour one phase ahead
+
+	// Arm 3's evidence (inconsistent) and its NP label.
+	otherLabel bool // rule (a): a labelled neighbour with another root label
+	root       bool // rule (b): a remaining neighbour at distance 0
+	clash      bool // rule (d): an epoch with two colours among self and the participants
+	hands      int8 // rule (e): neighbours holding a hand, capped at 2
+	np         bool // a neighbour broadcasts NP
+	one        bool // a neighbour broadcasts NP_1 or carries root label 1
+
+	// Arm 4: BFS adoption and completion.
+	found     bool // some neighbour is labelled
+	bestDist  int8 // with bestLabel, the least (Dist, RootLabel) of a labelled neighbour
+	bestLabel uint8
+	unlabeled bool // some neighbour is unlabelled
+
+	// colourStep.
+	gated bool // a neighbour is no participant, or a participant an epoch behind
+	adopt int8 // the least colour of a participant an epoch ahead, NoColour if none
+
+	// agentStep.
+	byArm         bool   // a neighbour holds an arm
+	sawHand       bool   // a neighbour holds a hand
+	handElect     MElect // the tournament sub-state of the last hand in the view's present order
+	armOrHand     int8   // neighbours holding an arm or a hand, capped at 2
+	blankComplete bool   // a complete neighbour has no agent role
+	tails         int8   // blank neighbours that flipped tails, capped at 2
+}
+
+// observe folds self's view into the observation Step reads.
+func observe(self State, view *fssga.View[State]) observation {
+	o := observation{adopt: NoColour}
+	behind, ahead := (self.Phase+2)%3, (self.Phase+1)%3
+	back, next := (self.CEpoch+2)%3, (self.CEpoch+1)%3
+	// Per-epoch colour bounds over self and the participants: an epoch
+	// clashes iff its least colour is below its greatest.
+	lo := [3]int8{math.MaxInt8, math.MaxInt8, math.MaxInt8}
+	hi := [3]int8{NoColour, NoColour, NoColour}
+	if self.CColour != NoColour {
+		lo[self.CEpoch], hi[self.CEpoch] = self.CColour, self.CColour
+	}
+	var hands, armOrHand, tails int
+	view.ForEach(func(t State, n int) {
+		if t.Started {
+			if t.Phase == behind {
+				o.laggard = true
+			}
+			if t.Phase == ahead {
+				o.ahead = true
+			}
+		}
+		if t.NP != NoNP {
+			o.np = true
+			if t.NP == 1 {
+				o.one = true
+			}
+		}
+		if t.Remain && t.Dist == 0 {
+			o.root = true
+		}
+		if !t.labeled() {
+			o.unlabeled = true
+			o.gated = true
+		} else {
+			if t.RootLabel != self.RootLabel {
+				o.otherLabel = true
+			}
+			if t.RootLabel == 1 {
+				o.one = true
+			}
+			if !o.found || t.Dist < o.bestDist || (t.Dist == o.bestDist && t.RootLabel < o.bestLabel) {
+				o.found, o.bestDist, o.bestLabel = true, t.Dist, t.RootLabel
+			}
+			if !t.Complete {
+				o.gated = true
+			} else {
+				if t.CEpoch == back {
+					o.gated = true
+				}
+				if t.CColour != NoColour {
+					if t.CColour < lo[t.CEpoch] {
+						lo[t.CEpoch] = t.CColour
+					}
+					if t.CColour > hi[t.CEpoch] {
+						hi[t.CEpoch] = t.CColour
+					}
+					if t.CEpoch == next && (o.adopt == NoColour || t.CColour < o.adopt) {
+						o.adopt = t.CColour
+					}
+				}
+			}
+		}
+		switch t.MSt {
+		case MBlank:
+			if t.Complete {
+				o.blankComplete = true
+			}
+			if t.MEl == ETails {
+				tails += n
+			}
+		case MArm:
+			o.byArm = true
+			armOrHand += n
+		case MHand:
+			hands += n
+			armOrHand += n
+			o.sawHand = true
+			//fssga:nondet two adjacent hands raise NP via the hand-collision rule before this read matters; with at most one hand visible the capture is conflict-free
+			o.handElect = t.MEl
+		}
+	})
+	o.hands, o.armOrHand, o.tails = int8(min(hands, 2)), int8(min(armOrHand, 2)), int8(min(tails, 2))
+	o.clash = lo[0] < hi[0] || lo[1] < hi[1] || lo[2] < hi[2]
+	return o
+}
+
 // inconsistent detects local evidence that more than one cluster (root)
 // exists: the triggers of Algorithm 4.4.
-func inconsistent(self State, view *fssga.View[State], noVerification bool) bool {
+func inconsistent(self State, o *observation, noVerification bool) bool {
 	// (a) Adjacent clusters with different root labels.
-	if self.labeled() && view.Any(func(t State) bool {
-		return t.labeled() && t.RootLabel != self.RootLabel
-	}) {
+	if self.labeled() && o.otherLabel {
 		return true
 	}
 	// (b) Two adjacent roots. Only remaining nodes are roots: an
 	// eliminated node at true distance 3 also carries Dist ≡ 0 (mod 3),
 	// so the Remain flag is what distinguishes a real root.
-	if self.Remain && self.Dist == 0 &&
-		view.Any(func(t State) bool { return t.Remain && t.Dist == 0 }) {
+	if self.Remain && self.Dist == 0 && o.root {
 		return true
 	}
 	// NOTE: one might expect an "unlabelled node sees two different
@@ -273,39 +371,19 @@ func inconsistent(self State, view *fssga.View[State], noVerification bool) bool
 	// sees mixed distances from a single legitimate root. Such a rule
 	// would raise a false NP every phase; multi-root evidence is instead
 	// caught by (a), (b), (d) and (e).
+	if noVerification {
+		return false
+	}
 	// (d) Colour-pulse clashes: within a single cluster every node in
 	// epoch e carries the root's e-colour, so two same-epoch
 	// participants with different colours witness a second root. The
 	// comparison covers self-vs-neighbour and neighbour-vs-neighbour.
-	if !noVerification && self.labeled() && self.Complete {
-		clash := false
-		seen := [3]int8{NoColour, NoColour, NoColour}
-		if self.CColour != NoColour {
-			seen[self.CEpoch] = self.CColour
-		}
-		view.ForEach(func(t State, _ int) {
-			if !t.labeled() || !t.Complete || t.CColour == NoColour {
-				return
-			}
-			if seen[t.CEpoch] != NoColour && seen[t.CEpoch] != t.CColour {
-				clash = true
-			}
-			//fssga:nondet clash detection is order-independent: clash ends true iff some epoch carries two distinct colours in {self} ∪ view, whatever order they are folded in
-			seen[t.CEpoch] = t.CColour
-		})
-		if clash {
-			return true
-		}
+	if self.labeled() && self.Complete && o.clash {
+		return true
 	}
 	// (e) Colliding verification agents: two hands visible, or I hold a
 	// hand and see another.
-	if !noVerification {
-		hands := view.Count(2, func(t State) bool { return t.MSt == MHand })
-		if hands >= 2 || (self.MSt == MHand && hands >= 1) {
-			return true
-		}
-	}
-	return false
+	return o.hands >= 2 || (self.MSt == MHand && o.hands >= 1)
 }
 
 // colourStep advances the Dolev-style colour-pulse machinery for one
@@ -316,72 +394,43 @@ func inconsistent(self State, view *fssga.View[State], noVerification bool) bool
 // random colour per epoch; everyone else copies the colour from an
 // epoch-ahead neighbour, so within one cluster "same epoch" implies
 // "same colour" — the soundness the clash rule (d) relies on.
-func colourStep(self State, view *fssga.View[State], rnd *rand.Rand, isRoot bool) State {
-	e := self.CEpoch
-	gated := view.Any(func(t State) bool {
-		if !t.labeled() || !t.Complete {
-			return true // wait until the whole neighbourhood participates
-		}
-		return t.CEpoch == (e+2)%3
-	})
+func colourStep(self State, o *observation, rnd *rand.Rand, isRoot bool) State {
 	if isRoot {
 		if self.CColour == NoColour {
 			self.CColour = int8(rnd.Intn(2)) // epoch 0 colour
 			return self
 		}
-		if !gated {
-			self.CEpoch = (e + 1) % 3
+		if !o.gated {
+			self.CEpoch = (self.CEpoch + 1) % 3
 			self.CColour = int8(rnd.Intn(2))
 		}
 		return self
 	}
-	if gated {
-		return self
-	}
-	adopt := int8(NoColour)
-	view.ForEach(func(t State, _ int) {
-		if t.labeled() && t.Complete && t.CEpoch == (e+1)%3 && t.CColour != NoColour &&
-			(adopt == NoColour || t.CColour < adopt) {
-			adopt = t.CColour
-		}
-	})
-	if adopt != NoColour {
-		self.CEpoch = (e + 1) % 3
-		self.CColour = adopt
+	if !o.gated && o.adopt != NoColour {
+		self.CEpoch = (self.CEpoch + 1) % 3
+		self.CColour = o.adopt
 	}
 	return self
 }
 
 // agentStep runs one step of the embedded (parity-free) Milgram machinery
 // for a verification participant.
-func agentStep(self State, view *fssga.View[State], rnd *rand.Rand) State {
+func agentStep(self State, o *observation, rnd *rand.Rand) State {
 	switch self.MSt {
 	case MBlank, MByArm:
 		// Refresh the by-arm flag every round.
-		if view.Any(func(t State) bool { return t.MSt == MArm }) {
+		if o.byArm {
 			self.MSt = MByArm
-		} else {
-			self.MSt = MBlank
-		}
-		if self.MSt != MBlank {
 			self.MEl = ENone
 			return self
 		}
+		self.MSt = MBlank
 		// Contestant logic: react to an adjacent hand.
-		var handElect MElect
-		sawHand := false
-		view.ForEach(func(t State, _ int) {
-			if t.MSt == MHand {
-				//fssga:nondet two adjacent hands raise NP via the hand-collision rule before this read matters; with at most one hand visible the capture is conflict-free
-				handElect = t.MEl
-				sawHand = true
-			}
-		})
-		if !sawHand {
+		if !o.sawHand {
 			self.MEl = ENone
 			return self
 		}
-		switch handElect {
+		switch o.handElect {
 		case EFlip:
 			if self.MEl == EHeads {
 				self.MEl = EEliminated
@@ -403,9 +452,8 @@ func agentStep(self State, view *fssga.View[State], rnd *rand.Rand) State {
 		return self
 
 	case MArm:
-		armHand := view.Count(2, isMArmOrHand)
 		isRoot := self.Dist == 0 && self.Remain
-		if (!isRoot && armHand <= 1) || (isRoot && armHand == 0) {
+		if (!isRoot && o.armOrHand <= 1) || (isRoot && o.armOrHand == 0) {
 			self.MSt = MHand
 			self.MEl = EFresh
 		}
@@ -416,7 +464,7 @@ func agentStep(self State, view *fssga.View[State], rnd *rand.Rand) State {
 		case EFresh:
 			self.MEl = ENone
 		case ENone:
-			if view.None(func(t State) bool { return t.MSt == MBlank && t.Complete }) {
+			if !o.blankComplete {
 				self.MSt = MVisited
 				self.MEl = ENone
 			} else {
@@ -425,10 +473,7 @@ func agentStep(self State, view *fssga.View[State], rnd *rand.Rand) State {
 		case EFlip, ENoTails:
 			self.MEl = EWaiting
 		case EWaiting:
-			tails := view.Count(2, func(t State) bool {
-				return t.MSt == MBlank && t.MEl == ETails
-			})
-			switch tails {
+			switch o.tails {
 			case 0:
 				self.MEl = ENoTails
 			case 1:

@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -102,5 +104,40 @@ func TestLoadPatternsXTestVariantDependents(t *testing.T) {
 	}
 	if !xtest {
 		t.Fatal("no repro/internal/fssga_test unit loaded; the variant-dependent case is no longer covered")
+	}
+}
+
+// TestLoadPatternsNonTargetDependents pins the type-identity rule of
+// Loader.Import: c's in-package test imports b, which is not a target
+// but imports the target a, and hands b's a-typed value to c, which
+// takes a's source-checked type. Read from export data, b would name a
+// second copy of a and the test variant of c would fail to type-check.
+func TestLoadPatternsNonTargetDependents(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":      "module tmpmod\n\ngo 1.22\n",
+		"a/a.go":      "package a\n\ntype T struct{ N int }\n\nfunc Use(T) {}\n",
+		"b/b.go":      "package b\n\nimport \"tmpmod/a\"\n\nfunc Make() a.T { return a.T{N: 1} }\n",
+		"c/c.go":      "package c\n\nimport \"tmpmod/a\"\n\nfunc Run(t a.T) { a.Use(t) }\n",
+		"c/c_test.go": "package c\n\nimport (\n\t\"testing\"\n\n\t\"tmpmod/b\"\n)\n\nfunc TestRun(t *testing.T) { Run(b.Make()) }\n",
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units, err := analysis.NewLoader(dir).LoadPatterns("./a", "./c")
+	if err != nil {
+		t.Fatalf("LoadPatterns: %v", err)
+	}
+	var paths []string
+	for _, u := range units {
+		paths = append(paths, u.Path)
+	}
+	if strings.Join(paths, " ") != "tmpmod/a tmpmod/c" {
+		t.Fatalf("units %v, want tmpmod/a and tmpmod/c", paths)
 	}
 }

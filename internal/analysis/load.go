@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,8 +51,9 @@ type Loader struct {
 	// if that directory exists. Used by analysistest (testdata/src).
 	FixtureRoot string
 
-	exports  map[string]string // import path -> export data file
-	noExport map[string]string // import path -> why go list could not provide it
+	exports  map[string]string         // import path -> export data file
+	noExport map[string]string         // import path -> why go list could not provide it
+	listed   map[string]*listedPackage // import path -> what go list reported of it
 	source   map[string]*types.Package
 	fixtures map[string]*types.Package
 	checking map[string]bool // fixture cycle guard
@@ -65,6 +67,7 @@ func NewLoader(dir string) *Loader {
 		Dir:      dir,
 		exports:  make(map[string]string),
 		noExport: make(map[string]string),
+		listed:   make(map[string]*listedPackage),
 		source:   make(map[string]*types.Package),
 		fixtures: make(map[string]*types.Package),
 		checking: make(map[string]bool),
@@ -96,10 +99,22 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 
 // Import implements types.Importer. Source-checked packages take
 // precedence over export data so that every unit in one load observes a
-// single *types.Package per import path (type identity).
+// single *types.Package per import path (type identity). For the same
+// reason a listed module package that depends on a source-checked one
+// is itself checked from source and cached, not read from export data,
+// whose types would name a second copy of that dependency.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.source[path]; ok {
 		return p, nil
+	}
+	if lp := l.listed[path]; lp != nil && !lp.Standard &&
+		slices.ContainsFunc(lp.Deps, func(d string) bool { return l.source[d] != nil }) {
+		u, err := l.check(path, lp.Dir, append(append([]string{}, lp.GoFiles...), lp.CgoFiles...), l)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: checking %s from source: %w", path, err)
+		}
+		l.source[path] = u.Pkg
+		return u.Pkg, nil
 	}
 	if p, ok := l.fixtures[path]; ok {
 		return p, nil
@@ -169,6 +184,7 @@ func (l *Loader) goList(args []string) ([]*listedPackage, error) {
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
 		}
+		l.listed[p.ImportPath] = &p
 		pkgs = append(pkgs, &p)
 	}
 	return pkgs, nil
@@ -206,18 +222,9 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Unit, error) {
 			extra = append(extra, imp)
 		}
 		sort.Strings(extra)
-		more, err := l.goList(extra)
-		if err != nil {
+		if _, err := l.goList(extra); err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, more...)
-	}
-
-	// Everything go list reported, keyed by import path: phase 3 needs
-	// dependency metadata for arbitrary test imports, not just targets.
-	byPath := make(map[string]*listedPackage, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
 	}
 
 	// Phase 1: source-check every target's plain unit (GoFiles only) in
@@ -277,7 +284,6 @@ func (l *Loader) LoadPatterns(patterns ...string) ([]*Unit, error) {
 				l:       l,
 				path:    p.ImportPath,
 				pkg:     tv,
-				byPath:  byPath,
 				rebuilt: make(map[string]*types.Package),
 			}
 		}
@@ -300,7 +306,6 @@ type variantImporter struct {
 	l       *Loader
 	path    string         // the overridden import path
 	pkg     *types.Package // its test variant
-	byPath  map[string]*listedPackage
 	rebuilt map[string]*types.Package
 }
 
@@ -311,8 +316,8 @@ func (vi *variantImporter) Import(path string) (*types.Package, error) {
 	if p, ok := vi.rebuilt[path]; ok {
 		return p, nil
 	}
-	lp := vi.byPath[path]
-	if lp == nil || lp.Standard || !dependsOn(lp, vi.path) {
+	lp := vi.l.listed[path]
+	if lp == nil || lp.Standard || !slices.Contains(lp.Deps, vi.path) {
 		return vi.l.Import(path)
 	}
 	files := append(append([]string{}, lp.GoFiles...), lp.CgoFiles...)
@@ -326,17 +331,6 @@ func (vi *variantImporter) Import(path string) (*types.Package, error) {
 
 func (vi *variantImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	return vi.Import(path)
-}
-
-// dependsOn reports whether lp's transitive dependency closure (as
-// reported by go list) contains dep.
-func dependsOn(lp *listedPackage, dep string) bool {
-	for _, d := range lp.Deps {
-		if d == dep {
-			return true
-		}
-	}
-	return false
 }
 
 // check parses the named files in dir and type-checks them as one

@@ -16,12 +16,14 @@ import (
 // schedules it happens to see; this pass rejects violations on every
 // schedule.
 //
-// A worker round body is a function literal of the shape the supervisor
-// runs on the pool:
+// A worker round body is a function literal or a method of the shape
+// the supervisor runs on the pool:
 //
 //	func(pool *shardPool, worker int) { ... }
+//	func (net *Network[S]) body(pool *shardPool, worker int) { ... }
 //
-// Inside it, shardsafe enforces:
+// A method's receiver counts as captured, as a literal's enclosing
+// variables do. Inside the body, shardsafe enforces:
 //
 //   - element stores into captured (or package-level) slices and arrays
 //     must use an index or bounds derived from the worker's shard claim
@@ -51,9 +53,17 @@ var Shardsafe = &Analyzer{
 func runShardsafe(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && isWorkerBody(pass.Info, lit) {
-				checkWorkerBody(pass, lit)
-				return false
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				if tv, ok := pass.Info.Types[n]; ok && isWorkerSig(tv.Type) {
+					checkWorkerBody(pass, n.Type, n.Body, n.Pos(), n.End())
+					return false
+				}
+			case *ast.FuncDecl:
+				if fn, ok := pass.Info.Defs[n.Name].(*types.Func); ok && n.Recv != nil && n.Body != nil && isWorkerSig(fn.Type()) {
+					checkWorkerBody(pass, n.Type, n.Body, n.Name.Pos(), n.End())
+					return false
+				}
 			}
 			return true
 		})
@@ -61,15 +71,11 @@ func runShardsafe(pass *Pass) error {
 	return nil
 }
 
-// isWorkerBody reports whether lit has the worker-round-body shape:
-// func(pool *shardPool, worker int) with no results, the signature
-// runSupervised hands to the shard pool.
-func isWorkerBody(info *types.Info, lit *ast.FuncLit) bool {
-	tv, ok := info.Types[lit]
-	if !ok {
-		return false
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
+// isWorkerSig reports whether t has the worker-round-body shape:
+// func(pool *shardPool, worker int) with no results, the signature the
+// shard pool runs.
+func isWorkerSig(t types.Type) bool {
+	sig, ok := t.Underlying().(*types.Signature)
 	if !ok || sig.Params().Len() != 2 || sig.Results().Len() != 0 {
 		return false
 	}
@@ -80,10 +86,11 @@ func isWorkerBody(info *types.Info, lit *ast.FuncLit) bool {
 	return ok && b.Info()&types.IsInteger != 0
 }
 
-// checkWorkerBody runs the ownership checks over one worker round body.
-func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
+// checkWorkerBody runs the ownership checks over one worker round body
+// with signature ftype, whose own declarations lie in [from, to).
+func checkWorkerBody(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, from, to token.Pos) {
 	info := pass.Info
-	pool, worker := litParamObjs(info, lit)
+	pool, worker := paramObjs(info, ftype)
 	if pool == nil || worker == nil {
 		return
 	}
@@ -91,7 +98,7 @@ func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
 	// derived: values flowing from the shard claim (a call through the
 	// pool). owned: per-worker structures (values flowing from the
 	// worker index).
-	derived := taintedObjs(info, lit.Body, func(e ast.Expr) bool {
+	derived := taintedObjs(info, body, func(e ast.Expr) bool {
 		call, ok := e.(*ast.CallExpr)
 		if !ok {
 			return false
@@ -99,7 +106,7 @@ func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
 		root := rootIdent(call.Fun)
 		return root != nil && info.Uses[root] == pool
 	})
-	owned := taintedObjs(info, lit.Body, func(e ast.Expr) bool {
+	owned := taintedObjs(info, body, func(e ast.Expr) bool {
 		id, ok := e.(*ast.Ident)
 		return ok && info.Uses[id] == worker
 	})
@@ -118,7 +125,7 @@ func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
 		if !ok || v.IsField() || isPackageLevelVar(v) {
 			return false
 		}
-		return v.Pos() < lit.Pos() || v.Pos() >= lit.End()
+		return v.Pos() < from || v.Pos() >= to
 	}
 
 	checkStore := func(lhs ast.Expr, pos token.Pos) {
@@ -164,7 +171,7 @@ func checkWorkerBody(pass *Pass, lit *ast.FuncLit) {
 		pass.Reportf(pos, "write to field of captured %q inside a worker round body: round results must flow through shard-derived stores into next", root.Name)
 	}
 
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, l := range n.Lhs {
@@ -205,11 +212,10 @@ func checkCopyDst(pass *Pass, dst ast.Expr, captured func(types.Object) bool, ow
 	pass.Reportf(dst.Pos(), "copy into captured %q without shard-derived bounds: the worker may write outside its claimed range", root.Name)
 }
 
-// litParamObjs resolves the two parameter objects of a worker body
-// literal.
-func litParamObjs(info *types.Info, lit *ast.FuncLit) (pool, worker types.Object) {
+// paramObjs resolves the two parameter objects of a worker body.
+func paramObjs(info *types.Info, ftype *ast.FuncType) (pool, worker types.Object) {
 	var objs []types.Object
-	for _, field := range lit.Type.Params.List {
+	for _, field := range ftype.Params.List {
 		for _, name := range field.Names {
 			objs = append(objs, info.Defs[name])
 		}

@@ -1,8 +1,8 @@
 // Package fssga is a stand-in for the engine's shard pool, shaped so
 // the shardsafe fixtures can build worker round bodies — function
-// literals of the form func(pool *shardPool, worker int) — with every
-// ownership violation the analyzer must catch and the clean idioms it
-// must accept.
+// literals and methods of the form func(pool *shardPool, worker int) —
+// with every ownership violation the analyzer must catch and the clean
+// idioms it must accept.
 package fssga
 
 const shardSpan = 64
@@ -91,4 +91,41 @@ func (net *network) curRound(workers int) {
 			next[v] = cur[v] // want `store into captured "next" at an index not derived from the worker's claimed shard range`
 		}
 	})
+}
+
+// chunked is a network whose worker body is a method, bound as a
+// method value as the engine binds its pool body once per network: the
+// receiver is captured state, stored into only at claimed indices or
+// through the worker's scratch.
+type chunked struct {
+	states  []int
+	workers []scratch
+	epoch   int
+	bufs    [][]int
+}
+
+func (net *chunked) stepChunks(pool *shardPool, w int) {
+	sc := net.workers[w]
+	for {
+		k := pool.claim()
+		if k >= len(net.bufs) {
+			return
+		}
+		sc.dense[0] = k
+		net.bufs[k] = net.bufs[k][:0]
+	}
+}
+
+// badChunks is the method-shaped twin of badRound.
+func (net *chunked) badChunks(pool *shardPool, w int) {
+	k := pool.claim()
+	net.bufs[0] = nil // want `store into captured "net" at an index not derived from the worker's claimed shard range`
+	net.states[k] = 1 // want `write to the read-side snapshot "net" inside a worker round body`
+	net.epoch = k     // want `write to field of captured "net" inside a worker round body`
+	roundCounter = w  // want `write to package-level variable "roundCounter" inside a worker round body`
+}
+
+func (net *chunked) run(workers int) {
+	runSupervised(workers, net.stepChunks)
+	runSupervised(workers, net.badChunks)
 }

@@ -48,9 +48,13 @@ type Network[S comparable] struct {
 	// Persistent shard pool for parallel rounds (see shard.go) and the
 	// runtime cleanup that closes it when the network is collected;
 	// roundActive rejects concurrent rounds on the same network with
-	// ErrConcurrentRound and so admits one pool user at a time.
+	// ErrConcurrentRound and so admits one pool user at a time. poolBody
+	// is stepChunks bound once, and poolRound the round it steps, set
+	// only while the pool runs it.
 	pool        *shardPool
 	poolCleanup runtime.Cleanup
+	poolBody    func(pool *shardPool, worker int)
+	poolRound   poolRound[S]
 	roundActive atomic.Bool
 
 	// Round kernel state (see round.go). changes is the last round's

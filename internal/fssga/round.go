@@ -147,7 +147,7 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 	case chunks == 1:
 		bufs[0] = net.stepChunk(net.serialScratch(), c, work, 0, size, bufs[0][:0])
 	case chunks > 1:
-		//fssga:alloc(the pool executor allocates its worker closures once per multi-chunk round; single-chunk rounds run inline without it)
+		//fssga:alloc(the shard pool and its bound body are made once per network, and again only when a round asks for more workers; a pool round itself allocates nothing)
 		if err := net.stepOnPool(workers, c, work, size, span, bufs); err != nil {
 			return false, err
 		}

@@ -68,7 +68,7 @@ type shardPool struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	cursor  atomic.Int64 // next chunk index to claim
-	body    func(worker int)
+	body    func(pool *shardPool, worker int)
 	perr    atomic.Pointer[workerPanic] // first panic of the current round
 }
 
@@ -123,15 +123,15 @@ func (p *shardPool) runBody(id int) {
 		}
 		p.wg.Done()
 	}()
-	p.body(id)
+	p.body(p, id)
 }
 
-// round runs body(worker) on every pool worker and blocks until all
-// return. It returns the first recovered worker panic, nil for a clean
-// round. The body and the panic are dropped afterwards: the pool is
-// reachable from its network's cleanup, so anything it kept that points
-// back into the network would keep the network alive for good.
-func (p *shardPool) round(body func(worker int)) *workerPanic {
+// round runs body(pool, worker) on every pool worker and blocks until
+// all return. It returns the first recovered worker panic, nil for a
+// clean round. The body and the panic are dropped afterwards: the pool
+// is reachable from its network's cleanup, so anything it kept that
+// points back into the network would keep the network alive for good.
+func (p *shardPool) round(body func(pool *shardPool, worker int)) *workerPanic {
 	p.body = body
 	p.wg.Add(p.workers)
 	for _, ch := range p.wake {
@@ -160,9 +160,10 @@ func (p *shardPool) close() { close(p.stop) }
 
 // ensurePool returns a live pool with at least `workers` workers,
 // creating or growing it as needed, and sizes the per-worker view
-// scratch to match. Each pool is tied to the network's lifetime by a
-// runtime cleanup: pool goroutines reference only the pool, never the
-// network, so the cleanup runs once the network is unreachable and
+// scratch to match. The first call binds the pool body, stepChunks, for
+// the network's lifetime. Each pool is tied to the network's lifetime
+// by a runtime cleanup: pool goroutines reference only the pool, never
+// the network, so the cleanup runs once the network is unreachable and
 // closes the pool. An unreachable network has no round in flight. A
 // replaced pool's cleanup is stopped before the pool is closed, so no
 // pool is closed twice.
@@ -175,6 +176,9 @@ func (net *Network[S]) ensurePool(workers int) *shardPool {
 		net.pool = newShardPool(workers)
 		net.poolCleanup = runtime.AddCleanup(net, (*shardPool).close, net.pool)
 	}
+	if net.poolBody == nil {
+		net.poolBody = net.stepChunks
+	}
 	net.ensureWorkers(net.pool.workers)
 	return net.pool
 }
@@ -186,20 +190,41 @@ func (net *Network[S]) ensurePool(workers int) *shardPool {
 // make it.
 func (net *Network[S]) Close() {}
 
+// poolRound is the multi-chunk round the shard pool is stepping: the
+// snapshot's topology, the work set (nil: every node), its size, the
+// chunk span and one change buffer per chunk.
+type poolRound[S comparable] struct {
+	c          *graph.CSR
+	work       []int32
+	size, span int
+	bufs       [][]change[S]
+}
+
 // stepOnPool is the round kernel's multi-worker executor: it steps the
 // chunks of a size-position work set, span positions each, on the shard
-// pool under supervision, each chunk into its own buffer.
+// pool under supervision, each chunk into its own buffer. The round is
+// cleared once stepped, so no slice of it outlives the round.
 func (net *Network[S]) stepOnPool(workers int, c *graph.CSR, work []int32, size, span int, bufs [][]change[S]) error {
-	//fssga:hotpath
-	return net.runSupervised(workers, func(pool *shardPool, w int) {
-		sc := net.workers[w]
-		for {
-			k := int(pool.cursor.Add(1)) - 1
-			if k >= len(bufs) {
-				return
-			}
-			lo := k * span
-			bufs[k] = net.stepChunk(sc, c, work, lo, min(lo+span, size), bufs[k][:0])
+	net.poolRound = poolRound[S]{c: c, work: work, size: size, span: span, bufs: bufs}
+	err := net.runSupervised(workers)
+	net.poolRound = poolRound[S]{}
+	return err
+}
+
+// stepChunks is the shard pool's round body: the worker claims chunks
+// of the published round off the pool's cursor and steps each into the
+// chunk's own buffer, on its own view scratch.
+//
+//fssga:hotpath
+func (net *Network[S]) stepChunks(pool *shardPool, w int) {
+	sc := net.workers[w]
+	for {
+		k := int(pool.cursor.Add(1)) - 1
+		if k >= len(net.poolRound.bufs) {
+			return
 		}
-	})
+		lo := k * net.poolRound.span
+		hi := min(lo+net.poolRound.span, net.poolRound.size)
+		net.poolRound.bufs[k] = net.stepChunk(sc, net.poolRound.c, net.poolRound.work, lo, hi, net.poolRound.bufs[k][:0])
+	}
 }

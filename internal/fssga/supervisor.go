@@ -51,14 +51,13 @@ const (
 	backoffCap  = 8 * time.Millisecond
 )
 
-// runSupervised executes one round body on the shard pool under panic
-// supervision: each attempt runs body on every worker; a worker panic
-// discards the attempt, sleeps a capped exponential backoff, and
-// retries. Returns nil once an attempt completes cleanly, or the final
-// *PanicError after maxRoundAttempts.
-func (net *Network[S]) runSupervised(workers int, body func(pool *shardPool, worker int)) error {
+// runSupervised steps the published round (net.poolRound) on the shard
+// pool under panic supervision: each attempt runs the pool body on
+// every worker; a worker panic discards the attempt, sleeps a capped
+// exponential backoff, and retries. Returns nil once an attempt
+// completes cleanly, or the final *PanicError after maxRoundAttempts.
+func (net *Network[S]) runSupervised(workers int) error {
 	pool := net.ensurePool(workers)
-	run := func(w int) { body(pool, w) }
 	var last error
 	for attempt := 1; attempt <= maxRoundAttempts; attempt++ {
 		if attempt > 1 {
@@ -69,7 +68,7 @@ func (net *Network[S]) runSupervised(workers int, body func(pool *shardPool, wor
 			time.Sleep(d)
 		}
 		pool.cursor.Store(0)
-		wp := pool.round(run)
+		wp := pool.round(net.poolBody)
 		if wp == nil {
 			return nil
 		}
