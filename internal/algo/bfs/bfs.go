@@ -17,6 +17,7 @@ package bfs
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fssga"
 	"repro/internal/graph"
@@ -162,17 +163,17 @@ func NewNetwork(g *graph.Graph, originator int, targets []int, seed int64) (*fss
 	if !g.Alive(originator) {
 		return nil, fmt.Errorf("bfs: originator %d is not a live node", originator)
 	}
-	isTarget := make(map[int]bool, len(targets))
 	for _, t := range targets {
 		if !g.Alive(t) {
 			return nil, fmt.Errorf("bfs: target %d is not a live node", t)
 		}
-		isTarget[t] = true
 	}
+	// Target sets are a handful of nodes, so a scan per node costs less
+	// than a map lookup.
 	return fssga.New[State](g, automaton{}, func(v int) State {
 		return State{
 			Originator: v == originator,
-			Target:     isTarget[v],
+			Target:     slices.Contains(targets, v),
 			Label:      NoLabel,
 			Status:     Waiting,
 		}

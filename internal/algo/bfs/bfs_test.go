@@ -153,6 +153,11 @@ func TestNewNetworkErrors(t *testing.T) {
 	if _, err := NewNetwork(g, 0, []int{2}, 1); err == nil {
 		t.Fatal("dead target accepted")
 	}
+	for _, target := range []int{-1, 4} {
+		if _, err := NewNetwork(g, 0, []int{1, target}, 1); err == nil {
+			t.Fatalf("out-of-range target %d accepted", target)
+		}
+	}
 }
 
 // The asynchronous variant — the BFS automaton wrapped in the

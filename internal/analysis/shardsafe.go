@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -28,15 +29,18 @@ import (
 //   - element stores into captured (or package-level) slices and arrays
 //     must use an index or bounds derived from the worker's shard claim
 //     (a value flowing from a method call on the pool), or target a
-//     per-worker structure (a local derived from the worker index);
+//     per-worker structure (a local derived from the worker index); a
+//     body-local alias of captured state (b := net.bufs) is held to
+//     the same rule;
 //   - the read-side snapshot — a captured variable named snapshot/cur,
 //     defined from the engine's states vector, or reached through a
-//     .states selector — is never written, derived index or not;
+//     .states selector, or an alias of one — is never written, derived
+//     index or not;
 //   - captured variables are never reassigned (per-worker scratch must
 //     not be retained across rounds) and captured struct fields are
 //     never written except through shard-derived element stores;
-//   - builtin copy into a captured slice requires shard-derived slice
-//     bounds;
+//   - builtin copy into a captured slice, or an alias of one, requires
+//     shard-derived slice bounds;
 //   - package-level variables are never written (the worker-side twin
 //     of globalwrite's reachability rule).
 //
@@ -98,34 +102,68 @@ func checkWorkerBody(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, from,
 	// derived: values flowing from the shard claim (a call through the
 	// pool). owned: per-worker structures (values flowing from the
 	// worker index).
-	derived := taintedObjs(info, body, func(e ast.Expr) bool {
+	poolCall := func(e ast.Expr) bool {
 		call, ok := e.(*ast.CallExpr)
 		if !ok {
 			return false
 		}
 		root := rootIdent(call.Fun)
 		return root != nil && info.Uses[root] == pool
-	})
-	owned := taintedObjs(info, body, func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && info.Uses[id] == worker
-	})
-	derivedExpr := func(e ast.Expr) bool {
-		return exprTainted(info, e, derived, func(ex ast.Expr) bool {
-			call, ok := ex.(*ast.CallExpr)
-			if !ok {
-				return false
-			}
-			root := rootIdent(call.Fun)
-			return root != nil && info.Uses[root] == pool
-		})
 	}
+	derived := taintedObjs(info, body, func(rhs ast.Expr, derived map[types.Object]bool) bool {
+		return exprTainted(info, rhs, derived, poolCall)
+	})
+	owned := taintedObjs(info, body, func(rhs ast.Expr, owned map[types.Object]bool) bool {
+		return exprTainted(info, rhs, owned, func(e ast.Expr) bool {
+			id, ok := e.(*ast.Ident)
+			return ok && info.Uses[id] == worker
+		})
+	})
+	derivedExpr := func(e ast.Expr) bool { return exprTainted(info, e, derived, poolCall) }
 	captured := func(obj types.Object) bool {
 		v, ok := obj.(*types.Var)
 		if !ok || v.IsField() || isPackageLevelVar(v) {
 			return false
 		}
 		return v.Pos() < from || v.Pos() >= to
+	}
+
+	// aliases: body-local slices, maps and pointers reached from a
+	// captured or owned variable, or from another alias, by selectors,
+	// indexing or slicing (b := net.bufs, n := next). Element stores
+	// through an alias are checked as stores through its root; one
+	// formed at claimed indices (row := next[lo:hi]) is the claim's own
+	// and is no alias. snaps: variables that reach the read-side
+	// snapshot that way (s := net.states), claimed indices or not.
+	aliasRoot := func(rhs ast.Expr) (types.Object, ast.Expr) {
+		switch info.TypeOf(rhs).Underlying().(type) {
+		case *types.Slice, *types.Map, *types.Pointer:
+		default:
+			return nil, nil
+		}
+		if sl, ok := unparen(rhs).(*ast.SliceExpr); ok {
+			rhs = sl.X
+		}
+		if root := rootIdent(rhs); root != nil && info.Uses[root] != nil {
+			return info.Uses[root], rhs
+		}
+		return nil, nil
+	}
+	aliases := taintedObjs(info, body, func(rhs ast.Expr, aliases map[types.Object]bool) bool {
+		root, _ := aliasRoot(rhs)
+		return root != nil && (captured(root) || owned[root] || aliases[root]) && !derivedExpr(rhs)
+	})
+	snaps := taintedObjs(info, body, func(rhs ast.Expr, snaps map[types.Object]bool) bool {
+		root, path := aliasRoot(rhs)
+		return root != nil && (snaps[root] || (captured(root) || owned[root] || aliases[root]) && readOnlyLvalue(info, path, root))
+	})
+	// what names the target of a store through obj in a finding:
+	// captured state, or an alias of it.
+	what := func(obj types.Object) string {
+		if aliases[obj] && !captured(obj) {
+			return fmt.Sprintf("%q, which aliases captured state,", obj.Name())
+		}
+		return fmt.Sprintf("captured %q", obj.Name())
 	}
 
 	checkStore := func(lhs ast.Expr, pos token.Pos) {
@@ -143,10 +181,10 @@ func checkWorkerBody(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, from,
 		}
 		// Element store vs whole-variable / field write.
 		if idx, ok := unparen(lhs).(*ast.IndexExpr); ok {
-			if !captured(obj) && !owned[obj] {
+			if !captured(obj) && !owned[obj] && !aliases[obj] && !snaps[obj] {
 				return // body-local scratch: hotalloc polices its creation
 			}
-			if readOnlyLvalue(info, idx.X, obj) {
+			if snaps[obj] || readOnlyLvalue(info, idx.X, obj) {
 				pass.Reportf(pos, "write to the read-side snapshot %q inside a worker round body: rounds read the snapshot and write only next", root.Name)
 				return
 			}
@@ -154,7 +192,7 @@ func checkWorkerBody(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, from,
 				return // per-worker structure, any index is the worker's own
 			}
 			if !derivedExpr(idx.Index) {
-				pass.Reportf(pos, "store into captured %q at an index not derived from the worker's claimed shard range", root.Name)
+				pass.Reportf(pos, "store into %s at an index not derived from the worker's claimed shard range", what(obj))
 			}
 			return
 		}
@@ -171,6 +209,27 @@ func checkWorkerBody(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, from,
 		pass.Reportf(pos, "write to field of captured %q inside a worker round body: round results must flow through shard-derived stores into next", root.Name)
 	}
 
+	checkCopyDst := func(dst ast.Expr) {
+		root := rootIdent(dst)
+		if root == nil {
+			return
+		}
+		obj := info.ObjectOf(root)
+		if obj == nil || (!captured(obj) && !isPackageLevelVar(obj) && !aliases[obj] && !snaps[obj]) || owned[obj] {
+			return
+		}
+		if snaps[obj] || readOnlyLvalue(info, dst, obj) {
+			pass.Reportf(dst.Pos(), "copy into the read-side snapshot %q inside a worker round body", root.Name)
+			return
+		}
+		if sl, ok := unparen(dst).(*ast.SliceExpr); ok {
+			if sl.Low != nil && sl.High != nil && derivedExpr(sl.Low) && derivedExpr(sl.High) {
+				return
+			}
+		}
+		pass.Reportf(dst.Pos(), "copy into %s without shard-derived bounds: the worker may write outside its claimed range", what(obj))
+	}
+
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -181,35 +240,11 @@ func checkWorkerBody(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, from,
 			checkStore(n.X, n.X.Pos())
 		case *ast.CallExpr:
 			if b, ok := calleeOf(info, n).(*types.Builtin); ok && b.Name() == "copy" && len(n.Args) == 2 {
-				checkCopyDst(pass, n.Args[0], captured, owned, derivedExpr)
+				checkCopyDst(n.Args[0])
 			}
 		}
 		return true
 	})
-}
-
-// checkCopyDst enforces shard-derived bounds on the destination of a
-// builtin copy inside a worker body.
-func checkCopyDst(pass *Pass, dst ast.Expr, captured func(types.Object) bool, owned map[types.Object]bool, derivedExpr func(ast.Expr) bool) {
-	info := pass.Info
-	root := rootIdent(dst)
-	if root == nil {
-		return
-	}
-	obj := info.ObjectOf(root)
-	if obj == nil || (!captured(obj) && !isPackageLevelVar(obj)) || owned[obj] {
-		return
-	}
-	if readOnlyLvalue(info, dst, obj) {
-		pass.Reportf(dst.Pos(), "copy into the read-side snapshot %q inside a worker round body", root.Name)
-		return
-	}
-	if sl, ok := unparen(dst).(*ast.SliceExpr); ok {
-		if sl.Low != nil && sl.High != nil && derivedExpr(sl.Low) && derivedExpr(sl.High) {
-			return
-		}
-	}
-	pass.Reportf(dst.Pos(), "copy into captured %q without shard-derived bounds: the worker may write outside its claimed range", root.Name)
 }
 
 // paramObjs resolves the two parameter objects of a worker body.
@@ -272,12 +307,13 @@ func isStarOfRoot(lhs ast.Expr, root *ast.Ident) bool {
 	return ok && id == root
 }
 
-// taintedObjs computes the flow-insensitive closure of objects whose
-// value may flow from a seed expression: an object is tainted when any
-// assignment gives it a right-hand side containing a seed or an
-// already-tainted object. Flow-insensitivity deliberately keeps a
-// variable tainted across the clamp idiom (hi = n after hi := lo+span).
-func taintedObjs(info *types.Info, body ast.Node, seed func(ast.Expr) bool) map[types.Object]bool {
+// taintedObjs computes the flow-insensitive closure of objects an
+// assignment may give a tainted value: an object is tainted when any
+// assignment gives it a right-hand side rhs with flows(rhs, tainted),
+// tainted being the objects found so far. Flow-insensitivity
+// deliberately keeps a variable tainted across the clamp idiom (hi = n
+// after hi := lo+span).
+func taintedObjs(info *types.Info, body ast.Node, flows func(rhs ast.Expr, tainted map[types.Object]bool) bool) map[types.Object]bool {
 	tainted := make(map[types.Object]bool)
 	for changed := true; changed; {
 		changed = false
@@ -295,7 +331,7 @@ func taintedObjs(info *types.Info, body ast.Node, seed func(ast.Expr) bool) map[
 				if obj == nil || tainted[obj] {
 					continue
 				}
-				if exprTainted(info, a.Rhs[i], tainted, seed) {
+				if flows(a.Rhs[i], tainted) {
 					tainted[obj] = true
 					changed = true
 				}

@@ -129,3 +129,46 @@ func (net *chunked) run(workers int) {
 	runSupervised(workers, net.stepChunks)
 	runSupervised(workers, net.badChunks)
 }
+
+// aliased is a network whose worker bodies store through body-local
+// aliases of captured state. Each store is checked as a store through
+// the captured name: a claimed index passes, an unclaimed one or a
+// snapshot write does not, and a slice formed at claimed indices is the
+// claim's own.
+type aliased struct {
+	states []int
+	next   []int
+	bufs   [][]int
+}
+
+func (net *aliased) aliasRound(workers int) {
+	next := net.next
+	runSupervised(workers, func(pool *shardPool, w int) {
+		k := pool.claim()
+		b, s, n := net.bufs, net.states, next
+		b[k] = nil
+		n[k] = 1
+		row := next[k : k+1]
+		row[0] = 1
+		b[0] = nil // want `store into "b", which aliases captured state, at an index not derived from the worker's claimed shard range`
+		s[1] = 2   // want `write to the read-side snapshot "s" inside a worker round body`
+		n[0] = 1   // want `store into "n", which aliases captured state, at an index not derived from the worker's claimed shard range`
+		m := n
+		m[0] = 1   // want `store into "m", which aliases captured state, at an index not derived from the worker's claimed shard range`
+		copy(n, s) // want `copy into "n", which aliases captured state, without shard-derived bounds`
+	})
+	runSupervised(workers, net.aliasChunks)
+}
+
+// aliasChunks is the method-shaped twin of aliasRound.
+func (net *aliased) aliasChunks(pool *shardPool, w int) {
+	k := pool.claim()
+	b := net.bufs
+	s := net.states
+	n := net.next
+	b[k] = nil
+	n[k] = 1
+	b[0] = nil // want `store into "b", which aliases captured state, at an index not derived from the worker's claimed shard range`
+	s[1] = 2   // want `write to the read-side snapshot "s" inside a worker round body`
+	n[0] = 1   // want `store into "n", which aliases captured state, at an index not derived from the worker's claimed shard range`
+}

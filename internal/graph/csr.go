@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/wordhash"
@@ -12,9 +12,9 @@ import (
 // adjacency: flat int32 offset and neighbour arrays plus an alive mask.
 // It is the execution engine's read path — one contiguous array walk per
 // round instead of per-node method calls and neighbour-slice copies —
-// and the only representation streaming generators materialize at
-// million-node scale, where the mutable map-of-slices Graph would cost
-// an order of magnitude more memory and cache misses.
+// and the form the streaming generators write. The mutable Graph of a
+// regular topology is carved from one such snapshot (fromCSR), whose
+// rows it then edits under faults.
 //
 // Invariants (shared with Graph.Validate): per-node neighbour lists are
 // strictly increasing, dead nodes have empty lists, adjacency is
@@ -133,9 +133,6 @@ func (g *Graph) CSR() *CSR {
 	if g.csr != nil && g.csrVersion == g.version {
 		return g.csr
 	}
-	if len(g.adj) > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: CSR supports at most %d nodes, have %d", math.MaxInt32, len(g.adj)))
-	}
 	c := &CSR{
 		offsets: make([]int32, len(g.adj)+1),
 		alive:   make([]bool, len(g.alive)),
@@ -151,22 +148,41 @@ func (g *Graph) CSR() *CSR {
 	pos := int32(0)
 	for v, ns := range g.adj {
 		c.offsets[v] = pos
-		for _, u := range ns {
-			c.neighbors[pos] = int32(u)
-			pos++
-		}
+		pos += int32(copy(c.neighbors[pos:], ns))
 	}
 	c.offsets[len(g.adj)] = pos
 	g.csr, g.csrVersion = c, g.version
 	return c
 }
 
-// The streaming generators below build CSR snapshots for the regular
+// fromCSR returns a mutable graph with c's topology, built in one pass:
+// it clones c's neighbour array once and carves every row out of the
+// clone, and it keeps c as its cached snapshot, so its first CSR() call
+// costs nothing. The clone keeps c immutable while RemoveEdge and
+// RemoveNode edit rows in place; each row's capacity is clipped at its
+// own end, so a later AddEdge reallocates that row alone instead of
+// overwriting the next.
+func fromCSR(c *CSR) *Graph {
+	back := slices.Clone(c.neighbors)
+	g := &Graph{
+		adj:    make([][]int32, len(c.alive)),
+		alive:  slices.Clone(c.alive),
+		nAlive: c.nAlive,
+		mAlive: c.mAlive,
+		csr:    c,
+	}
+	for v := range g.adj {
+		lo, hi := c.offsets[v], c.offsets[v+1]
+		g.adj[v] = back[lo:hi:hi]
+	}
+	return g
+}
+
+// The streaming generators below write CSR snapshots for the regular
 // experiment topologies directly — counting degrees analytically and
-// filling the flat arrays in one pass — so million-node networks never
-// materialize the mutable Graph (whose per-node slice headers and
-// incremental sorted inserts dominate memory and construction time at
-// that scale).
+// filling the flat arrays in one pass. They are the one place these
+// topologies are written: the mutable generators (Cycle, Torus,
+// Hypercube, PLaw) are fromCSR over them.
 
 // newFullCSR returns a CSR skeleton with all n nodes alive and room for
 // half directed neighbour entries.
@@ -184,8 +200,8 @@ func newFullCSR(n, half, edges int) *CSR {
 	return c
 }
 
-// CycleCSR returns the cycle graph C_n (n >= 3) as a CSR snapshot,
-// equivalent to Cycle(n).CSR().
+// CycleCSR returns the cycle graph C_n (n >= 3) as a CSR snapshot; Cycle
+// is the mutable graph carved from it.
 func CycleCSR(n int) *CSR {
 	if n < 3 {
 		panic(fmt.Sprintf("graph: CycleCSR(%d) needs n >= 3", n))
@@ -252,37 +268,80 @@ func GridCSR(rows, cols int) *CSR {
 }
 
 // TorusCSR returns the rows x cols grid with wraparound in both
-// dimensions (both >= 3) as a CSR snapshot, equivalent to
-// Torus(rows, cols).CSR(). This is the regular 4-degree lattice the
-// scaling benchmarks use: every node identical, no boundary effects.
+// dimensions (both >= 3) as a CSR snapshot; Torus is the mutable graph
+// carved from it. This is the regular 4-degree lattice the scaling
+// benchmarks use: every node identical, no boundary effects.
 func TorusCSR(rows, cols int) *CSR {
 	if rows < 3 || cols < 3 {
 		panic(fmt.Sprintf("graph: TorusCSR(%d, %d) needs both dims >= 3", rows, cols))
 	}
 	n := rows * cols
 	c := newFullCSR(n, 4*n, 2*n)
-	pos := int32(0)
-	var nbr [4]int32
 	for r := 0; r < rows; r++ {
+		row := r * cols
+		up := ((r-1+rows)%rows)*cols - row
+		down := ((r+1)%rows)*cols - row
 		for col := 0; col < cols; col++ {
-			v := r*cols + col
-			c.offsets[v] = pos
-			up := ((r-1+rows)%rows)*cols + col
-			down := ((r+1)%rows)*cols + col
-			left := r*cols + (col-1+cols)%cols
-			right := r*cols + (col+1)%cols
-			nbr[0], nbr[1], nbr[2], nbr[3] = int32(up), int32(down), int32(left), int32(right)
-			// Insertion-sort the four IDs (branch-light, no allocation).
-			for i := 1; i < 4; i++ {
-				for j := i; j > 0 && nbr[j-1] > nbr[j]; j-- {
-					nbr[j-1], nbr[j] = nbr[j], nbr[j-1]
-				}
+			v := row + col
+			// The four neighbours in increasing order, without a sort:
+			// two in v's row and two in the rows above and below, which
+			// lie on both sides of v's row except in the first row (both
+			// after it) and the last (both before it).
+			l, rt := v-1, v+1
+			if col == 0 {
+				l = row + cols - 1
 			}
-			c.neighbors[pos] = nbr[0]
-			c.neighbors[pos+1] = nbr[1]
-			c.neighbors[pos+2] = nbr[2]
-			c.neighbors[pos+3] = nbr[3]
-			pos += 4
+			if col == cols-1 {
+				rt = row
+			}
+			if l > rt {
+				l, rt = rt, l
+			}
+			u, d := v+up, v+down
+			if u > d {
+				u, d = d, u
+			}
+			c.offsets[v] = int32(4 * v)
+			s := c.neighbors[4*v : 4*v+4]
+			switch {
+			case u > v:
+				s[0], s[1], s[2], s[3] = int32(l), int32(rt), int32(u), int32(d)
+			case d < v:
+				s[0], s[1], s[2], s[3] = int32(u), int32(d), int32(l), int32(rt)
+			default:
+				s[0], s[1], s[2], s[3] = int32(u), int32(l), int32(rt), int32(d)
+			}
+		}
+	}
+	c.offsets[n] = int32(4 * n)
+	return c
+}
+
+// HypercubeCSR returns the d-dimensional hypercube Q_d on 2^d nodes
+// (1 <= d <= 24) as a CSR snapshot; Hypercube is the mutable graph
+// carved from it. Node v's neighbours are v with one bit flipped.
+func HypercubeCSR(d int) *CSR {
+	if d < 1 || d > 24 {
+		panic(fmt.Sprintf("graph: HypercubeCSR(%d) needs 1 <= d <= 24", d))
+	}
+	n := 1 << uint(d)
+	c := newFullCSR(n, d*n, d*n/2)
+	pos := int32(0)
+	for v := 0; v < n; v++ {
+		c.offsets[v] = pos
+		// Increasing order: clearing a set bit gives a smaller ID the
+		// higher the bit, setting a clear bit a larger one.
+		for b := d - 1; b >= 0; b-- {
+			if v&(1<<uint(b)) != 0 {
+				c.neighbors[pos] = int32(v &^ (1 << uint(b)))
+				pos++
+			}
+		}
+		for b := 0; b < d; b++ {
+			if v&(1<<uint(b)) == 0 {
+				c.neighbors[pos] = int32(v | 1<<uint(b))
+				pos++
+			}
 		}
 	}
 	c.offsets[n] = pos

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -127,33 +128,112 @@ func TestCSRCachingAndInvalidation(t *testing.T) {
 	}
 }
 
+// The references below build each bulk-path topology edge by edge with
+// AddEdge, so the twin tests compare every generator with code that
+// shares nothing with the CSR writers or fromCSR.
+
+func cycleByEdges(n int) *Graph {
+	g := New(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, (i+1)%n)
+	}
+	return g
+}
+
+func torusByEdges(rows, cols int) *Graph {
+	g := New(rows * cols)
+	id := func(r, c int) int { return r*cols + c }
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			g.AddEdge(id(r, c), id(r, (c+1)%cols))
+			g.AddEdge(id(r, c), id((r+1)%rows, c))
+		}
+	}
+	return g
+}
+
+func hypercubeByEdges(d int) *Graph {
+	n := 1 << uint(d)
+	g := New(n)
+	for v := 0; v < n; v++ {
+		for b := 0; b < d; b++ {
+			if u := v ^ (1 << uint(b)); v < u {
+				g.AddEdge(v, u)
+			}
+		}
+	}
+	return g
+}
+
+// plawByEdges replicates plawBase's block and closes the hub ring with
+// AddEdge; only the block itself is shared with PLawCSR.
+func plawByEdges(block, copies, epn int, seed int64) *Graph {
+	base := plawBase(block, epn, seed)
+	g := New(block * copies)
+	for c := 0; c < copies; c++ {
+		shift := c * block
+		for v, row := range base {
+			for _, u := range row {
+				if int32(v) < u {
+					g.AddEdge(shift+v, shift+int(u))
+				}
+			}
+		}
+	}
+	for c := 0; c+1 < copies; c++ {
+		g.AddEdge(c*block, (c+1)*block)
+	}
+	if copies >= 3 {
+		g.AddEdge(0, (copies-1)*block)
+	}
+	return g
+}
+
+// assertGeneratorPair checks a streaming generator's snapshot and the
+// mutable graph carved from the same generator against a reference
+// built edge by edge.
+func assertGeneratorPair(t *testing.T, c *CSR, g, ref *Graph) {
+	t.Helper()
+	assertCSRMatchesGraph(t, ref, c)
+	assertCSRMatchesGraph(t, g, ref.CSR())
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCSRStreamingGeneratorsMatchGraphGenerators(t *testing.T) {
 	cases := []struct {
-		name string
-		csr  *CSR
-		g    *Graph
+		name   string
+		csr    *CSR
+		g, ref *Graph
 	}{
-		{"cycle/7", CycleCSR(7), Cycle(7)},
-		{"cycle/3", CycleCSR(3), Cycle(3)},
-		{"grid/1x1", GridCSR(1, 1), Grid(1, 1)},
-		{"grid/1x9", GridCSR(1, 9), Grid(1, 9)},
-		{"grid/5x8", GridCSR(5, 8), Grid(5, 8)},
-		{"torus/3x3", TorusCSR(3, 3), Torus(3, 3)},
-		{"torus/4x7", TorusCSR(4, 7), Torus(4, 7)},
+		{"cycle/7", CycleCSR(7), Cycle(7), cycleByEdges(7)},
+		{"cycle/3", CycleCSR(3), Cycle(3), cycleByEdges(3)},
+		{"grid/1x1", GridCSR(1, 1), Grid(1, 1), Grid(1, 1)},
+		{"grid/1x9", GridCSR(1, 9), Grid(1, 9), Grid(1, 9)},
+		{"grid/5x8", GridCSR(5, 8), Grid(5, 8), Grid(5, 8)},
+		{"torus/3x3", TorusCSR(3, 3), Torus(3, 3), torusByEdges(3, 3)},
+		{"torus/4x7", TorusCSR(4, 7), Torus(4, 7), torusByEdges(4, 7)},
+		{"torus/6x3", TorusCSR(6, 3), Torus(6, 3), torusByEdges(6, 3)},
+		{"hypercube/1", HypercubeCSR(1), Hypercube(1), hypercubeByEdges(1)},
+		{"hypercube/2", HypercubeCSR(2), Hypercube(2), hypercubeByEdges(2)},
+		{"hypercube/5", HypercubeCSR(5), Hypercube(5), hypercubeByEdges(5)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertCSRMatchesGraph(t, tc.g, tc.csr)
+			assertGeneratorPair(t, tc.csr, tc.g, tc.ref)
 		})
 	}
 }
 
 func TestCSRGeneratorPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"cycle":      func() { CycleCSR(2) },
-		"grid":       func() { GridCSR(0, 5) },
-		"torus-rows": func() { TorusCSR(2, 5) },
-		"torus-cols": func() { TorusCSR(5, 2) },
+		"cycle":        func() { CycleCSR(2) },
+		"grid":         func() { GridCSR(0, 5) },
+		"torus-rows":   func() { TorusCSR(2, 5) },
+		"torus-cols":   func() { TorusCSR(5, 2) },
+		"hypercube-0":  func() { HypercubeCSR(0) },
+		"hypercube-25": func() { HypercubeCSR(25) },
 	} {
 		func() {
 			defer func() {
@@ -203,10 +283,10 @@ func TestCSRCloneIndependence(t *testing.T) {
 // alive mask (a dead node changes the hash even though its neighbour
 // row was already empty).
 func TestCSRContentHash(t *testing.T) {
-	if got, want := Torus(6, 7).CSR().ContentHash(), TorusCSR(6, 7).ContentHash(); got != want {
+	if got, want := torusByEdges(6, 7).CSR().ContentHash(), TorusCSR(6, 7).ContentHash(); got != want {
 		t.Fatalf("graph-built torus hashes %x, streaming-built %x", got, want)
 	}
-	if Cycle(12).CSR().ContentHash() != CycleCSR(12).ContentHash() {
+	if cycleByEdges(12).CSR().ContentHash() != CycleCSR(12).ContentHash() {
 		t.Fatal("cycle hash differs between builders")
 	}
 	if Cycle(12).CSR().ContentHash() == Cycle(13).CSR().ContentHash() {
@@ -251,6 +331,7 @@ func TestCSRContentHashPinned(t *testing.T) {
 		{"TorusCSR(4,4)", TorusCSR(4, 4), 0x117bf31af0cd7856},
 		{"Grid(3,3).CSR()", Grid(3, 3).CSR(), 0xcb5981fd97ae0be8},
 		{"TorusCSR(1024,1024)", TorusCSR(1024, 1024), 0xe4c426eafe21f92a},
+		{"HypercubeCSR(4)", HypercubeCSR(4), 0x0a837dce0cf0fb68},
 	} {
 		for i := 0; i < 2; i++ { // computed, then memoized
 			if got := tc.c.ContentHash(); got != tc.want {
@@ -262,7 +343,8 @@ func TestCSRContentHashPinned(t *testing.T) {
 
 // TestCSRContentHashSensitivity: on small generated graphs, every
 // single-node and every single-edge deletion yields its own hash, and
-// every streaming generator hashes equal to its mutable-graph twin.
+// every streaming generator hashes equal to the same topology built edge
+// by edge.
 func TestCSRContentHashSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tc := range []struct {
@@ -300,14 +382,15 @@ func TestCSRContentHashSensitivity(t *testing.T) {
 		name            string
 		stream, mutable *CSR
 	}{
-		{"CycleCSR(13)", CycleCSR(13), Cycle(13).CSR()},
+		{"CycleCSR(13)", CycleCSR(13), cycleByEdges(13).CSR()},
 		{"GridCSR(3,7)", GridCSR(3, 7), Grid(3, 7).CSR()},
 		{"GridCSR(1,5)", GridCSR(1, 5), Grid(1, 5).CSR()},
-		{"TorusCSR(5,3)", TorusCSR(5, 3), Torus(5, 3).CSR()},
-		{"PLawCSR(16,3,2,1)", PLawCSR(16, 3, 2, 1), PLaw(16, 3, 2, 1).CSR()},
+		{"TorusCSR(5,3)", TorusCSR(5, 3), torusByEdges(5, 3).CSR()},
+		{"HypercubeCSR(3)", HypercubeCSR(3), hypercubeByEdges(3).CSR()},
+		{"PLawCSR(16,3,2,1)", PLawCSR(16, 3, 2, 1), plawByEdges(16, 3, 2, 1).CSR()},
 	} {
 		if got, want := tc.stream.ContentHash(), tc.mutable.ContentHash(); got != want {
-			t.Errorf("%s hashes %016x, its mutable-graph twin %016x", tc.name, got, want)
+			t.Errorf("%s hashes %016x, its edge-by-edge twin %016x", tc.name, got, want)
 		}
 	}
 }
@@ -336,6 +419,117 @@ func BenchmarkContentHash(b *testing.B) {
 }
 
 var hashSink uint64
+
+// BenchmarkGenerate times topology set-up as the end-to-end benchmark
+// pays it, a mutable generator and its first snapshot, beside the
+// streaming generator that writes the same rows: the torus of bfs-torus
+// and the power-law graph of census-plaw.
+func BenchmarkGenerate(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		gen  func() *CSR
+	}{
+		{"Torus(1024,1024).CSR()", func() *CSR { return Torus(1024, 1024).CSR() }},
+		{"TorusCSR(1024,1024)", func() *CSR { return TorusCSR(1024, 1024) }},
+		{"PLaw(32768,2,4,4).CSR()", func() *CSR { return PLaw(32768, 2, 4, 4).CSR() }},
+		{"PLawCSR(32768,2,4,4)", func() *CSR { return PLawCSR(32768, 2, 4, 4) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				csrSink = tc.gen()
+			}
+		})
+	}
+}
+
+var csrSink *CSR
+
+// TestBulkGeneratorsAllocateO1: a bulk-path generator and its first
+// snapshot allocate a constant number of blocks, not one per row or per
+// edge.
+func TestBulkGeneratorsAllocateO1(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation perturbs allocation counts")
+	}
+	for _, tc := range []struct {
+		name string
+		gen  func() *CSR
+	}{
+		{"Torus(64,64).CSR()", func() *CSR { return Torus(64, 64).CSR() }},
+		{"Cycle(4096).CSR()", func() *CSR { return Cycle(4096).CSR() }},
+	} {
+		if got := testing.AllocsPerRun(5, func() { csrSink = tc.gen() }); got > 8 {
+			t.Errorf("%s: %v allocations, want at most 8", tc.name, got)
+		}
+	}
+	stream := testing.AllocsPerRun(5, func() { csrSink = PLawCSR(256, 4, 4, 1) })
+	bulk := testing.AllocsPerRun(5, func() { csrSink = PLaw(256, 4, 4, 1).CSR() })
+	if bulk > stream+8 {
+		t.Errorf("PLaw(256,4,4,1).CSR(): %v allocations, want at most 8 more than PLawCSR's %v", bulk, stream)
+	}
+}
+
+// TestBulkGraphSnapshotImmutable: a graph carved from a snapshot edits
+// its own rows under faults and added edges, never the snapshot, and
+// stays equal to a twin built edge by edge and given the same mutations.
+func TestBulkGraphSnapshotImmutable(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		g, twin *Graph
+	}{
+		{"Cycle(9)", Cycle(9), cycleByEdges(9)},
+		{"Torus(4,5)", Torus(4, 5), torusByEdges(4, 5)},
+		{"PLaw(16,3,2,1)", PLaw(16, 3, 2, 1), plawByEdges(16, 3, 2, 1)},
+		{"Hypercube(4)", Hypercube(4), hypercubeByEdges(4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, twin := tc.g, tc.twin
+			first := g.CSR()
+			want := first.contentHash()
+			rng := rand.New(rand.NewSource(1))
+			for step := 0; step < 15; step++ {
+				switch step % 3 {
+				case 0: // AddEdge first, while every row is full
+					live := g.Nodes(nil)
+					for {
+						u, v := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+						if u != v && !g.HasEdge(u, v) {
+							g.AddEdge(u, v)
+							twin.AddEdge(u, v)
+							break
+						}
+					}
+				case 1:
+					es := g.Edges()
+					e := es[rng.Intn(len(es))]
+					g.RemoveEdge(e.U, e.V)
+					twin.RemoveEdge(e.U, e.V)
+				case 2:
+					live := g.Nodes(nil)
+					v := live[rng.Intn(len(live))]
+					g.RemoveNode(v)
+					twin.RemoveNode(v)
+				}
+			}
+			if got := first.contentHash(); got != want || first.ContentHash() != want {
+				t.Fatalf("first snapshot hashes %016x after the mutations, %016x before", got, want)
+			}
+			if err := first.Validate(); err != nil {
+				t.Fatalf("first snapshot after the mutations: %v", err)
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := g.Edges(), twin.Edges(); !slices.Equal(got, want) {
+				t.Fatalf("edges %v, twin's %v", got, want)
+			}
+			if got, want := g.CSR().ContentHash(), twin.CSR().ContentHash(); got != want {
+				t.Fatalf("snapshot hashes %016x, twin's %016x", got, want)
+			}
+		})
+	}
+}
 
 // TestCSRContentHashConcurrent: concurrent first calls on one fresh
 // snapshot agree (run under -race to check the memoization).

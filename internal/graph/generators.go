@@ -18,15 +18,8 @@ func Path(n int) *Graph {
 	return g
 }
 
-// Cycle returns the cycle graph C_n (n >= 3).
-func Cycle(n int) *Graph {
-	if n < 3 {
-		panic(fmt.Sprintf("graph: Cycle(%d) needs n >= 3", n))
-	}
-	g := Path(n)
-	g.AddEdge(n-1, 0)
-	return g
-}
+// Cycle returns the cycle graph C_n (n >= 3), carved from CycleCSR.
+func Cycle(n int) *Graph { return fromCSR(CycleCSR(n)) }
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *Graph {
@@ -89,40 +82,14 @@ func Grid(rows, cols int) *Graph {
 	return g
 }
 
-// Torus returns the rows x cols grid with wraparound in both dimensions.
-// Both dimensions must be at least 3 so no duplicate edges arise.
-func Torus(rows, cols int) *Graph {
-	if rows < 3 || cols < 3 {
-		panic(fmt.Sprintf("graph: Torus(%d, %d) needs both dims >= 3", rows, cols))
-	}
-	g := New(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			g.AddEdge(id(r, c), id(r, (c+1)%cols))
-			g.AddEdge(id(r, c), id((r+1)%rows, c))
-		}
-	}
-	return g
-}
+// Torus returns the rows x cols grid with wraparound in both dimensions,
+// carved from TorusCSR. Both dimensions must be at least 3 so no
+// duplicate edges arise.
+func Torus(rows, cols int) *Graph { return fromCSR(TorusCSR(rows, cols)) }
 
-// Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes.
-func Hypercube(d int) *Graph {
-	if d < 1 || d > 24 {
-		panic(fmt.Sprintf("graph: Hypercube(%d) needs 1 <= d <= 24", d))
-	}
-	n := 1 << uint(d)
-	g := New(n)
-	for v := 0; v < n; v++ {
-		for b := 0; b < d; b++ {
-			u := v ^ (1 << uint(b))
-			if v < u {
-				g.AddEdge(v, u)
-			}
-		}
-	}
-	return g
-}
+// Hypercube returns the d-dimensional hypercube Q_d on 2^d nodes
+// (1 <= d <= 24), carved from HypercubeCSR.
+func Hypercube(d int) *Graph { return fromCSR(HypercubeCSR(d)) }
 
 // CompleteBipartite returns K_{a,b}: parts {0..a-1} and {a..a+b-1}.
 func CompleteBipartite(a, b int) *Graph {

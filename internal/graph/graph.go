@@ -8,7 +8,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // Graph is a simple undirected graph on nodes 0..Cap()-1. Nodes may be
@@ -21,8 +22,10 @@ type Graph struct {
 	// adj[v] lists the live neighbours of v in increasing order. Sorted
 	// slices make every traversal deterministic by construction (no map
 	// iteration anywhere on the simulation path) and keep membership
-	// tests O(log d) via binary search.
-	adj    [][]int
+	// tests O(log d) via binary search. Rows hold int32 IDs, as CSR
+	// snapshots do; a graph built by fromCSR carves them all out of one
+	// array.
+	adj    [][]int32
 	alive  []bool
 	nAlive int
 	mAlive int
@@ -36,12 +39,17 @@ type Graph struct {
 }
 
 // New returns a graph with n live nodes, numbered 0..n-1, and no edges.
+// It panics if n is negative or above math.MaxInt32, the largest node ID
+// a row or a CSR snapshot holds.
 func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: at most %d nodes, got %d", math.MaxInt32, n))
+	}
 	g := &Graph{
-		adj:    make([][]int, n),
+		adj:    make([][]int32, n),
 		alive:  make([]bool, n),
 		nAlive: n,
 	}
@@ -81,10 +89,10 @@ func (g *Graph) AddEdge(u, v int) {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with dead or out-of-range endpoint", u, v))
 	}
 	var inserted bool
-	if g.adj[u], inserted = insertSorted(g.adj[u], v); !inserted {
+	if g.adj[u], inserted = insertSorted(g.adj[u], int32(v)); !inserted {
 		return
 	}
-	g.adj[v], _ = insertSorted(g.adj[v], u)
+	g.adj[v], _ = insertSorted(g.adj[v], int32(u))
 	g.mAlive++
 	g.version++
 }
@@ -101,8 +109,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if !g.Alive(u) || !g.Alive(v) {
 		return false
 	}
-	i := sort.SearchInts(g.adj[u], v)
-	return i < len(g.adj[u]) && g.adj[u][i] == v
+	_, found := slices.BinarySearch(g.adj[u], int32(v))
+	return found
 }
 
 // RemoveEdge deletes the edge {u, v} if present, reporting whether an edge
@@ -111,8 +119,8 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	if !g.HasEdge(u, v) {
 		return false
 	}
-	g.adj[u] = removeSorted(g.adj[u], v)
-	g.adj[v] = removeSorted(g.adj[v], u)
+	g.adj[u] = removeSorted(g.adj[u], int32(v))
+	g.adj[v] = removeSorted(g.adj[v], int32(u))
 	g.mAlive--
 	g.version++
 	return true
@@ -125,7 +133,7 @@ func (g *Graph) RemoveNode(v int) bool {
 		return false
 	}
 	for _, u := range g.adj[v] {
-		g.adj[u] = removeSorted(g.adj[u], v)
+		g.adj[u] = removeSorted(g.adj[u], int32(v))
 		g.mAlive--
 	}
 	g.adj[v] = nil
@@ -162,7 +170,10 @@ func (g *Graph) SortedNeighbors(v int, buf []int) []int {
 	if !g.Alive(v) {
 		return buf
 	}
-	return append(buf, g.adj[v]...)
+	for _, u := range g.adj[v] {
+		buf = append(buf, int(u))
+	}
+	return buf
 }
 
 // Nodes appends the IDs of all live nodes, in increasing order, to buf.
@@ -198,8 +209,8 @@ func (g *Graph) Edges() []Edge {
 			continue
 		}
 		for _, u := range g.adj[v] {
-			if v < u {
-				es = append(es, Edge{v, u})
+			if v < int(u) {
+				es = append(es, Edge{v, int(u)})
 			}
 		}
 	}
@@ -209,7 +220,7 @@ func (g *Graph) Edges() []Edge {
 // Clone returns a deep copy, preserving dead nodes and the sealed flag.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		adj:    make([][]int, len(g.adj)),
+		adj:    make([][]int32, len(g.adj)),
 		alive:  make([]bool, len(g.alive)),
 		nAlive: g.nAlive,
 		mAlive: g.mAlive,
@@ -218,7 +229,7 @@ func (g *Graph) Clone() *Graph {
 	copy(c.alive, g.alive)
 	for v, ns := range g.adj {
 		if len(ns) > 0 {
-			c.adj[v] = append([]int(nil), ns...)
+			c.adj[v] = slices.Clone(ns)
 		}
 	}
 	return c
@@ -237,16 +248,16 @@ func (g *Graph) Validate() error {
 			if i > 0 && ns[i-1] >= u {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted at %d", v, u)
 			}
-			if u == v {
+			if int(u) == v {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
-			if u < 0 || u >= len(g.adj) {
+			if u < 0 || int(u) >= len(g.adj) {
 				return fmt.Errorf("graph: node %d adjacent to out-of-range %d", v, u)
 			}
 			if !g.alive[u] {
 				return fmt.Errorf("graph: live node %d adjacent to dead node %d", v, u)
 			}
-			if !g.HasEdge(u, v) {
+			if !g.HasEdge(int(u), v) {
 				return fmt.Errorf("graph: asymmetric edge (%d,%d)", v, u)
 			}
 			m2++
@@ -273,10 +284,12 @@ func (g *Graph) String() string {
 }
 
 // insertSorted inserts x into sorted slice ns, reporting whether it was
-// absent (and therefore inserted).
-func insertSorted(ns []int, x int) ([]int, bool) {
-	i := sort.SearchInts(ns, x)
-	if i < len(ns) && ns[i] == x {
+// absent (and therefore inserted). A row carved by fromCSR has its
+// capacity clipped at its own end, so a full row reallocates instead of
+// overwriting the next row.
+func insertSorted(ns []int32, x int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(ns, x)
+	if found {
 		return ns, false
 	}
 	ns = append(ns, 0)
@@ -285,10 +298,10 @@ func insertSorted(ns []int, x int) ([]int, bool) {
 	return ns, true
 }
 
-// removeSorted deletes x from sorted slice ns if present.
-func removeSorted(ns []int, x int) []int {
-	i := sort.SearchInts(ns, x)
-	if i >= len(ns) || ns[i] != x {
+// removeSorted deletes x from sorted slice ns if present, in place.
+func removeSorted(ns []int32, x int32) []int32 {
+	i, found := slices.BinarySearch(ns, x)
+	if !found {
 		return ns
 	}
 	return append(ns[:i], ns[i+1:]...)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,18 @@ func TestNewNegativePanics(t *testing.T) {
 		}
 	}()
 	New(-1)
+}
+
+// TestNewAboveInt32Panics: rows and snapshots hold int32 IDs, so New
+// refuses a node count above math.MaxInt32 before allocating anything.
+func TestNewAboveInt32Panics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(math.MaxInt32 + 1) should panic")
+		}
+	}()
+	n := int64(math.MaxInt32) + 1
+	New(int(n))
 }
 
 func TestAddEdgeBasics(t *testing.T) {

@@ -3,14 +3,12 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
-// The symmetry-replicated power-law graph, a heavy-hub topology. It
-// comes in two equivalent forms — a streaming CSR builder that never
-// materializes the mutable Graph (million-node runs) and a mutable twin
-// (fault injection needs RemoveNode/RemoveEdge) — pinned identical by
-// content-hash tests.
+// The symmetry-replicated power-law graph, a heavy-hub topology. PLawCSR
+// writes it as a CSR snapshot (million-node runs); PLaw carves the
+// mutable graph that fault injection edits out of that snapshot.
 
 // plawBase builds one preferential-attachment block: a path over the
 // first epn+1 seed nodes, then each node v attaches to epn distinct
@@ -55,7 +53,7 @@ func plawBase(block, epn int, seed int64) [][]int32 {
 		}
 	}
 	for _, row := range adj {
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 	}
 	return adj
 }
@@ -75,40 +73,19 @@ func plawRing(copies int) int {
 }
 
 // PLaw returns the symmetry-replicated power-law graph as a mutable
-// Graph: `copies` identical preferential-attachment blocks of `block`
-// nodes (copy c's node v has ID c*block + v), with the blocks' node-0
-// hubs connected in a ring so the graph is connected. Equivalent to
-// PLawCSR with the same parameters; use this form when fault injection
-// must mutate the topology.
+// Graph, carved from PLawCSR with the same parameters: use this form
+// when fault injection must mutate the topology.
 func PLaw(block, copies, epn int, seed int64) *Graph {
-	if copies < 1 {
-		panic(fmt.Sprintf("graph: PLaw needs copies >= 1, got %d", copies))
-	}
-	base := plawBase(block, epn, seed)
-	g := New(block * copies)
-	for c := 0; c < copies; c++ {
-		shift := c * block
-		for v, row := range base {
-			for _, u := range row {
-				if int32(v) < u {
-					g.AddEdge(shift+v, shift+int(u))
-				}
-			}
-		}
-	}
-	for c := 0; c+1 < copies; c++ {
-		g.AddEdge(c*block, (c+1)*block)
-	}
-	if copies >= 3 {
-		g.AddEdge(0, (copies-1)*block)
-	}
-	return g
+	return fromCSR(PLawCSR(block, copies, epn, seed))
 }
 
-// PLawCSR is the streaming twin of PLaw: it replicates the base block
-// straight into flat CSR arrays, so million-node power-law topologies
-// cost one small block's preferential-attachment run plus two array
-// fills. Bit-identical to PLaw(...).CSR() (content-hash-pinned by test).
+// PLawCSR returns the symmetry-replicated power-law graph as a CSR
+// snapshot: `copies` identical preferential-attachment blocks of `block`
+// nodes (copy c's node v has ID c*block + v), with the blocks' node-0
+// hubs connected in a ring so the graph is connected. It replicates the
+// base block straight into flat CSR arrays, so million-node power-law
+// topologies cost one small block's preferential-attachment run plus
+// two array fills.
 func PLawCSR(block, copies, epn int, seed int64) *CSR {
 	if copies < 1 {
 		panic(fmt.Sprintf("graph: PLawCSR needs copies >= 1, got %d", copies))

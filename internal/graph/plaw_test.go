@@ -16,11 +16,11 @@ func TestPLawCSRMatchesPLaw(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := PLaw(tc.block, tc.copies, tc.epn, tc.seed)
+			ref := plawByEdges(tc.block, tc.copies, tc.epn, tc.seed)
 			c := PLawCSR(tc.block, tc.copies, tc.epn, tc.seed)
-			assertCSRMatchesGraph(t, g, c)
-			if got, want := c.ContentHash(), g.CSR().ContentHash(); got != want {
-				t.Fatalf("PLawCSR hash %x, PLaw(...).CSR() hash %x", got, want)
+			assertGeneratorPair(t, c, PLaw(tc.block, tc.copies, tc.epn, tc.seed), ref)
+			if got, want := c.ContentHash(), ref.CSR().ContentHash(); got != want {
+				t.Fatalf("PLawCSR hash %x, edge-by-edge hash %x", got, want)
 			}
 		})
 	}
