@@ -7,7 +7,9 @@
 package repro
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algo/bfs"
@@ -363,9 +365,14 @@ func BenchmarkViewDenseVsMap(b *testing.B) {
 	})
 }
 
-// BenchmarkSyncRoundFrontier: steady-state probe rounds on a quiesced
-// diffusion — the frontier round only scans change flags, versus a full
-// view rebuild per node.
+// BenchmarkSyncRoundFrontier times frontier rounds two ways.
+//   - frontier and full re-probe a quiesced diffusion: the frontier round
+//     finds the change list empty and returns at once, versus a full
+//     view rebuild per node.
+//   - wave/... solve a wave to quiescence from its initial states with
+//     frontier rounds, at one and two workers, as the end-to-end
+//     shortest-path and BFS workloads do, at a smaller n. ns/node is the
+//     solve's time over the node count.
 func BenchmarkSyncRoundFrontier(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(2048, 0.004, rng)
@@ -389,4 +396,43 @@ func BenchmarkSyncRoundFrontier(b *testing.B) {
 			net.SyncRound()
 		}
 	})
+
+	const block, spCap = 16384, 127
+	plaw := graph.PLawCSR(block, 8, 4, 1)
+	benchWave(b, "wave/shortestpath/plaw", fssga.NewFromCSR(plaw, shortestpath.Auto(spCap),
+		func(v int) shortestpath.State {
+			if v%block == 0 { // one target per block copy
+				return shortestpath.State{InT: true}
+			}
+			return shortestpath.State{Label: spCap}
+		}, 1))
+
+	const side = 512
+	target := side/2*side + side/2 // node 0's antipode
+	benchWave(b, "wave/bfs/torus", fssga.NewFromCSR(graph.TorusCSR(side, side), bfs.Auto(),
+		func(v int) bfs.State {
+			return bfs.State{Originator: v == 0, Target: v == target, Label: bfs.NoLabel, Status: bfs.Waiting}
+		}, 1))
+}
+
+// benchWave runs the name/w=1 and name/w=2 sub-benchmarks: each solves
+// net to quiescence from its initial states with frontier rounds, and
+// reports the solve's ns per node.
+func benchWave[S comparable](b *testing.B, name string, net *fssga.Network[S]) {
+	start := slices.Clone(net.States())
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%s/w=%d", name, w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := net.RestoreStates(start, 0); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for net.SyncRoundParallelFrontier(w) {
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(start)), "ns/node")
+		})
+	}
 }

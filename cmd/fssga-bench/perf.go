@@ -215,8 +215,9 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 		benchRoundParallel(netPar, 8))
 
 	// 5. Frontier mode on a quiesced diffusion: re-probing a converged
-	// shortest-path grid is O(shards) flag scans for the parallel
-	// frontier round and O(n) for the serial one, versus a full view
+	// shortest-path grid is O(1) for the serial and the parallel
+	// frontier round alike (the change list is empty, so the round
+	// returns before it marks or steps anything), versus a full view
 	// rebuild for SyncRound.
 	mkQuiesced := func() *fssga.Network[shortestpath.State] {
 		net, err := shortestpath.NewNetwork(graph.Grid(48, 48), []int{0}, 2304, seed)

@@ -2,6 +2,7 @@ package fssga
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,8 +153,8 @@ func TestFrontierInvalidatedBySetState(t *testing.T) {
 }
 
 func TestFrontierInvalidatedByFullRound(t *testing.T) {
-	// Interleaving full rounds (which do no frontier bookkeeping) with
-	// frontier rounds must not lose updates.
+	// Interleaving full rounds (which keep the change list but derive no
+	// work set from it) with frontier rounds must not lose updates.
 	g := graph.Path(8)
 	a := newMaxNet(g.Clone(), 1)
 	b := newMaxNet(g.Clone(), 1)
@@ -165,5 +166,110 @@ func TestFrontierInvalidatedByFullRound(t *testing.T) {
 		if a.State(v) != b.State(v) {
 			t.Fatalf("state[%d]: mixed=%d pure=%d", v, a.State(v), b.State(v))
 		}
+	}
+}
+
+// changeList flattens the network's last committed change list.
+func changeList[S comparable](net *Network[S]) []int32 {
+	var vs []int32
+	for _, buf := range net.changes {
+		for _, ch := range buf {
+			vs = append(vs, ch.v)
+		}
+	}
+	return vs
+}
+
+// closedNeighbourhood is the brute-force frontier of a change list on c:
+// every listed node and each of its neighbours, sorted and deduplicated.
+func closedNeighbourhood(c *graph.CSR, changed []int32) []int32 {
+	var vs []int32
+	for _, v := range changed {
+		vs = append(vs, v)
+		vs = append(vs, c.Neighbors(int(v))...)
+	}
+	slices.Sort(vs)
+	return slices.Compact(vs)
+}
+
+// TestFrontierWorkSetIsClosedNeighbourhood pins the frontier contract on
+// random graphs under an edge-fault schedule, at one and two workers.
+// After every frontier round that derived its work set from a change
+// list, the work set is that list's closed neighbourhood in strictly
+// increasing node order; after every round, every word of the bitset is
+// zero and the committed change list ascends.
+func TestFrontierWorkSetIsClosedNeighbourhood(t *testing.T) {
+	testutil.NoLeak(t)
+	const n, labelCap = 300, 24
+	init := func(v int) int {
+		if v == 0 {
+			return 0
+		}
+		return labelCap
+	}
+	prop := func(seed int64) bool {
+		g := graph.RandomConnectedGNP(n, 0.025, rand.New(rand.NewSource(seed)))
+		for _, workers := range []int{1, 2} {
+			net := New[int](g.Clone(), minPlusAutomaton{cap: labelCap}, init, seed)
+			faults := rand.New(rand.NewSource(seed))
+			derivedRounds := 0
+			for r := 1; r <= 48; r++ {
+				if r%6 == 0 {
+					// Cut one edge at a random node: labels may rise
+					// behind it, and the next round steps every node.
+					u := faults.Intn(n)
+					if nbrs := net.G.SortedNeighbors(u, nil); len(nbrs) > 0 {
+						net.G.RemoveEdge(u, nbrs[faults.Intn(len(nbrs))])
+					}
+				}
+				c := net.topo()
+				derived := net.changedOn == c
+				want := closedNeighbourhood(c, changeList(net))
+				net.mustRound(workers, true)
+				if derived {
+					derivedRounds++
+					if !slices.Equal(net.work, want) {
+						t.Errorf("seed %d w=%d round %d: work set %v, want the closed neighbourhood %v",
+							seed, workers, r, net.work, want)
+						return false
+					}
+					for i := 1; i < len(net.work); i++ {
+						if net.work[i-1] >= net.work[i] {
+							t.Errorf("seed %d w=%d round %d: work set not strictly increasing at %d: %d, %d",
+								seed, workers, r, i, net.work[i-1], net.work[i])
+							return false
+						}
+					}
+				}
+				for i, w := range net.front.words {
+					if w != 0 {
+						t.Errorf("seed %d w=%d round %d: bitset word %d is %#x between rounds", seed, workers, r, i, w)
+						return false
+					}
+				}
+				for i, w := range net.front.summary {
+					if w != 0 {
+						t.Errorf("seed %d w=%d round %d: summary word %d is %#x between rounds", seed, workers, r, i, w)
+						return false
+					}
+				}
+				changed := changeList(net)
+				for i := 1; i < len(changed); i++ {
+					if changed[i-1] >= changed[i] {
+						t.Errorf("seed %d w=%d round %d: change list not ascending at %d: %d, %d",
+							seed, workers, r, i, changed[i-1], changed[i])
+						return false
+					}
+				}
+			}
+			if derivedRounds == 0 {
+				t.Errorf("seed %d w=%d: no round derived its work set from a change list", seed, workers)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, testutil.QuickN(t, 126, 12)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -58,15 +58,16 @@ type Network[S comparable] struct {
 	roundActive atomic.Bool
 
 	// Round kernel state (see round.go). changes is the last round's
-	// change list, one buffer per chunk in chunk order; changedOn is the
-	// snapshot it was committed on, nil after an out-of-band state change,
-	// which makes the next frontier round step every node. work and mark
-	// are the frontier work set derived from the list and its dedupe
-	// marks (all false between rounds).
+	// change list, one buffer per chunk in chunk order, which is
+	// ascending node order; changedOn is the snapshot it was committed
+	// on, nil after an out-of-band state change, which makes the next
+	// frontier round step every node. front is the bitset the frontier
+	// is marked in (every word zero between rounds), and work the work
+	// set drained from it in ascending node order.
 	changes   [][]change[S]
 	changedOn *graph.CSR
+	front     nodeSet
 	work      []int32
-	mark      []bool
 
 	// Rounds counts completed synchronous rounds; Activations counts
 	// single-node asynchronous activations. Their sum is the epoch of

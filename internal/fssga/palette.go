@@ -11,8 +11,9 @@ import "math/rand"
 //
 // Ids never depend on the worker count. Pool workers only look a
 // successor up in the palette, which is frozen for the round; a miss
-// records -1, and commit interns the misses in change-list order. For
-// each id the palette counts the nodes that name it. New and
+// records -1, and commit interns the misses in change-list order, which
+// is ascending node order in every round. For each id the palette
+// counts the nodes that name it. New and
 // RestoreStates only mark the ids stale, and the next round, Activate
 // or Quiescent renumbers the palette from the node states (sync). It
 // does the same once the palette holds more than twice its live ids

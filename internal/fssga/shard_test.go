@@ -286,6 +286,43 @@ func TestPoolRoundAllocs(t *testing.T) {
 			}
 		}
 	}
+	// A BFS-style wave from node 0: each frontier is a thin band, far
+	// below n. The first pass grows the bitset, the work list and every
+	// chunk buffer to what each of its rounds needs; the second replays
+	// the same rounds from the same states, so its steady frontier rounds
+	// allocate nothing, inline (w=1) or on the pool (w=2).
+	const warm, runs, far = 64, 10, 1 << 20
+	c := graph.TorusCSR(256, 256)
+	wave := func(v int) int {
+		if v == 0 {
+			return 0
+		}
+		return far
+	}
+	for _, workers := range []int{1, 2} {
+		net := NewFromCSR[int](c, minPlusAutomaton{cap: far}, wave, 1)
+		start := append([]int(nil), net.States()...)
+		round := func() {
+			if !net.mustRound(workers, true) {
+				t.Fatal("the wave quiesced early")
+			}
+		}
+		for r := 0; r < warm+runs+1; r++ { // AllocsPerRun calls round runs+1 times
+			round()
+		}
+		if err := net.RestoreStates(start, 0); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < warm; r++ {
+			round()
+		}
+		if got := testing.AllocsPerRun(runs, round); got != 0 {
+			t.Errorf("wave on n=%d w=%d: %.1f allocs per frontier round, want 0", c.Cap(), workers, got)
+		}
+		if len(net.work) >= c.Cap()/16 {
+			t.Errorf("wave on n=%d w=%d: work set of %d nodes is not sparse", c.Cap(), workers, len(net.work))
+		}
+	}
 }
 
 // TestHookKillDuringParallelRound: an OnBeforeRound kill is observed by
