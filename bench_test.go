@@ -254,6 +254,11 @@ func BenchmarkSensitivity(b *testing.B) {
 // BenchmarkSyncRoundWorkers is ablation 2 of DESIGN.md: one synchronous
 // round, serial vs goroutine-parallel, which must agree bit-for-bit while
 // exposing the parallel speedup on large graphs.
+//
+// The election/grid32 series is the round of the end-to-end benchmark's
+// election-grid workload: every one of 1,024 nodes steps every round, so
+// at w = 2 a round of about 200 µs carries the pool's hand-off to its
+// helper and the barrier behind it, and us/round shows what they cost.
 func BenchmarkSyncRoundWorkers(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(4096, 0.002, rng)
@@ -268,6 +273,19 @@ func BenchmarkSyncRoundWorkers(b *testing.B) {
 			}
 		})
 	}
+	b.Run("election/grid32", func(b *testing.B) {
+		for _, workers := range []int{1, 2} {
+			b.Run(itoa(workers), func(b *testing.B) {
+				b.ReportAllocs()
+				net := election.New(graph.Grid(32, 32), 1).Net
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					net.SyncRoundParallel(workers)
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/round")
+			})
+		}
+	})
 }
 
 func itoa(n int) string {

@@ -69,7 +69,7 @@ func TestConcStaticDominatesDynamic(t *testing.T) {
 		return // a red static gate already falsifies dominance
 	}
 
-	// Dynamic half: touch the proven spawn sites. The shard-pool workers
+	// Dynamic half: touch the proven spawn sites. The shard-pool helpers
 	// spawn on the first parallel round; a round asking for more workers
 	// replaces the pool, stopping the first generation; dropping the
 	// network lets its runtime cleanup stop the second; the chaos run

@@ -3,7 +3,6 @@ package fssga
 import (
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -15,13 +14,17 @@ import (
 // (Pritchard's divide-and-conquer observation for symmetric FSAs:
 // order-invariant folds partition over disjoint node sets with no
 // cross-worker coordination) — so a round's work set is cut into
-// contiguous chunks that a persistent worker pool claims off an atomic
-// cursor:
+// contiguous chunks that the pool's workers claim off an atomic cursor:
 //
 //   - each chunk appends its changes to its own buffer, so workers share
 //     nothing but the read-only snapshot;
-//   - the pool's goroutines persist across rounds, parked on cheap
-//     per-worker wake channels — no per-round goroutine spawning;
+//   - the round owner, the goroutine that called the round, is worker 0
+//     and steps chunks too, so a w-worker pool runs only w − 1 helper
+//     goroutines, and no goroutine is spawned per round;
+//   - a helper that finishes a round polls for the next one for a short,
+//     bounded spin before it parks on its wake channel, and the owner
+//     waits on an atomic count of the helpers still in the round, so
+//     back-to-back rounds wake no parked goroutine;
 //   - work stealing over ~8 chunks per worker absorbs degree skew
 //     without changing results: whichever worker claims a chunk, the
 //     per-step streams (rng.go) and the snapshot make the outcome
@@ -36,6 +39,14 @@ const (
 	// work stealing can rebalance uneven chunks (degree skew, dead
 	// regions, hubs).
 	shardsPerWorker = 8
+	// helperSpin is how many times a helper polls for the next round,
+	// yielding the processor between polls, before it parks. It is
+	// counted in polls, not wall time, and must outlast the serial gap
+	// between two rounds (the commit and the caller's stop check, about
+	// 15–20 µs): 512 yields take 70–100 µs on a 2-CPU host, while 64
+	// ran no faster than parking at once (EXPERIMENTS.md, "Two-worker
+	// rounds without a thread wake").
+	helperSpin = 512
 )
 
 // shardSpan returns the chunk length for a work set of n positions and
@@ -50,24 +61,28 @@ func shardSpan(n, workers int) int {
 	return span
 }
 
-// shardPool is a persistent set of worker goroutines executing one
-// round body at a time. Workers park on per-worker wake channels
-// between rounds; round() publishes the body, wakes everyone, and waits
-// for completion. The pool is created lazily by the first multi-chunk
+// shardPool executes one round body at a time on workers workers: the
+// round owner as worker 0 and helper goroutines numbered 1 to
+// workers − 1. round() publishes the body by bumping the round
+// generation and offering each helper a wake token, steps the owner's
+// share, and waits until no helper is still in the body. Between rounds
+// a helper spins on the generation (helperSpin polls), then parks on its
+// wake channel. The pool is created lazily by the first multi-chunk
 // round, grows if a later round asks for more workers, and lives as long
-// as its network (ensurePool). Only the round owner touches it, and
+// as its network (ensurePool). Only the round owner calls round(), and
 // roundActive admits one owner at a time.
 //
-// The pool is panic-safe: a body panic is recovered in the worker (the
-// goroutine survives and keeps serving rounds), the first panic of a
-// round is recorded, and round() reports it to the supervisor
+// The pool is panic-safe: a body panic is recovered in the share that
+// raised it (a helper survives and keeps serving rounds), the first
+// panic of a round is recorded, and round() reports it to the supervisor
 // (supervisor.go), which discards and retries the round.
 type shardPool struct {
-	workers int
-	wake    []chan struct{}
+	workers int             // round participants, the owner included
+	wake    []chan struct{} // one per helper: wake[i] is worker i+1's
 	stop    chan struct{}
-	wg      sync.WaitGroup
-	cursor  atomic.Int64 // next chunk index to claim
+	gen     atomic.Uint64 // round generation: bumped once per published round
+	busy    atomic.Int32  // helpers still in the current round's body
+	cursor  atomic.Int64  // next chunk index to claim
 	body    func(pool *shardPool, worker int)
 	perr    atomic.Pointer[workerPanic] // first panic of the current round
 }
@@ -80,39 +95,58 @@ type workerPanic struct {
 }
 
 // wakeChanCap is the wake-channel buffer: one slot, so the round owner
-// can hand a worker its token without a rendezvous. A worker always
-// drains its token before wg.Done, and round() waits for every worker
-// before it returns, so at most one token is ever outstanding per
-// worker — the buffer can never be full when round() offers the next one.
+// can hand a helper its token without a rendezvous. A helper that caught
+// a round by spinning leaves that round's token in the buffer, so the
+// owner may find it full when it offers the next one; dropping the new
+// token is then correct, because the helper drains the old one and
+// re-checks the generation before it parks again.
 const wakeChanCap = 1
 
 func newShardPool(workers int) *shardPool {
 	p := &shardPool{
 		workers: workers,
-		wake:    make([]chan struct{}, workers),
+		wake:    make([]chan struct{}, workers-1),
 		stop:    make(chan struct{}),
 	}
-	for w := range p.wake {
-		ch := make(chan struct{}, wakeChanCap)
-		p.wake[w] = ch
-		go func(id int) {
-			for {
-				select {
-				case <-p.stop:
-					return
-				case <-ch:
-					p.runBody(id)
-				}
-			}
-		}(w)
+	for i := range p.wake {
+		p.wake[i] = make(chan struct{}, wakeChanCap)
+		go p.help(i + 1)
 	}
 	return p
 }
 
-// runBody executes the published round body for one worker, converting
-// a panic into a recorded workerPanic. wg.Done always runs, so round()
-// never deadlocks on a panicking body.
-func (p *shardPool) runBody(id int) {
+// help is helper id's loop. It runs every round the generation
+// publishes, exactly once: the owner publishes the next round only after
+// this helper has left the body of the last one. After a round it polls
+// the generation for helperSpin polls, yielding between them, and then
+// parks. Any token it wakes on, fresh or stale, sends it back to the
+// generation check, so a round published while it parked is never
+// missed: the owner bumps the generation before it offers the token.
+func (p *shardPool) help(id int) {
+	wake := p.wake[id-1]
+	var seen uint64 // the last generation this helper ran
+	for {
+		if g := p.gen.Load(); g != seen {
+			seen = g
+			p.share(id)
+			p.busy.Add(-1)
+			for i := 0; i < helperSpin && p.gen.Load() == seen; i++ {
+				runtime.Gosched()
+			}
+			continue
+		}
+		select {
+		case <-p.stop:
+			return
+		case <-wake:
+		}
+	}
+}
+
+// share runs the published round body as worker id, converting a panic
+// into a recorded workerPanic, so that the caller always goes on to the
+// barrier.
+func (p *shardPool) share(id int) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.perr.CompareAndSwap(nil, &workerPanic{
@@ -121,40 +155,40 @@ func (p *shardPool) runBody(id int) {
 				stack:  string(debug.Stack()),
 			})
 		}
-		p.wg.Done()
 	}()
 	p.body(p, id)
 }
 
-// round runs body(pool, worker) on every pool worker and blocks until
-// all return. It returns the first recovered worker panic, nil for a
-// clean round. The body and the panic are dropped afterwards: the pool
-// is reachable from its network's cleanup, so anything it kept that
-// points back into the network would keep the network alive for good.
+// round runs body(pool, worker) on every pool worker, the caller as
+// worker 0, and returns once all are done. It returns the first
+// recovered panic, nil for a clean round. The body and the panic are
+// dropped afterwards: the pool is reachable from its network's cleanup,
+// so anything it kept that points back into the network would keep the
+// network alive for good.
 func (p *shardPool) round(body func(pool *shardPool, worker int)) *workerPanic {
 	p.body = body
-	p.wg.Add(p.workers)
+	p.busy.Store(int32(len(p.wake)))
+	p.gen.Add(1) // publishes the body, the cursor and the count
 	for _, ch := range p.wake {
-		// Non-blocking by construction: the previous round's wg.Wait
-		// proved every worker consumed its token, so the 1-slot buffer is
-		// empty and the default branch is unreachable. Keeping the select
-		// makes that a checkable fact (chanprotocol) instead of an
-		// argument in a comment: the round owner can never park on a
-		// worker's wake channel.
+		// A spinning helper sees the generation without the token, and
+		// its buffer may still hold the token of a round it caught that
+		// way; the default branch drops the new token then. The select
+		// keeps the send non-blocking as a checkable fact (chanprotocol):
+		// the round owner can never park on a helper's wake channel.
 		select {
 		case ch <- struct{}{}:
 		default:
-			// A full buffer would mean a wake we issued was never consumed;
-			// the worker already has its token, so dropping this one is
-			// correct as well as impossible.
 		}
 	}
-	p.wg.Wait()
+	p.share(0)
+	for p.busy.Load() != 0 {
+		runtime.Gosched()
+	}
 	p.body = nil
 	return p.perr.Swap(nil)
 }
 
-// close stops the worker goroutines. It runs once per pool: from the
+// close stops the helper goroutines. It runs once per pool: from the
 // network's cleanup, or from ensurePool when a bigger pool replaces it.
 func (p *shardPool) close() { close(p.stop) }
 

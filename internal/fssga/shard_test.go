@@ -3,8 +3,11 @@ package fssga
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"weak"
 
 	"repro/internal/graph"
@@ -205,7 +208,8 @@ func TestParallelFrontierAfterOutOfBandChange(t *testing.T) {
 
 // TestPoolLifecycle: the first multi-chunk round starts the pool, a
 // round asking for more workers grows it, and one asking for fewer
-// reuses it.
+// reuses it. A w-worker pool runs w − 1 helpers, because the round owner
+// is worker 0; a replaced pool's helpers exit.
 func TestPoolLifecycle(t *testing.T) {
 	testutil.NoLeak(t)
 	net := newMaxNet(graph.Cycle(500), 1)
@@ -213,16 +217,110 @@ func TestPoolLifecycle(t *testing.T) {
 	if net.pool == nil || net.pool.workers != 2 {
 		t.Fatalf("pool workers = %v", net.pool)
 	}
+	wantHelpers(t, net.pool)
 	first := net.pool
 	net.SyncRoundParallel(4) // grow
 	if net.pool == first || net.pool.workers != 4 {
 		t.Fatal("pool did not grow for more workers")
 	}
+	wantHelpers(t, net.pool)
 	grown := net.pool
 	net.SyncRoundParallel(3) // shrink request reuses the bigger pool
 	if net.pool != grown {
 		t.Fatal("pool should be reused for fewer workers")
 	}
+	wantHelpers(t, net.pool)
+	runtime.KeepAlive(net) // a collected network's cleanup would stop the helpers being counted
+}
+
+// wantHelpers fails the test unless pool has one wake channel per helper
+// and the calling goroutine's live pool helpers are exactly its
+// workers − 1. A replaced pool's helpers exit once they see its stop
+// channel, so the count is polled for a bounded number of quanta.
+func wantHelpers(t *testing.T, pool *shardPool) {
+	t.Helper()
+	if len(pool.wake) != pool.workers-1 {
+		t.Fatalf("%d-worker pool has %d wake channels, want %d", pool.workers, len(pool.wake), pool.workers-1)
+	}
+	var live []string
+	for try := 0; try < poolQuanta; try++ {
+		if live = poolHelpers(); len(live) == pool.workers-1 {
+			return
+		}
+		time.Sleep(poolQuantum)
+	}
+	t.Fatalf("%d-worker pool: %d live helpers, want %d:\n\n%s",
+		pool.workers, len(live), pool.workers-1, strings.Join(live, "\n\n"))
+}
+
+const (
+	// poolQuanta and poolQuantum bound how long a test waits for pool
+	// helpers to settle: to exit after a stop, or to park after a spin.
+	poolQuanta  = 100
+	poolQuantum = 10 * time.Millisecond
+)
+
+// poolHelpers returns the stacks of the live pool helpers that the
+// calling goroutine started, so that pools of other tests' networks,
+// which linger until a GC, do not count.
+func poolHelpers() []string {
+	buf := make([]byte, 1<<20)
+	self := strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+	created := "created by repro/internal/fssga.newShardPool in goroutine " + self + "\n"
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	var helpers []string
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "fssga.(*shardPool).help(") && strings.Contains(g, created) {
+			helpers = append(helpers, g)
+		}
+	}
+	return helpers
+}
+
+// spinning reports whether a goroutine stack's header ("goroutine 7
+// [select]:") shows anything but a goroutine blocked in a select, as a
+// helper parked on its wake channel is. A spinning helper reads
+// runnable or running.
+func spinning(stack string) bool {
+	header, _, _ := strings.Cut(stack, "\n")
+	return !strings.Contains(header, "[select")
+}
+
+// TestIdlePoolParks: once rounds stop, every pool helper parks in its
+// wake select. A helper spins for the next round for helperSpin polls
+// after each round; one whose spin never ended would burn a processor
+// for as long as its network sits idle.
+func TestIdlePoolParks(t *testing.T) {
+	testutil.NoLeak(t)
+	var nets []*Network[int]
+	want := 0
+	for _, workers := range []int{2, 4} {
+		net := newMaxNet(graph.Cycle(supN), 1)
+		net.SyncRoundParallel(workers)
+		nets = append(nets, net)
+		want += workers - 1
+	}
+	var helpers []string
+	for try := 0; try < poolQuanta; try++ {
+		time.Sleep(poolQuantum) // far past a spin of helperSpin yields
+		helpers = poolHelpers()
+		if len(helpers) == want && !slices.ContainsFunc(helpers, spinning) {
+			break
+		}
+	}
+	if len(helpers) != want {
+		t.Fatalf("%d live helpers, want %d", len(helpers), want)
+	}
+	for _, h := range helpers {
+		if spinning(h) {
+			t.Errorf("an idle pool's helper is not parked in its wake select:\n\n%s", h)
+		}
+	}
+	runtime.KeepAlive(nets)
 }
 
 // TestDroppedNetworkIsCollected: a network that ran a parallel round is

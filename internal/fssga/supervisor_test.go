@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +127,57 @@ func TestSupervisedFrontierRecoversPanic(t *testing.T) {
 	}
 }
 
+// panicShare is panicMax that also counts, per injected panic, whether
+// a pool helper or the round owner raised it.
+type panicShare struct {
+	budget            *atomic.Int64
+	onOwner, onHelper *atomic.Int64
+}
+
+func (p panicShare) Step(self int, view *View[int], rnd *rand.Rand) int {
+	if p.budget.Add(-1) >= 0 {
+		if strings.Contains(string(debug.Stack()), "fssga.(*shardPool).help(") {
+			p.onHelper.Add(1)
+		} else {
+			p.onOwner.Add(1)
+		}
+		panic("injected worker panic")
+	}
+	return maxAutomaton{}.Step(self, view, rnd)
+}
+
+// TestSupervisedOwnerAndHelperPanic: at w = 2 the round owner steps its
+// share as worker 0 beside one helper. A share stops at its first panic,
+// so a budget of two panics makes the owner's share and the helper's
+// share both panic in the same attempt. The retry must still reach the
+// serial reference states, and the helper must survive to serve the
+// rounds after it.
+func TestSupervisedOwnerAndHelperPanic(t *testing.T) {
+	testutil.NoLeak(t)
+	var budget, onOwner, onHelper atomic.Int64
+	budget.Store(-1) // disarmed
+	g := graph.Cycle(supN)
+	net := New[int](g.Clone(), panicShare{&budget, &onOwner, &onHelper}, func(v int) int { return v }, 1)
+	ref := newMaxNet(g.Clone(), 1)
+
+	for r := 0; r < 6; r++ {
+		if r == 2 {
+			budget.Store(2) // next round: the first two Steps panic
+		}
+		net.SyncRoundParallel(2)
+		ref.SyncRound()
+		if !reflect.DeepEqual(net.States(), ref.States()) {
+			t.Fatalf("round %d diverged after supervised retry", r+1)
+		}
+	}
+	if net.Rounds != 6 {
+		t.Fatalf("Rounds = %d, want 6", net.Rounds)
+	}
+	if onOwner.Load() != 1 || onHelper.Load() != 1 {
+		t.Fatalf("panics: %d on the owner, %d on the helper; want 1 and 1", onOwner.Load(), onHelper.Load())
+	}
+}
+
 // TestSupervisedExhaustionStructuredError: a persistent panic surfaces
 // as *PanicError after maxRoundAttempts, with the network left exactly
 // on its committed pre-round state — counter and states.
@@ -140,7 +193,7 @@ func TestSupervisedExhaustionStructuredError(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %v", err)
 	}
-	if pe.Round != 1 || pe.Attempts != maxRoundAttempts {
+	if pe.Round != 1 || pe.Attempts != maxRoundAttempts || pe.Worker < 0 || pe.Worker >= 4 {
 		t.Fatalf("PanicError = %+v", pe)
 	}
 	if pe.Stack == "" || pe.Value == nil {

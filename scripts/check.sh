@@ -39,8 +39,8 @@ go run ./cmd/fssga-bench -perfgate
 echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings)"
 go test -race -cpu 1,2 ./internal/fssga/...
 
-echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette, the ids and the frontier work set that every pool worker reads)"
-go test -race -cpu 2 -count=10 -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier)$' ./internal/fssga/
+echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette, the ids and the frontier work set that every pool worker reads, and meets its helpers at an atomic barrier, panicking or not)"
+go test -race -cpu 2 -count=10 -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier|TestPoolLifecycle|TestSupervised.*|TestConcurrentRoundsGetDefinedError|TestDeterminismAcrossWorkerCountsWithFaults)$' ./internal/fssga/
 
 echo "== go test -race -cpu 1,2 ./internal/algo/..."
 go test -race -cpu 1,2 ./internal/algo/...
