@@ -19,9 +19,9 @@ cover:
 
 # Determinism, symmetry, model-contract, hot-path and concurrency
 # static analyzers (internal/analysis) via the fssga-vet multichecker,
-# 13 in all: detrand, maporder, viewpure, seedplumb, globalwrite,
-# symcontract, finstate, hotalloc, shardsafe, goroleak, chanprotocol,
-# lockorder, atomicmix. Exit 1 on any finding not carrying an audited
+# 12 in all: detrand, maporder, viewpure, seedplumb, globalwrite,
+# symcontract, finstate, hotalloc, shardsafe, chanprotocol, lockorder,
+# atomicmix. Exit 1 on any finding not carrying an audited
 # //fssga:nondet, //fssga:alloc or //fssga:conc directive.
 lint:
 	$(GO) run ./cmd/fssga-vet repro/...

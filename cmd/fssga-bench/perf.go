@@ -22,9 +22,9 @@ import (
 )
 
 // The -perf suite measures the execution engine itself — synchronous-round
-// throughput and allocation behaviour across view lookups (dense slot
-// vectors vs maps), worker counts on the sharded
-// pool, and the frontier round modes — and writes the series to a
+// throughput and allocation behaviour on the one palette view path (the
+// "dense" and "map" in series names are historical), worker counts on
+// the sharded pool, and the frontier round modes — and writes the series to a
 // BENCH_*.json report plus a headline subset appended to the trajectory
 // file, so the perf history is recorded per PR alongside the experiment
 // tables. scripts/check.sh guards the headline series against the
@@ -205,8 +205,8 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 	}
 
 	// 4. The million-node lattice: a 1024x1024 torus, streaming-generated
-	// CSR (the map-backed graph.Graph is never materialised), serial and
-	// at the full worker complement.
+	// CSR (the mutable graph.Graph is never built), serial and at the
+	// full worker complement.
 	c1m := graph.TorusCSR(1024, 1024)
 	netSerial := fssga.NewFromCSR[int](c1m, lattice{latticeK}, init, seed)
 	serial("SyncRound/lattice/dense/n=1048576", benchRound(netSerial))

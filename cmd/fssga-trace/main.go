@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"repro/internal/algo/randomwalk"
 	"repro/internal/algo/shortestpath"
@@ -24,40 +26,60 @@ import (
 )
 
 func main() {
-	algo := flag.String("algo", "twocolor", "algorithm: twocolor, randomwalk, shortestpath")
-	gname := flag.String("graph", "path", "topology: path, cycle, grid, star")
-	n := flag.Int("n", 8, "node count")
-	rounds := flag.Int("rounds", 0, "rounds to trace (0 = until quiescent, capped)")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	g, err := buildGraph(*gname, *n)
+// run parses args, writes the trace table to stdout and returns the exit
+// status: 0 on success, 1 when the graph or the algorithm cannot be
+// built or rendered, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fssga-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algo := fs.String("algo", "twocolor", "algorithm: twocolor, randomwalk, shortestpath")
+	gname := fs.String("graph", "path", "topology: "+strings.Join(graph.GeneratorNames, ", "))
+	n := fs.Int("n", 8, "node count")
+	rounds := fs.Int("rounds", 0, "rounds to trace (0 = until quiescent, capped)")
+	seed := fs.Int64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := render(stdout, *algo, *gname, *n, *rounds, *seed); err != nil {
+		fmt.Fprintln(stderr, "fssga-trace:", err)
+		return 1
+	}
+	return 0
+}
+
+// render builds the named topology, runs the algorithm on it and writes
+// the round-by-round table.
+func render(w io.Writer, algo, gname string, n, rounds int, seed int64) error {
+	g, err := graph.Build(gname, n, seed)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	cap := *rounds
-	if cap == 0 {
-		cap = 6 * g.NumNodes()
+	limit := rounds
+	if limit == 0 {
+		limit = 6 * g.NumNodes()
 	}
 
-	switch *algo {
+	switch algo {
 	case "twocolor":
-		net := twocolor.NewNetwork(g, 0, *seed)
-		h := trace.RecordUntil(net, cap, func(nt *fssga.Network[twocolor.State]) bool {
+		net := twocolor.NewNetwork(g, 0, seed)
+		h := trace.RecordUntil(net, limit, func(nt *fssga.Network[twocolor.State]) bool {
 			return nt.Quiescent()
 		})
-		err = h.Render(os.Stdout, func(s twocolor.State) string {
+		return h.Render(w, func(s twocolor.State) string {
 			return map[twocolor.State]string{
 				twocolor.Blank: ".", twocolor.Red: "R", twocolor.Blue: "B", twocolor.Failed: "X",
 			}[s]
 		})
 	case "randomwalk":
-		tr, werr := randomwalk.New(g, 0, *seed)
-		if werr != nil {
-			fail(werr)
+		tr, err := randomwalk.New(g, 0, seed)
+		if err != nil {
+			return err
 		}
-		h := trace.Record(tr.Net, cap)
-		err = h.Render(os.Stdout, func(s randomwalk.State) string {
+		h := trace.Record(tr.Net, limit)
+		return h.Render(w, func(s randomwalk.State) string {
 			return map[randomwalk.State]string{
 				randomwalk.Blank: ".", randomwalk.Heads: "h", randomwalk.Tails: "t",
 				randomwalk.Eliminated: "x", randomwalk.Flip: "F", randomwalk.Waiting: "W",
@@ -65,47 +87,20 @@ func main() {
 			}[s]
 		})
 	case "shortestpath":
-		net, werr := shortestpath.NewNetwork(g, []int{0}, g.NumNodes(), *seed)
-		if werr != nil {
-			fail(werr)
+		net, err := shortestpath.NewNetwork(g, []int{0}, g.NumNodes(), seed)
+		if err != nil {
+			return err
 		}
-		h := trace.RecordUntil(net, cap, func(nt *fssga.Network[shortestpath.State]) bool {
+		h := trace.RecordUntil(net, limit, func(nt *fssga.Network[shortestpath.State]) bool {
 			return nt.Quiescent()
 		})
-		err = h.Render(os.Stdout, func(s shortestpath.State) string {
+		return h.Render(w, func(s shortestpath.State) string {
 			if s.Label >= g.NumNodes() {
 				return "-"
 			}
 			return strconv.Itoa(s.Label)
 		})
 	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algo))
+		return fmt.Errorf("unknown algorithm %q", algo)
 	}
-	if err != nil {
-		fail(err)
-	}
-}
-
-func buildGraph(name string, n int) (*graph.Graph, error) {
-	switch name {
-	case "path":
-		return graph.Path(n), nil
-	case "cycle":
-		return graph.Cycle(n), nil
-	case "grid":
-		s := 1
-		for (s+1)*(s+1) <= n {
-			s++
-		}
-		return graph.Grid(s, s), nil
-	case "star":
-		return graph.Star(n), nil
-	default:
-		return nil, fmt.Errorf("unknown graph %q", name)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "fssga-trace:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,7 @@
-// Command fssga-vet runs the repository's 13 determinism, symmetry,
+// Command fssga-vet runs the repository's 12 determinism, symmetry,
 // hot-path and concurrency analyzers (detrand, maporder, viewpure,
 // seedplumb, globalwrite, symcontract, finstate, hotalloc, shardsafe,
-// goroleak, chanprotocol, lockorder, atomicmix) over Go packages, and
+// chanprotocol, lockorder, atomicmix) over Go packages, and
 // reports the inferred mod-thresh footprints (-contracts). It has two
 // modes:
 //
@@ -25,7 +25,8 @@
 // Exit status: 0 when clean, 1 when the analyzers report findings (or
 // -audit finds a stale directive or a suppression count above its
 // -ratchet ceiling), 2 when loading or type-checking fails — including
-// patterns that match no packages.
+// patterns that match no packages — or when the -ratchet file cannot be
+// read or has a bad line.
 package main
 
 import (
@@ -80,12 +81,17 @@ func emitJSON(stdout, stderr io.Writer, v any) int {
 // with suppressions must have a ceiling — an unlisted analyzer's ceiling
 // is zero — so a new suppression always needs an explicit, reviewable
 // ceiling bump. Counts below a ceiling are reported as a reminder to
-// ratchet it down; only counts above one fail.
+// ratchet it down; only counts above one fail. A line naming an analyzer
+// the suite does not have is a bad line: its ceiling guards nothing.
 func checkRatchet(path string, counts map[string]int, stderr io.Writer) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: reading suppression ratchet: %v\n", progName, err)
 		return 2
+	}
+	known := make(map[string]bool)
+	for _, a := range analysis.All() {
+		known[a.Name] = true
 	}
 	ceilings := make(map[string]int)
 	for i, line := range strings.Split(string(data), "\n") {
@@ -101,6 +107,10 @@ func checkRatchet(path string, counts map[string]int, stderr io.Writer) int {
 		}
 		if _, err := fmt.Sscanf(fields[1], "%d", &n); err != nil || n < 0 {
 			fmt.Fprintf(stderr, "%s: %s:%d: bad count %q\n", progName, path, i+1, fields[1])
+			return 2
+		}
+		if !known[fields[0]] {
+			fmt.Fprintf(stderr, "%s: %s:%d: no analyzer %q in the suite: delete the line\n", progName, path, i+1, fields[0])
 			return 2
 		}
 		ceilings[fields[0]] = n

@@ -94,7 +94,7 @@ func TestJSONEmptyFindingsOnClean(t *testing.T) {
 // field names, ordering and indentation are all part of the tool's
 // contract with scripts/check.sh and any CI consumer. One golden per
 // envelope-shaping analyzer family: maporder for the determinism suite,
-// hotalloc and shardsafe for the hot-path gate, and the four
+// hotalloc and shardsafe for the hot-path gate, and the three
 // concurrency analyzers for the concurrency gate.
 func TestJSONGolden(t *testing.T) {
 	for _, tc := range []struct {
@@ -104,7 +104,6 @@ func TestJSONGolden(t *testing.T) {
 		{"maporder.golden.json", []string{"-json", "-fixtures", fixtureRoot, "maporder"}},
 		{"hotalloc.golden.json", []string{"-json", "-analyzers", "hotalloc", "-fixtures", fixtureRoot, "hotalloc"}},
 		{"shardsafe.golden.json", []string{"-json", "-analyzers", "shardsafe", "-fixtures", fixtureRoot, "shardsafe/fssga"}},
-		{"goroleak.golden.json", []string{"-json", "-analyzers", "goroleak", "-fixtures", fixtureRoot, "goroleak"}},
 		{"chanprotocol.golden.json", []string{"-json", "-analyzers", "chanprotocol", "-fixtures", fixtureRoot, "chanprotocol"}},
 		{"lockorder.golden.json", []string{"-json", "-analyzers", "lockorder", "-fixtures", fixtureRoot, "lockorder"}},
 		{"atomicmix.golden.json", []string{"-json", "-analyzers", "atomicmix", "-fixtures", fixtureRoot, "atomicmix"}},
@@ -262,6 +261,7 @@ func TestAuditRatchetViolations(t *testing.T) {
 		{"slack ceiling notes ratchet-down", "symcontract 99\n", 0, "can ratchet down"},
 		{"malformed line", "symcontract one two\n", 2, "want \"analyzer count\""},
 		{"bad count", "symcontract many\n", 2, "bad count"},
+		{"analyzer not in the suite", "symcontract 5\ngoroleak 0\n", 2, "r.txt:2: no analyzer \"goroleak\" in the suite"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errb bytes.Buffer

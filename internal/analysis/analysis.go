@@ -1,5 +1,5 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// in the spirit of golang.org/x/tools/go/analysis, together with the 13
+// in the spirit of golang.org/x/tools/go/analysis, together with the 12
 // fssga-vet analyzers that prove this repository's determinism, model,
 // hot-path and concurrency contracts at the source level. Five guard
 // determinism and symmetry:
@@ -57,15 +57,12 @@
 //     is read-only, and captured scratch must not be retained across
 //     rounds.
 //
-// Four concurrency analyzers prove the scheduler's side of the model
+// Three concurrency analyzers prove the scheduler's side of the model
 // (Def 3.11: fair scheduling, constant work per activation). The first
-// three read the conc.go effect layer (spawns, channel operations and
-// select arms):
+// two read the conc.go effect layer (spawns, channel operations and
+// select arms); that the pool's goroutines stop is checked dynamically,
+// by testutil.NoLeak:
 //
-//   - goroleak: every `go` statement in non-test code has a proven
-//     termination path — blocking receives are releasable by a close
-//     reachable from an exported owner, unconditional loops contain an
-//     escape;
 //   - chanprotocol: close-at-most-once, no send-after-close, wake-channel
 //     sends are non-blocking select/default, buffered capacities are
 //     named constants;
@@ -279,7 +276,7 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand, Maporder, Viewpure, Seedplumb, Globalwrite,
 		Symcontract, Finstate, Hotalloc, Shardsafe,
-		Goroleak, Chanprotocol, Lockorder, Atomicmix,
+		Chanprotocol, Lockorder, Atomicmix,
 	}
 }
 

@@ -32,8 +32,6 @@ func TestHotalloc(t *testing.T) { analysistest.Run(t, analysis.Hotalloc, "hotall
 
 func TestShardsafe(t *testing.T) { analysistest.Run(t, analysis.Shardsafe, "shardsafe/fssga") }
 
-func TestGoroleak(t *testing.T) { analysistest.Run(t, analysis.Goroleak, "goroleak") }
-
 func TestChanprotocol(t *testing.T) { analysistest.Run(t, analysis.Chanprotocol, "chanprotocol") }
 
 func TestLockorder(t *testing.T) { analysistest.Run(t, analysis.Lockorder, "lockorder") }

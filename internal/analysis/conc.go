@@ -1,9 +1,9 @@
 package analysis
 
-// conc.go is the concurrency-effect layer beneath three of the
-// concurrency analyzers (goroleak, chanprotocol, lockorder). Each unit
-// has one context, built on first use over the unit's index (index.go),
-// from the non-test files:
+// conc.go is the concurrency-effect layer beneath two of the
+// concurrency analyzers (chanprotocol, lockorder) and globalwrite's
+// worker roots. Each unit has one context, built on first use over the
+// unit's index (index.go), from the non-test files:
 //
 //   - goroutine spawns, with each `go` statement resolved to its body
 //     (a function literal, or a same-unit declaration);
@@ -16,18 +16,13 @@ package analysis
 //   - select arms tagged blocking/non-blocking by whether their select
 //     carries a default arm.
 //
-// The index's call graph supplies the set of functions reachable from
-// the unit's exported entry points, which is how goroleak decides
-// whether a close site is reachable from an owner's Close/Stop-style
-// API.
-//
 // The paper's model needs these facts: Def 3.11 assumes a fair scheduler
 // over node activations with constant work per activation, which the
 // engine realizes as a fixed pool of worker goroutines parked on wake
 // channels. The layer lets the analyzers prove that realization keeps
-// its side of the bargain — workers are stoppable, wakes cannot block
-// the round owner, no lock is held across a park — instead of assuming
-// it.
+// its side of the bargain — wakes cannot block the round owner, no lock
+// is held across a park — instead of assuming it. That the workers stop
+// is checked dynamically, by testutil.NoLeak.
 
 import (
 	"go/ast"
@@ -36,8 +31,8 @@ import (
 )
 
 // ConcDirective is the concurrency allowlist comment:
-// //fssga:conc(reason) suppresses a goroleak/chanprotocol/lockorder/
-// atomicmix finding on its own line or the line below. The parenthesized
+// //fssga:conc(reason) suppresses a chanprotocol/lockorder/atomicmix
+// finding on its own line or the line below. The parenthesized
 // reason is mandatory, mirroring //fssga:alloc.
 const ConcDirective = "//fssga:conc"
 
@@ -60,9 +55,6 @@ type chanOp struct {
 	// nonBlocking marks sends/receives that are the comm of a select arm
 	// whose select has a default clause.
 	nonBlocking bool
-	// fn is the enclosing function declaration (literals attribute to
-	// the declaration lexically containing them), nil at package scope.
-	fn *types.Func
 	// spawn is the spawn site whose body lexically contains the
 	// operation, nil outside goroutine bodies.
 	spawn *spawnSite
@@ -70,7 +62,6 @@ type chanOp struct {
 
 // chanFacts aggregates every operation on one channel identity.
 type chanFacts struct {
-	obj  types.Object
 	name string
 	ops  []chanOp
 }
@@ -88,8 +79,6 @@ func (f *chanFacts) byKind(k chanOpKind) []chanOp {
 // A spawnSite is one `go` statement with its statically resolved body.
 type spawnSite struct {
 	stmt *ast.GoStmt
-	// fn is the declaration lexically containing the statement.
-	fn *types.Func
 	// body is the spawned code: the literal's body for `go func(){...}()`,
 	// the callee's body for `go f()` when f is declared in the unit, nil
 	// when the callee is dynamic or crosses the unit boundary.
@@ -306,7 +295,7 @@ func (c *concCtx) collectSpawns() {
 			if !ok {
 				return true
 			}
-			sp := &spawnSite{stmt: g, fn: c.enclosingDecl(g)}
+			sp := &spawnSite{stmt: g}
 			if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
 				sp.body = lit.Body
 			} else if fn := staticCallee(c.Info, g.Call); fn != nil {
@@ -349,7 +338,7 @@ func (c *concCtx) enclosingSpawn(n ast.Node) *spawnSite {
 func (c *concCtx) facts(obj types.Object) *chanFacts {
 	f := c.chans[obj]
 	if f == nil {
-		f = &chanFacts{obj: obj, name: obj.Name()}
+		f = &chanFacts{name: obj.Name()}
 		c.chans[obj] = f
 	}
 	return f
@@ -358,16 +347,14 @@ func (c *concCtx) facts(obj types.Object) *chanFacts {
 // addOp records one channel operation against the identity of e.
 // Unresolvable channel expressions (results of calls, map loads) are
 // dropped: the analyzers treat absence of facts as "cannot prove".
-func (c *concCtx) addOp(e ast.Expr, op chanOp) *chanFacts {
+func (c *concCtx) addOp(e ast.Expr, op chanOp) {
 	obj := c.target(e)
 	if obj == nil {
-		return nil
+		return
 	}
-	op.fn = c.enclosingDecl(e)
 	op.spawn = c.enclosingSpawn(e)
 	f := c.facts(obj)
 	f.ops = append(f.ops, op)
-	return f
 }
 
 // collectChanOps walks the non-test files once, recording every channel
@@ -441,7 +428,6 @@ func (c *concCtx) recordMake(call *ast.CallExpr, op chanOp) {
 			if lit, ok := c.parents[p].(*ast.CompositeLit); ok {
 				if obj := c.compositeField(lit, key); obj != nil {
 					f := c.facts(obj)
-					op.fn = c.enclosingDecl(call)
 					f.ops = append(f.ops, op)
 					return
 				}
@@ -461,74 +447,15 @@ func (c *concCtx) compositeField(lit *ast.CompositeLit, key *ast.Ident) types.Ob
 	return nil
 }
 
-// armOf climbs from n to the nearest enclosing statement (n itself
-// when it is one) and reports whether that statement is the comm of a
-// select arm, and whether that select has a default clause.
-func (c *concCtx) armOf(n ast.Node) (hasDefault, isArm bool) {
+// nonBlocking reports whether a send statement or receive expression is
+// (part of) the comm of a select arm whose select has a default clause:
+// it climbs from n to the nearest enclosing statement (n itself when it
+// is one) and looks that statement up among the select arms.
+func (c *concCtx) nonBlocking(n ast.Node) bool {
 	for p := n; p != nil; p = c.parents[p] {
 		if s, ok := p.(ast.Stmt); ok {
-			hasDefault, isArm = c.selectDefault[s]
-			return hasDefault, isArm
+			return c.selectDefault[s]
 		}
 	}
-	return false, false
-}
-
-// nonBlocking reports whether a send statement or receive expression is
-// (part of) the comm of a select arm whose select has a default clause.
-func (c *concCtx) nonBlocking(n ast.Node) bool {
-	hasDefault, _ := c.armOf(n)
-	return hasDefault
-}
-
-// closable classifies whether receiving from the channel can be
-// released by an owner: it has a close site whose enclosing function is
-// reachable from an exported entry point. The second result explains a
-// false verdict for diagnostics.
-func (c *concCtx) closable(obj types.Object) (ok bool, why string) {
-	if obj == nil {
-		return false, "the channel cannot be resolved to a field or variable"
-	}
-	f := c.chans[obj]
-	var closes []chanOp
-	if f != nil {
-		closes = f.byKind(chanClose)
-	}
-	if len(closes) == 0 {
-		return false, "it is never closed in this package"
-	}
-	for _, cl := range closes {
-		if cl.fn == nil || c.reach[cl.fn] {
-			return true, ""
-		}
-	}
-	return false, "its close is unreachable from any exported entry point"
-}
-
-// chanName renders a channel identity for diagnostics.
-func (c *concCtx) chanName(obj types.Object) string {
-	if obj == nil {
-		return "<unknown>"
-	}
-	return obj.Name()
-}
-
-// ConcReport computes the goroleak verdict of every spawn site in the
-// units: "proven" when goroleak finds no obstacle to termination,
-// "audited" when every obstacle carries //fssga:conc, "flagged"
-// otherwise. The NoLeak harness requires workloads exercising "proven"
-// spawn sites to leave zero goroutines behind (static dominates
-// dynamic, exactly as hotalloc's proven set must measure zero allocs).
-func ConcReport(units []*Unit) ([]Site, error) {
-	var sites siteSet
-	for _, u := range units {
-		c := u.conc()
-		for _, sp := range c.spawns {
-			t := &tally{unit: u, directive: ConcDirective}
-			c.checkSpawn(sp, t.report)
-			pos := u.Fset.Position(sp.stmt.Pos())
-			sites.add(Site{Name: funcName(sp.fn, pos.Line), File: pos.Filename, Line: pos.Line, Verdict: verdicts[t.rank()]})
-		}
-	}
-	return sites.sorted(), nil
+	return false
 }

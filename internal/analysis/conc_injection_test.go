@@ -2,36 +2,14 @@ package analysis_test
 
 import "testing"
 
-// Acceptance pins for the concurrency analyzers: each of the six
+// Acceptance pins for the concurrency analyzers: each of the five
 // injections below re-introduces a concurrency-contract violation into
 // a synthetic internal/fssga package and must turn the lint gate red
 // with a diagnostic from the right analyzer. Where a clean counterpart
 // exists (the shapes the real tree uses), it is checked to stay clean —
 // the false-positive guard.
 
-// Injection 1: a spawned goroutine parked on a channel nothing closes.
-func TestInjectedLeakedSpawnIsFlagged(t *testing.T) {
-	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
-
-type runner struct {
-	stop chan struct{}
-}
-
-// StartRunner spawns a worker but no exported path ever closes stop.
-func StartRunner() *runner {
-	r := &runner{stop: make(chan struct{})}
-	go func() {
-		<-r.stop
-	}()
-	return r
-}
-`)
-	if got := byAnalyzer(findings, "goroleak"); len(got) != 1 {
-		t.Fatalf("findings = %v, want exactly one goroleak diagnostic", findings)
-	}
-}
-
-// Injection 2: a send on a channel the package also closes.
+// Injection 1: a send on a channel the package also closes.
 func TestInjectedSendAfterCloseIsFlagged(t *testing.T) {
 	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
 
@@ -50,7 +28,7 @@ func (e *emitter) Finish() { close(e.out) }
 	}
 }
 
-// Injection 3: two close sites for one channel.
+// Injection 2: two close sites for one channel.
 func TestInjectedDoubleCloseIsFlagged(t *testing.T) {
 	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
 
@@ -71,7 +49,7 @@ func (l *lifecycle) Shutdown(force bool) {
 	}
 }
 
-// Injection 4: the same two locks acquired in opposite orders.
+// Injection 3: the same two locks acquired in opposite orders.
 func TestInjectedInvertedLockOrderIsFlagged(t *testing.T) {
 	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
 
@@ -103,7 +81,7 @@ func (l *ledger) Audit() {
 	}
 }
 
-// Injection 5: the pre-fix shard-pool wake path — a plain blocking send
+// Injection 4: the pre-fix shard-pool wake path — a plain blocking send
 // on a channel a worker goroutine parks on. The fixed shape
 // (select/default) must stay clean.
 func TestInjectedBlockingWakeSendIsFlagged(t *testing.T) {
@@ -180,7 +158,7 @@ func (p *wakePool) Close() { close(p.stop) }
 	}
 }
 
-// Injection 6: a field read plainly in one method and atomically in
+// Injection 5: a field read plainly in one method and atomically in
 // another, flagged at the raw sync/atomic call.
 func TestInjectedMixedAtomicPlainIsFlagged(t *testing.T) {
 	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga

@@ -12,14 +12,12 @@ package analysis
 //     each edge marked in-frame when the call runs in the caller's own
 //     frame — not inside a `go` statement, and not inside a function
 //     literal that is not invoked on the spot;
-//   - the declarations reachable from the unit's entry points;
 //   - the lines that carry each directive;
 //   - the unit's one concurrency context (conc.go), built on its own
 //     first use.
 //
 // Test files are excluded from the call graph wholesale: the contracts
-// govern production code, and test harnesses are not entry points of
-// it.
+// govern production code, not the test harnesses around it.
 
 import (
 	"go/ast"
@@ -44,10 +42,8 @@ type unitIndex struct {
 	steps []*stepFunc
 
 	// calls lists each non-test declaration's distinct same-unit callees
-	// in order of first call; reach marks the declarations reachable from
-	// exported functions and methods, init, and functions used as values.
+	// in order of first call.
 	calls map[*types.Func][]callEdge
-	reach map[*types.Func]bool
 
 	directives map[string]map[string]map[int]bool // kind -> file -> lines
 	concCtx    *concCtx
@@ -106,7 +102,6 @@ func newUnitIndex(u *Unit) *unitIndex {
 		decls:      make(map[*types.Func]*ast.FuncDecl),
 		test:       make(map[*types.Func]bool),
 		calls:      make(map[*types.Func][]callEdge),
-		reach:      make(map[*types.Func]bool),
 		directives: make(map[string]map[string]map[int]bool),
 	}
 	for _, f := range u.Files {
@@ -148,20 +143,13 @@ func (x *unitIndex) collectFuncs(f *ast.File, test bool) {
 	})
 }
 
-// buildCallGraph records the static calls between non-test declarations
-// (calls inside literals attribute to the enclosing declaration) and
-// computes reachability from the unit's entry points: exported
-// functions and methods, init functions, and functions whose value
-// escapes into a non-call position (stored or passed, so an unknown
-// caller may invoke them). Reachability follows every edge.
+// buildCallGraph records the static calls between non-test
+// declarations; calls inside literals attribute to the enclosing
+// declaration.
 func (x *unitIndex) buildCallGraph() {
-	var roots []*types.Func
 	for _, fn := range x.funcs {
 		if x.test[fn] {
 			continue
-		}
-		if fn.Exported() || fn.Name() == "init" {
-			roots = append(roots, fn)
 		}
 		body := x.decls[fn].Body
 		if body == nil {
@@ -182,43 +170,6 @@ func (x *unitIndex) buildCallGraph() {
 			edges = append(edges, callEdge{callee, inFrame})
 		})
 		x.calls[fn] = edges
-	}
-	// A declaration used as a value (method value, function passed to a
-	// registry or to runtime.AddCleanup) can be called from anywhere;
-	// root it too.
-	for _, f := range x.files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			fn, ok := x.Info.Uses[id].(*types.Func)
-			if !ok || !x.inUnit(fn.Origin()) {
-				return true
-			}
-			if call, ok := x.callParent(id); !ok || unparen(call.Fun) != ast.Expr(id) {
-				if sel, isSel := x.parents[id].(*ast.SelectorExpr); isSel && sel.Sel == id {
-					if call2, ok2 := x.callParent(sel); ok2 && unparen(call2.Fun) == ast.Expr(sel) {
-						return true // plain method call, not a value use
-					}
-				}
-				roots = append(roots, fn.Origin())
-			}
-			return true
-		})
-	}
-	var visit func(fn *types.Func)
-	visit = func(fn *types.Func) {
-		if x.reach[fn] {
-			return
-		}
-		x.reach[fn] = true
-		for _, e := range x.calls[fn] {
-			visit(e.callee)
-		}
-	}
-	for _, r := range roots {
-		visit(r)
 	}
 }
 
@@ -282,20 +233,6 @@ func (x *unitIndex) callParent(n ast.Node) (*ast.CallExpr, bool) {
 	}
 	call, ok := p.(*ast.CallExpr)
 	return call, ok
-}
-
-// enclosingDecl climbs to the function declaration lexically containing
-// the node (function literals attribute to their enclosing declaration).
-func (x *unitIndex) enclosingDecl(n ast.Node) *types.Func {
-	for p := x.parents[n]; p != nil; p = x.parents[p] {
-		if fd, ok := p.(*ast.FuncDecl); ok {
-			if obj, ok := x.Info.Defs[fd.Name].(*types.Func); ok {
-				return obj
-			}
-			return nil
-		}
-	}
-	return nil
 }
 
 // directiveLines maps each file of the unit to the lines carrying the

@@ -20,7 +20,7 @@ func TestIndexBuiltOncePerUnit(t *testing.T) {
 			return a.Run(pass)
 		}}
 	}
-	if _, err := RunAnalyzers([]*Unit{unit}, []*Analyzer{probe(Goroleak), probe(Lockorder)}); err != nil {
+	if _, err := RunAnalyzers([]*Unit{unit}, []*Analyzer{probe(Chanprotocol), probe(Lockorder)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(indexes) != 2 || indexes[0] != indexes[1] || indexes[0] != unit.index() {

@@ -1,10 +1,10 @@
 package analysis
 
-// verdict.go is shared by the two report builders, HotpathReport and
-// ConcReport. Each judges a list of sites — //fssga:hotpath functions,
-// or `go` statements — by the diagnostics its analyzer raises there, and
+// verdict.go holds the site verdicts of HotpathReport, which judges the
+// //fssga:hotpath functions by the diagnostics hotalloc raises there and
 // hands the verdicts to a dynamic cross-check harness in internal/fssga
-// (static dominates dynamic: a "proven" site must measure clean).
+// (static dominates dynamic: a "proven" site must measure zero
+// allocations).
 
 import (
 	"fmt"
@@ -15,9 +15,8 @@ import (
 
 // A Site is one judged source location with its static verdict.
 type Site struct {
-	// Name is the enclosing function, as Name or RecvType.Name, or
-	// func@LINE for a function literal (or a spawn outside any
-	// declaration).
+	// Name is the function, as Name or RecvType.Name, or func@LINE for
+	// a function literal.
 	Name string `json:"name"`
 	File string `json:"file"`
 	Line int    `json:"line"`

@@ -49,8 +49,8 @@ type Network[S comparable] struct {
 	// runtime cleanup that closes it when the network is collected;
 	// roundActive rejects concurrent rounds on the same network with
 	// ErrConcurrentRound and so admits one pool user at a time. poolBody
-	// is stepChunks bound once, and poolRound the round it steps, set
-	// only while the pool runs it.
+	// is stepChunks bound once, and poolRound the supervised round being
+	// stepped, inline or on the pool, set only while it is stepped.
 	pool        *shardPool
 	poolCleanup runtime.Cleanup
 	poolBody    func(pool *shardPool, worker int)

@@ -17,7 +17,8 @@ import (
 //     their neighbours, marked in a two-level bitset and drained from it;
 //   - cuts it into contiguous chunks and steps them inline (one worker or
 //     one chunk) or on the shard pool (shard.go), each chunk appending its
-//     changes to its own buffer while σ stays untouched;
+//     changes to its own buffer while σ stays untouched; at more than one
+//     worker, inline or not, a Step panic is supervised (supervisor.go);
 //   - commits the buffers in chunk order, so in node order: states
 //     written back, the list kept as the next frontier.
 //
@@ -151,11 +152,12 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 	}
 	bufs := net.chunkBuffers(chunks)
 	switch {
-	case chunks == 1:
+	case chunks == 0: // an empty frontier: nothing to step
+	case workers == 1:
 		bufs[0] = net.stepChunk(net.serialScratch(), c, work, 0, size, bufs[0][:0])
-	case chunks > 1:
-		//fssga:alloc(the shard pool and its bound body are made once per network, and again only when a round asks for more workers; a pool round itself allocates nothing)
-		if err := net.stepOnPool(workers, c, work, size, span, bufs); err != nil {
+	default:
+		//fssga:alloc(the shard pool and its bound body are made once per network, and again only when a round asks for more workers; a supervised round itself allocates nothing unless a Step panics)
+		if err := net.stepSupervised(workers, c, work, size, span, bufs); err != nil {
 			return false, err
 		}
 	}

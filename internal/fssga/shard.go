@@ -148,15 +148,20 @@ func (p *shardPool) help(id int) {
 // barrier.
 func (p *shardPool) share(id int) {
 	defer func() {
-		if r := recover(); r != nil {
-			p.perr.CompareAndSwap(nil, &workerPanic{
-				worker: id,
-				value:  r,
-				stack:  string(debug.Stack()),
-			})
+		if wp := recovered(id, recover()); wp != nil {
+			p.perr.CompareAndSwap(nil, wp)
 		}
 	}()
 	p.body(p, id)
+}
+
+// recovered records the value a deferred recover returned in worker id,
+// with the panicking goroutine's stack; nil when there was no panic.
+func recovered(id int, r any) *workerPanic {
+	if r == nil {
+		return nil
+	}
+	return &workerPanic{worker: id, value: r, stack: string(debug.Stack())}
 }
 
 // round runs body(pool, worker) on every pool worker, the caller as
@@ -224,9 +229,9 @@ func (net *Network[S]) ensurePool(workers int) *shardPool {
 // make it.
 func (net *Network[S]) Close() {}
 
-// poolRound is the multi-chunk round the shard pool is stepping: the
-// snapshot's topology, the work set (nil: every node), its size, the
-// chunk span and one change buffer per chunk.
+// poolRound is the supervised round being stepped: the snapshot's
+// topology, the work set (nil: every node), its size, the chunk span and
+// one change buffer per chunk.
 type poolRound[S comparable] struct {
 	c          *graph.CSR
 	work       []int32
@@ -234,15 +239,25 @@ type poolRound[S comparable] struct {
 	bufs       [][]change[S]
 }
 
-// stepOnPool is the round kernel's multi-worker executor: it steps the
-// chunks of a size-position work set, span positions each, on the shard
-// pool under supervision, each chunk into its own buffer. The round is
-// cleared once stepped, so no slice of it outlives the round.
-func (net *Network[S]) stepOnPool(workers int, c *graph.CSR, work []int32, size, span int, bufs [][]change[S]) error {
+// stepSupervised is the round kernel's multi-worker executor: it steps
+// the chunks of a size-position work set, span positions each, under
+// supervision, each chunk into its own buffer. The round is cleared once
+// stepped, so no slice of it outlives the round.
+func (net *Network[S]) stepSupervised(workers int, c *graph.CSR, work []int32, size, span int, bufs [][]change[S]) error {
 	net.poolRound = poolRound[S]{c: c, work: work, size: size, span: span, bufs: bufs}
 	err := net.runSupervised(workers)
 	net.poolRound = poolRound[S]{}
 	return err
+}
+
+// stepInline steps a one-chunk round on the round owner, with the serial
+// scratch and no pool, and returns a Step panic as the pool would return
+// one raised in the owner's share: as worker 0's.
+func (net *Network[S]) stepInline() (wp *workerPanic) {
+	defer func() { wp = recovered(0, recover()) }()
+	r := &net.poolRound
+	r.bufs[0] = net.stepChunk(net.serialScratch(), r.c, r.work, 0, r.size, r.bufs[0][:0])
+	return nil
 }
 
 // stepChunks is the shard pool's round body: the worker claims chunks

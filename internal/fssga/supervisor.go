@@ -51,13 +51,13 @@ const (
 	backoffCap  = 8 * time.Millisecond
 )
 
-// runSupervised steps the published round (net.poolRound) on the shard
-// pool under panic supervision: each attempt runs the pool body on
-// every worker; a worker panic discards the attempt, sleeps a capped
+// runSupervised steps the published round (net.poolRound) under panic
+// supervision: each attempt steps a one-chunk round inline on the round
+// owner, which wakes no helper, and any other round on every worker of
+// the shard pool; a Step panic discards the attempt, sleeps a capped
 // exponential backoff, and retries. Returns nil once an attempt
 // completes cleanly, or the final *PanicError after maxRoundAttempts.
 func (net *Network[S]) runSupervised(workers int) error {
-	pool := net.ensurePool(workers)
 	var last error
 	for attempt := 1; attempt <= maxRoundAttempts; attempt++ {
 		if attempt > 1 {
@@ -67,8 +67,14 @@ func (net *Network[S]) runSupervised(workers int) error {
 			}
 			time.Sleep(d)
 		}
-		pool.cursor.Store(0)
-		wp := pool.round(net.poolBody)
+		var wp *workerPanic
+		if len(net.poolRound.bufs) == 1 {
+			wp = net.stepInline()
+		} else {
+			pool := net.ensurePool(workers)
+			pool.cursor.Store(0)
+			wp = pool.round(net.poolBody)
+		}
 		if wp == nil {
 			return nil
 		}

@@ -225,6 +225,89 @@ func TestSupervisedExhaustionStructuredError(t *testing.T) {
 	}
 }
 
+// TestSupervisedOneChunkRounds: a round whose work set fits one chunk
+// is stepped inline on the round owner and wakes no pool, yet at more
+// than one worker it is supervised like a pool round. A transient Step
+// panic is retried to the serial reference, and a persistent one
+// surfaces as the owner's *PanicError, never as the raw panic value:
+// for a full round on at most 64 nodes, and for a one-chunk frontier.
+func TestSupervisedOneChunkRounds(t *testing.T) {
+	testutil.NoLeak(t)
+	// exhaust arms a persistent panic for one round at w = 2 and checks
+	// that it fails as worker 0's *PanicError after every attempt,
+	// leaving the network on its committed round.
+	exhaust := func(t *testing.T, net *Network[int], budget *atomic.Int64, frontier bool) {
+		t.Helper()
+		budget.Store(1 << 40)
+		defer budget.Store(-1)
+		rounds, before := net.Rounds, append([]int(nil), net.States()...)
+		_, err := net.round(2, frontier)
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("want *PanicError, got %v", err)
+		}
+		if pe.Round != rounds+1 || pe.Worker != 0 || pe.Attempts != maxRoundAttempts || pe.Value == nil || pe.Stack == "" {
+			t.Fatalf("PanicError = %+v", pe)
+		}
+		if net.Rounds != rounds || !reflect.DeepEqual(net.States(), before) {
+			t.Fatal("failed round committed")
+		}
+	}
+
+	t.Run("full round", func(t *testing.T) {
+		var budget atomic.Int64
+		budget.Store(-1)
+		g := graph.Cycle(shardAlign / 2)
+		net := New[int](g.Clone(), panicMax{&budget}, func(v int) int { return v }, 1)
+		ref := newMaxNet(g.Clone(), 1)
+		budget.Store(1) // one Step panics
+		net.SyncRoundParallel(2)
+		ref.SyncRound()
+		if !reflect.DeepEqual(net.States(), ref.States()) || net.Rounds != 1 {
+			t.Fatal("retried one-chunk round diverged from the serial round")
+		}
+		exhaust(t, net, &budget, false)
+		// The panicking entry point re-panics with the structured error.
+		budget.Store(1 << 40)
+		func() {
+			defer func() {
+				if _, ok := recover().(*PanicError); !ok {
+					t.Error("SyncRoundParallel should panic with *PanicError")
+				}
+			}()
+			net.SyncRoundParallel(2)
+		}()
+		if net.pool != nil {
+			t.Error("a one-chunk round started the shard pool")
+		}
+	})
+
+	t.Run("frontier", func(t *testing.T) {
+		var budget atomic.Int64
+		budget.Store(-1)
+		g := graph.Cycle(supN)
+		init := func(v int) int { return 1 / (v + 1) } // 1 at node 0, else 0
+		net := New[int](g.Clone(), panicMax{&budget}, init, 1)
+		ref := New[int](g.Clone(), maxAutomaton{}, init, 1)
+		// A serial first round leaves two changed nodes, so every
+		// frontier after it is a handful of nodes: one chunk.
+		net.SyncRound()
+		ref.SyncRound()
+		for r := 1; r <= 4; r++ {
+			if r == 3 {
+				budget.Store(1)
+			}
+			if !net.SyncRoundParallelFrontier(2) || !ref.SyncRoundFrontier() || !reflect.DeepEqual(net.States(), ref.States()) {
+				t.Fatalf("frontier round %d diverged from the serial frontier", r)
+			}
+		}
+		if net.pool != nil {
+			t.Error("a one-chunk frontier started the shard pool")
+		}
+		exhaust(t, net, &budget, true)
+	})
+}
+
 // TestConcurrentRoundsGetDefinedError: overlapping rounds on one
 // network return ErrConcurrentRound instead of racing on the double
 // buffer; exactly the successful calls commit.

@@ -4,8 +4,8 @@
 // node activates it reads its own state and the *multiset* of its
 // neighbours' states and moves to a new state. The package provides the
 // network simulator with synchronous, asynchronous and goroutine-parallel
-// execution, and the symmetric NeighborView through which node programs
-// observe their neighbourhood.
+// execution, and the symmetric View through which node programs observe
+// their neighbourhood.
 //
 // Symmetry is enforced mechanically: a node program receives only a
 // View — a multiset of neighbour states with count-capped and

@@ -14,14 +14,14 @@ import (
 // time: any goroutine that appeared during the test and is still running
 // after the grace window is a leak.
 //
-// This is the dynamic half of the goroleak contract: the static analyzer
-// proves every spawn site has a termination path an owner can trigger,
-// and NoLeak checks the owners actually triggered it. The grace window
-// retries with a GC between attempts, because that is how the engine
-// releases a test's shard pools: a pool lives as long as its network,
-// and a runtime cleanup closes it once a GC finds the network
+// This is the repository's one check that every goroutine it starts
+// stops: a test that leaves a shard-pool helper running fails here, so
+// a helper with no way to stop fails every pool test run under it. The
+// grace window retries with a GC between attempts, because that is how
+// the engine releases a test's shard pools: a pool lives as long as its
+// network, and a runtime cleanup closes it once a GC finds the network
 // unreachable. Tests drop their networks and rely on this path; the
-// workers then need a few scheduler quanta to observe the closed stop
+// helpers then need a few scheduler quanta to observe the closed stop
 // channel.
 func NoLeak(t testing.TB) {
 	t.Helper()

@@ -24,7 +24,7 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== fssga-vet (all 13 analyzers: determinism, symmetry, model-contract, hot-path, concurrency)"
+echo "== fssga-vet (all 12 analyzers: determinism, symmetry, model-contract, hot-path, concurrency)"
 go run ./cmd/fssga-vet repro/...
 
 echo "== fssga-vet -audit (no stale directives, suppression ratchet)"

@@ -7,8 +7,14 @@ set -eu
 cd "$(dirname "$0")/.."
 
 ratchet=scripts/coverage_ratchet.txt
-out=$(go test -cover ./...)
+# Print the test output before acting on go test's status, so a failing
+# test is named here rather than lost with the captured output.
+status=0
+out=$(go test -cover ./...) || status=$?
 echo "$out"
+if [ "$status" -ne 0 ]; then
+	exit "$status"
+fi
 
 echo "$out" | awk -v ratchet="$ratchet" '
 BEGIN {
