@@ -19,10 +19,10 @@ cover:
 
 # Determinism, symmetry, model-contract, hot-path and concurrency
 # static analyzers (internal/analysis) via the fssga-vet multichecker,
-# 12 in all: detrand, maporder, viewpure, seedplumb, globalwrite,
-# symcontract, finstate, hotalloc, shardsafe, chanprotocol, lockorder,
-# atomicmix. Exit 1 on any finding not carrying an audited
-# //fssga:nondet, //fssga:alloc or //fssga:conc directive.
+# 11 in all: detrand, maporder, viewpure, seedplumb, globalwrite,
+# symcontract, finstate, hotalloc, chanprotocol, lockorder, atomicmix.
+# Exit 1 on any finding not carrying an audited //fssga:nondet,
+# //fssga:alloc or //fssga:conc directive.
 lint:
 	$(GO) run ./cmd/fssga-vet repro/...
 	$(GO) run ./cmd/fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/... > /dev/null

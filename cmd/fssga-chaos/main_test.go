@@ -95,20 +95,23 @@ func TestBadFlagsExitTwo(t *testing.T) {
 }
 
 // TestReplayCorruptFixtures: corrupt or malformed artifacts exit 2 with
-// a structured error — the replay path never panics.
+// a structured error, and one naming a target the runner does not know
+// fails verification with exit 1 — the replay path never panics.
 func TestReplayCorruptFixtures(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
 		name string
 		body string
+		want int
 	}{
-		{"empty", ""},
-		{"truncated", `{"target":"census","graph":{"gen":"cyc`},
-		{"not json", "== garbage =="},
-		{"wrong shape", `{"target": 7}`},
-		{"bad event kind", `{"target":"census","graph":{"gen":"cycle","n":8},"events":[{"step":1,"kind":"?"}]}`},
-		{"digest count", `{"target":"census","graph":{"gen":"cycle","n":8},"rounds":2,"digests":[1]}`},
-		{"node out of range", `{"target":"census","graph":{"gen":"cycle","n":8},"events":[{"step":1,"kind":"node","node":80}]}`},
+		{"empty", "", 2},
+		{"truncated", `{"target":"census","graph":{"gen":"cyc`, 2},
+		{"not json", "== garbage ==", 2},
+		{"wrong shape", `{"target": 7}`, 2},
+		{"bad event kind", `{"target":"census","graph":{"gen":"cycle","n":8},"events":[{"step":1,"kind":"?"}]}`, 2},
+		{"digest count", `{"target":"census","graph":{"gen":"cycle","n":8},"rounds":2,"digests":[1]}`, 2},
+		{"node out of range", `{"target":"census","graph":{"gen":"cycle","n":8},"events":[{"step":1,"kind":"node","node":80}]}`, 2},
+		{"unknown target", `{"target":"nonesuch","graph":{"gen":"cycle","n":8}}`, 1},
 	}
 	for _, tc := range cases {
 		path := filepath.Join(dir, "bad.json")
@@ -116,8 +119,8 @@ func TestReplayCorruptFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf strings.Builder
-		if code := run([]string{"-replay", path}, &buf); code != 2 {
-			t.Errorf("%s: exit %d, want 2:\n%s", tc.name, code, buf.String())
+		if code := run([]string{"-replay", path}, &buf); code != tc.want {
+			t.Errorf("%s: exit %d, want %d:\n%s", tc.name, code, tc.want, buf.String())
 		}
 	}
 }

@@ -17,10 +17,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
-	"strings"
 
 	"repro/internal/algo/bfs"
 	"repro/internal/algo/bridges"
@@ -30,10 +28,7 @@ import (
 	"repro/internal/algo/shortestpath"
 	"repro/internal/algo/traversal"
 	"repro/internal/algo/twocolor"
-	"repro/internal/chaos"
 	"repro/internal/graph"
-	"repro/internal/mc"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -42,12 +37,7 @@ func main() {
 	n := flag.Int("n", 64, "approximate node count")
 	seed := flag.Int64("seed", 1, "random seed")
 	dot := flag.String("dot", "", "also write the topology as Graphviz DOT to this file")
-	replay := flag.String("replay", "", "verify a recorded run artifact (chaos or mc) instead of running an algorithm")
 	flag.Parse()
-
-	if *replay != "" {
-		os.Exit(replayMain(os.Stdout, *replay))
-	}
 
 	g, err := buildGraph(*gname, *n, *seed)
 	if err != nil {
@@ -95,41 +85,6 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "fssga-run:", err)
 	os.Exit(1)
-}
-
-// replayMain verifies a recorded artifact, dispatching on the target
-// prefix: "mc/" artifacts go to the model checker's replayer, everything
-// else to the chaos runner's. Malformed files are a structured non-zero
-// exit (2), divergence is exit 1 — never a panic.
-func replayMain(w io.Writer, path string) (code int) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(w, "fssga-run: replay of %s rejected: %v\n", path, r)
-			code = 2
-		}
-	}()
-	log, err := trace.LoadRunLog(path)
-	if err != nil {
-		fmt.Fprintf(w, "fssga-run: %v\n", err)
-		return 2
-	}
-	if strings.HasPrefix(log.Target, "mc/") {
-		if err := mc.VerifyReplay(log); err != nil {
-			fmt.Fprintf(w, "fssga-run: replay of %s FAILED: %v\n", path, err)
-			return 1
-		}
-		fmt.Fprintf(w, "replay of %s is bit-identical (%d activations, violation %q)\n",
-			path, len(log.Picks), log.Violation)
-		return 0
-	}
-	re, err := chaos.VerifyReplay(log)
-	if err != nil {
-		fmt.Fprintf(w, "fssga-run: replay of %s DIVERGED: %v\n", path, err)
-		return 1
-	}
-	fmt.Fprintf(w, "replay of %s is bit-identical: %d rounds, violation=%q at round %d\n",
-		path, re.Rounds, re.Violation, re.Round)
-	return 0
 }
 
 func buildGraph(name string, n int, seed int64) (*graph.Graph, error) {

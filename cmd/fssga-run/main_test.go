@@ -1,15 +1,6 @@
 package main
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-
-	"repro/internal/chaos"
-	"repro/internal/mc"
-	"repro/internal/trace"
-)
+import "testing"
 
 func TestBuildGraphAllNames(t *testing.T) {
 	names := []string{
@@ -61,93 +52,5 @@ func TestBuildGraphSizes(t *testing.T) {
 func TestBuildGraphUnknown(t *testing.T) {
 	if _, err := buildGraph("nope", 10, 1); err == nil {
 		t.Fatal("unknown graph accepted")
-	}
-}
-
-// TestReplayVerifiesBothArtifactKinds: fssga-run -replay dispatches on
-// the artifact's target, verifying chaos runs and mc counterexamples.
-func TestReplayVerifiesBothArtifactKinds(t *testing.T) {
-	dir := t.TempDir()
-
-	log, err := chaos.Run(chaos.Config{
-		Target: "census", Adversary: "random",
-		Graph: trace.GraphSpec{Gen: "cycle", N: 8, Seed: 1},
-		Seed:  7, MaxRounds: 40, AttackRounds: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaosPath := filepath.Join(dir, "chaos.json")
-	if err := log.Save(chaosPath); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if code := replayMain(&buf, chaosPath); code != 0 {
-		t.Fatalf("chaos replay exit %d:\n%s", code, buf.String())
-	}
-
-	p, err := mc.LookupPair("twocolor/cycle5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	picks := []int{0, 1, 2, 3, 4}
-	mcLog := &trace.RunLog{
-		Target: "mc/" + p.Name, Adversary: "none", Graph: p.Spec, Seed: p.Seed,
-		MaxRounds: len(picks), Rounds: len(picks), Round: len(picks),
-		Events: []trace.EventRec{}, Picks: picks, Digests: p.ReplayPure(picks),
-	}
-	mcPath := filepath.Join(dir, "mc.json")
-	if err := mcLog.Save(mcPath); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if code := replayMain(&buf, mcPath); code != 0 {
-		t.Fatalf("mc replay exit %d:\n%s", code, buf.String())
-	}
-}
-
-// TestReplayCorruptFixtures: malformed artifacts are structured non-zero
-// exits, never panics.
-func TestReplayCorruptFixtures(t *testing.T) {
-	dir := t.TempDir()
-	p, err := mc.LookupPair("twocolor/cycle5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outPicks := &trace.RunLog{
-		Target: "mc/" + p.Name, Graph: p.Spec, Rounds: 1, Round: 1,
-		Picks: []int{99}, Digests: []uint64{1},
-	}
-	outPath := filepath.Join(dir, "picks.json")
-	if err := outPicks.Save(outPath); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name string
-		body string // written to a file unless path overrides
-		path string
-		want int
-	}{
-		{name: "missing file", path: filepath.Join(dir, "nope.json"), want: 2},
-		{name: "empty", body: "", want: 2},
-		{name: "truncated", body: `{"target":"census","graph":{"gen":"cyc`, want: 2},
-		{name: "not json", body: "== garbage ==", want: 2},
-		{name: "bad event kind", body: `{"target":"census","graph":{"gen":"cycle","n":8},"events":[{"step":1,"kind":"?"}]}`, want: 2},
-		{name: "unknown target", body: `{"target":"nonesuch","graph":{"gen":"cycle","n":8}}`, want: 1},
-		{name: "mc picks out of range", path: outPath, want: 1},
-	}
-	for _, tc := range cases {
-		path := tc.path
-		if path == "" {
-			path = filepath.Join(dir, "bad.json")
-			if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf strings.Builder
-		if code := replayMain(&buf, path); code != tc.want {
-			t.Errorf("%s: exit %d, want %d:\n%s", tc.name, code, tc.want, buf.String())
-		}
 	}
 }

@@ -1,6 +1,6 @@
-// Command fssga-vet runs the repository's 12 determinism, symmetry,
+// Command fssga-vet runs the repository's 11 determinism, symmetry,
 // hot-path and concurrency analyzers (detrand, maporder, viewpure,
-// seedplumb, globalwrite, symcontract, finstate, hotalloc, shardsafe,
+// seedplumb, globalwrite, symcontract, finstate, hotalloc,
 // chanprotocol, lockorder, atomicmix) over Go packages, and
 // reports the inferred mod-thresh footprints (-contracts). It has two
 // modes:

@@ -1,5 +1,5 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// in the spirit of golang.org/x/tools/go/analysis, together with the 12
+// in the spirit of golang.org/x/tools/go/analysis, together with the 11
 // fssga-vet analyzers that prove this repository's determinism, model,
 // hot-path and concurrency contracts at the source level. Five guard
 // determinism and symmetry:
@@ -44,18 +44,17 @@
 // its declarations, Step-shaped functions, static call graph and
 // directive lines, built once on first use.
 //
-// Two hot-path analyzers extend the suite beyond determinism to the
-// engine's performance contracts (the sharded rounds depend on them):
+// A hot-path analyzer extends the suite beyond determinism to the
+// engine's performance contract:
 //
 //   - hotalloc: functions marked //fssga:hotpath must be provably free
 //     of heap allocation — no append growth, interface boxing, escaping
 //     composite literals, closures or map/slice/string conversions —
-//     with audited exceptions carried by //fssga:alloc(reason);
-//   - shardsafe: inside shard-pool worker round bodies, stores into
-//     captured slices (the per-chunk change buffers) must be
-//     index-derived from the worker's claimed chunk, the read snapshot
-//     is read-only, and captured scratch must not be retained across
-//     rounds.
+//     with audited exceptions carried by //fssga:alloc(reason).
+//
+// That shard-pool workers write only their claimed chunks' change
+// buffers and never the committed states is checked dynamically, by the
+// worker-count differentials run under the race detector.
 //
 // Three concurrency analyzers prove the scheduler's side of the model
 // (Def 3.11: fair scheduling, constant work per activation). The first
@@ -275,7 +274,7 @@ func RunAnalyzers(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand, Maporder, Viewpure, Seedplumb, Globalwrite,
-		Symcontract, Finstate, Hotalloc, Shardsafe,
+		Symcontract, Finstate, Hotalloc,
 		Chanprotocol, Lockorder, Atomicmix,
 	}
 }

@@ -30,8 +30,6 @@ func TestCapinfer(t *testing.T) { analysistest.Run(t, analysis.Symcontract, "cap
 
 func TestHotalloc(t *testing.T) { analysistest.Run(t, analysis.Hotalloc, "hotalloc") }
 
-func TestShardsafe(t *testing.T) { analysistest.Run(t, analysis.Shardsafe, "shardsafe/fssga") }
-
 func TestChanprotocol(t *testing.T) { analysistest.Run(t, analysis.Chanprotocol, "chanprotocol") }
 
 func TestLockorder(t *testing.T) { analysistest.Run(t, analysis.Lockorder, "lockorder") }

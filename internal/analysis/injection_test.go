@@ -258,118 +258,6 @@ func (m *mailbox) Post(guarded bool, v int) {
 	}
 }
 
-// shardBody wraps one worker-round body in the minimum scaffolding that
-// makes it a real func(pool *shardPool, worker int) literal under the
-// engine's import path.
-const shardBodyPrelude = `package fssga
-
-type shardPool struct{ n int }
-
-func (p *shardPool) claim() int { p.n++; return p.n - 1 }
-
-type net struct {
-	states []int
-	next   []int
-}
-
-func (e *net) round(run func(func(pool *shardPool, worker int))) {
-	snapshot, next := e.states, e.next
-	_ = snapshot
-	_ = next
-	run(func(pool *shardPool, w int) {
-		body(pool, w, snapshot, next)
-	})
-}
-`
-
-// Acceptance pin: a store to next outside the claimed shard range must
-// fail the lint gate; the claimed-range original stays clean.
-func TestInjectedOutOfRangeNextStoreIsFlagged(t *testing.T) {
-	const clean = shardBodyPrelude + `
-func body(pool *shardPool, w int, snapshot, next []int) {
-	s := pool.claim()
-	next[s] = snapshot[s] + 1
-}
-`
-	// The helper shape keeps the literal clean; the violating bodies
-	// below inline the stores into the literal itself.
-	if findings := analyzeSynthetic(t, "repro/internal/fssga", clean); len(findings) != 0 {
-		t.Fatalf("claimed-range store wrongly flagged: %v", findings)
-	}
-	const outOfRange = `package fssga
-
-type shardPool struct{ n int }
-
-func (p *shardPool) claim() int { p.n++; return p.n - 1 }
-
-type net struct {
-	states []int
-	next   []int
-}
-
-func (e *net) round(run func(func(pool *shardPool, worker int))) {
-	snapshot, next := e.states, e.next
-	run(func(pool *shardPool, w int) {
-		s := pool.claim()
-		next[s+1] = snapshot[s] // claimed shard is s, not s+1 — but s+1 is still derived
-		next[0] = snapshot[s]   // this is the underivable store
-	})
-}
-`
-	findings := byAnalyzer(analyzeSynthetic(t, "repro/internal/fssga", outOfRange), "shardsafe")
-	if len(findings) != 1 || !strings.Contains(findings[0].Message, "not derived from the worker's claimed shard range") {
-		t.Fatalf("findings = %v, want one shardsafe underived-store diagnostic", findings)
-	}
-}
-
-// Acceptance pin: retaining a slice of next in captured scratch across
-// rounds must fail the lint gate, as must writing the snapshot.
-func TestInjectedRetainedScratchAndCurWriteAreFlagged(t *testing.T) {
-	const bad = `package fssga
-
-type shardPool struct{ n int }
-
-func (p *shardPool) claim() int { p.n++; return p.n - 1 }
-
-type net struct {
-	states []int
-	next   []int
-	keep   []int
-}
-
-var lastShard int
-
-func (e *net) round(run func(func(pool *shardPool, worker int))) {
-	cur, next := e.states, e.next
-	var scratch []int
-	run(func(pool *shardPool, w int) {
-		s := pool.claim()
-		scratch = next[s:]  // retained per-round scratch
-		cur[s] = 0          // write to the read side
-		e.keep = scratch    // field write on the captured engine
-		lastShard = s       // package-level write
-		_ = w
-	})
-	_ = scratch
-}
-`
-	findings := byAnalyzer(analyzeSynthetic(t, "repro/internal/fssga", bad), "shardsafe")
-	want := []string{
-		"retained across rounds",
-		"read-side snapshot",
-		"field of captured",
-		"package-level variable",
-	}
-	if len(findings) != len(want) {
-		t.Fatalf("findings = %v, want %d shardsafe diagnostics", findings, len(want))
-	}
-	for i, substr := range want {
-		if !strings.Contains(findings[i].Message, substr) {
-			t.Fatalf("finding %d = %v, want message containing %q", i, findings[i], substr)
-		}
-	}
-}
-
 // Acceptance pin: unclamped arithmetic on returned state must fail the
 // lint gate, while the mod-reduced original stays clean.
 func TestInjectedUnboundedStateArithmeticIsFlagged(t *testing.T) {

@@ -149,8 +149,8 @@ func checkPalette[S comparable](t *testing.T, what string, net *Network[S]) {
 	if p.live != live {
 		t.Fatalf("%s: the palette counts %d live ids, %d are in use", what, p.live, live)
 	}
-	for _, sc := range append([]*viewScratch[S]{net.serial}, net.workers...) {
-		if sc != nil && len(sc.slot) != net.slots {
+	for _, sc := range net.workers {
+		if len(sc.slot) != net.slots {
 			t.Fatalf("%s: a slot vector of %d slots, want %d", what, len(sc.slot), net.slots)
 		}
 	}

@@ -42,8 +42,9 @@ type Network[S comparable] struct {
 	stale bool
 	slots int
 
-	serial  *viewScratch[S]   // shared by all serial execution paths
-	workers []*viewScratch[S] // one per worker of the shard pool
+	// workers[w] is worker w's view scratch; the serial paths share
+	// workers[0], the round owner's.
+	workers []*viewScratch[S]
 
 	// Persistent shard pool for parallel rounds (see shard.go) and the
 	// runtime cleanup that closes it when the network is collected;

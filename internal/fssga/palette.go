@@ -121,11 +121,11 @@ func (p *palette[S]) view() *View[S] {
 }
 
 // viewScratch is a per-worker reusable workspace for stepping nodes
-// without allocating; each pool worker owns one, the serial paths share
-// one. Its View owns the buffers: the present list is reused at
-// capacity, and a reset clears only the slots of the current view's
-// states, so it never pays for an earlier, larger view. Its rand.Rand
-// is the stream of the step in progress (rng.go).
+// without allocating; each pool worker owns one, and the serial paths
+// share the round owner's. Its View owns the buffers: the present list
+// is reused at capacity, and a reset clears only the slots of the
+// current view's states, so it never pays for an earlier, larger view.
+// Its rand.Rand is the stream of the step in progress (rng.go).
 type viewScratch[S comparable] struct {
 	view    View[S]
 	slot    []int32 // slot[id] is k+1 while view.present[k] has that id, else 0
@@ -261,26 +261,23 @@ func (net *Network[S]) refit() {
 	}
 	if net.slots != cap(p.ent) {
 		net.slots = cap(p.ent)
-		if net.serial != nil {
-			net.serial.resize(net.slots)
-		}
 		for _, sc := range net.workers {
 			sc.resize(net.slots)
 		}
 	}
 }
 
-// serialScratch returns the shared workspace of the serial execution
-// paths (SyncRound, Activate, Quiescent, frontier rounds), creating it on
-// first use.
+// serialScratch returns the round owner's workspace, worker 0's, which
+// the serial execution paths (Activate, Quiescent, one-chunk rounds)
+// share, creating it on first use.
 //
 //fssga:hotpath
 func (net *Network[S]) serialScratch() *viewScratch[S] {
-	if net.serial == nil {
-		//fssga:alloc(one-time lazy construction of the shared serial workspace)
-		net.serial = net.newScratch()
+	if len(net.workers) == 0 {
+		//fssga:alloc(one-time lazy construction of the round owner's workspace)
+		net.ensureWorkers(1)
 	}
-	return net.serial
+	return net.workers[0]
 }
 
 // ensureWorkers grows the per-worker scratch pool to at least n entries.

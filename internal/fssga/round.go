@@ -15,10 +15,12 @@ import (
 //   - takes a work set in ascending node order: every node, or the
 //     frontier — the nodes the last committed change list touched, plus
 //     their neighbours, marked in a two-level bitset and drained from it;
-//   - cuts it into contiguous chunks and steps them inline (one worker or
-//     one chunk) or on the shard pool (shard.go), each chunk appending its
-//     changes to its own buffer while σ stays untouched; at more than one
-//     worker, inline or not, a Step panic is supervised (supervisor.go);
+//   - cuts it into contiguous chunks and steps them under supervision
+//     (supervisor.go): inline on the round owner if there is one chunk,
+//     as at one worker, else on the shard pool (shard.go), each chunk
+//     appending its changes to its own buffer while σ stays untouched.
+//     A Step that keeps panicking fails the round with a *PanicError, at
+//     any worker count, so SyncRound too panics with one;
 //   - commits the buffers in chunk order, so in node order: states
 //     written back, the list kept as the next frontier.
 //
@@ -33,7 +35,8 @@ import (
 
 // SyncRound performs one synchronous round: every live node computes its
 // successor state from the same snapshot σ, then all states switch
-// simultaneously (Section 3.4's synchronous model).
+// simultaneously (Section 3.4's synchronous model). A Step panic that
+// survives every supervised retry panics as a *PanicError.
 //
 //fssga:hotpath
 func (net *Network[S]) SyncRound() { net.mustRound(1, false) }
@@ -151,11 +154,7 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 		chunks = (size + span - 1) / span
 	}
 	bufs := net.chunkBuffers(chunks)
-	switch {
-	case chunks == 0: // an empty frontier: nothing to step
-	case workers == 1:
-		bufs[0] = net.stepChunk(net.serialScratch(), c, work, 0, size, bufs[0][:0])
-	default:
+	if chunks > 0 { // an empty frontier has nothing to step
 		//fssga:alloc(the shard pool and its bound body are made once per network, and again only when a round asks for more workers; a supervised round itself allocates nothing unless a Step panics)
 		if err := net.stepSupervised(workers, c, work, size, span, bufs); err != nil {
 			return false, err

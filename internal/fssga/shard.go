@@ -250,9 +250,9 @@ func (net *Network[S]) stepSupervised(workers int, c *graph.CSR, work []int32, s
 	return err
 }
 
-// stepInline steps a one-chunk round on the round owner, with the serial
-// scratch and no pool, and returns a Step panic as the pool would return
-// one raised in the owner's share: as worker 0's.
+// stepInline steps a one-chunk round on the round owner, on worker 0's
+// scratch and with no pool, and returns a Step panic as the pool would
+// return one raised in the owner's share: as worker 0's.
 func (net *Network[S]) stepInline() (wp *workerPanic) {
 	defer func() { wp = recovered(0, recover()) }()
 	r := &net.poolRound

@@ -6,17 +6,17 @@ import (
 	"time"
 )
 
-// Supervised parallel rounds. A worker panic (a bad automaton Step, a
-// corrupted state table) must not kill a long-running process mid-round:
-// the synchronous model makes a round transactional — workers read only
-// the committed states and write only their chunks' change buffers,
-// which commit after the round — so a failed round can be discarded
-// wholesale and retried. A retry draws the same random bits: a step's
-// stream is a function of the round's epoch (rng.go), which only the
-// commit advances. After a bounded number of attempts with capped
-// exponential backoff the round fails with a structured *PanicError
-// carrying the original panic value and stack, leaving the network on
-// its last committed round (checkpointable, restorable).
+// Supervised rounds, at every worker count. A Step panic (a bad
+// automaton Step, a corrupted state table) must not kill a long-running
+// process mid-round: the synchronous model makes a round transactional —
+// workers read only the committed states and write only their chunks'
+// change buffers, which commit after the round — so a failed round can
+// be discarded wholesale and retried. A retry draws the same random
+// bits: a step's stream is a function of the round's epoch (rng.go),
+// which only the commit advances. After a bounded number of attempts
+// with capped exponential backoff the round fails with a structured
+// *PanicError carrying the original panic value and stack, leaving the
+// network on its last committed round (checkpointable, restorable).
 
 // ErrConcurrentRound is returned when two synchronous rounds are
 // started on the same network at once. Rounds mutate the shared change
@@ -25,9 +25,9 @@ import (
 var ErrConcurrentRound = errors.New("fssga: concurrent synchronous round on the same network")
 
 // PanicError reports a worker panic that survived every supervised
-// retry of a parallel round. The network is left on its last committed
-// round: states and round counter are exactly as they were before the
-// failed round began.
+// retry of a round. The network is left on its last committed round:
+// states and round counter are exactly as they were before the failed
+// round began.
 type PanicError struct {
 	Round    int    // 1-based number of the round that failed
 	Worker   int    // pool worker that panicked on the final attempt

@@ -226,22 +226,23 @@ func TestSupervisedExhaustionStructuredError(t *testing.T) {
 }
 
 // TestSupervisedOneChunkRounds: a round whose work set fits one chunk
-// is stepped inline on the round owner and wakes no pool, yet at more
-// than one worker it is supervised like a pool round. A transient Step
-// panic is retried to the serial reference, and a persistent one
-// surfaces as the owner's *PanicError, never as the raw panic value:
-// for a full round on at most 64 nodes, and for a one-chunk frontier.
+// is stepped inline on the round owner and wakes no pool, yet it is
+// supervised like a pool round. A transient Step panic is retried to the
+// serial reference, and a persistent one surfaces as the owner's
+// *PanicError, never as the raw panic value: for a full round on at
+// most 64 nodes and for a one-chunk frontier at two workers, and for
+// every round at one worker, whose work set is always one chunk.
 func TestSupervisedOneChunkRounds(t *testing.T) {
 	testutil.NoLeak(t)
-	// exhaust arms a persistent panic for one round at w = 2 and checks
-	// that it fails as worker 0's *PanicError after every attempt,
-	// leaving the network on its committed round.
-	exhaust := func(t *testing.T, net *Network[int], budget *atomic.Int64, frontier bool) {
+	// exhaust arms a persistent panic for one round at the given worker
+	// count and checks that it fails as worker 0's *PanicError after
+	// every attempt, leaving the network on its committed round.
+	exhaust := func(t *testing.T, net *Network[int], budget *atomic.Int64, workers int, frontier bool) {
 		t.Helper()
 		budget.Store(1 << 40)
 		defer budget.Store(-1)
 		rounds, before := net.Rounds, append([]int(nil), net.States()...)
-		_, err := net.round(2, frontier)
+		_, err := net.round(workers, frontier)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("want *PanicError, got %v", err)
@@ -266,7 +267,7 @@ func TestSupervisedOneChunkRounds(t *testing.T) {
 		if !reflect.DeepEqual(net.States(), ref.States()) || net.Rounds != 1 {
 			t.Fatal("retried one-chunk round diverged from the serial round")
 		}
-		exhaust(t, net, &budget, false)
+		exhaust(t, net, &budget, 2, false)
 		// The panicking entry point re-panics with the structured error.
 		budget.Store(1 << 40)
 		func() {
@@ -304,7 +305,43 @@ func TestSupervisedOneChunkRounds(t *testing.T) {
 		if net.pool != nil {
 			t.Error("a one-chunk frontier started the shard pool")
 		}
-		exhaust(t, net, &budget, true)
+		exhaust(t, net, &budget, 2, true)
+	})
+
+	t.Run("one worker", func(t *testing.T) {
+		var budget atomic.Int64
+		budget.Store(-1)
+		g := graph.Cycle(supN)
+		net := New[int](g.Clone(), panicMax{&budget}, func(v int) int { return v }, 1)
+		ref := newMaxNet(g.Clone(), 1)
+		budget.Store(1) // one Step panics
+		net.SyncRound()
+		ref.SyncRound()
+		if !reflect.DeepEqual(net.States(), ref.States()) || net.Rounds != 1 {
+			t.Fatal("retried one-worker round diverged from the serial round")
+		}
+		exhaust(t, net, &budget, 1, false)
+		exhaust(t, net, &budget, 1, true)
+		budget.Store(1 << 40)
+		var pe *PanicError
+		if err := net.TrySyncRoundParallel(1); !errors.As(err, &pe) || pe.Worker != 0 {
+			t.Fatalf("TrySyncRoundParallel(1) = %v, want worker 0's *PanicError", err)
+		}
+		// The panicking entry points re-panic with the structured error.
+		for _, round := range []func(){net.SyncRound, func() { net.SyncRoundFrontier() }} {
+			func() {
+				defer func() {
+					if _, ok := recover().(*PanicError); !ok {
+						t.Error("a one-worker round should panic with *PanicError")
+					}
+				}()
+				round()
+			}()
+		}
+		budget.Store(-1)
+		if net.pool != nil {
+			t.Error("a one-worker round started the shard pool")
+		}
 	})
 }
 

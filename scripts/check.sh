@@ -24,7 +24,7 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== fssga-vet (all 12 analyzers: determinism, symmetry, model-contract, hot-path, concurrency)"
+echo "== fssga-vet (all 11 analyzers: determinism, symmetry, model-contract, hot-path, concurrency)"
 go run ./cmd/fssga-vet repro/...
 
 echo "== fssga-vet -audit (no stale directives, suppression ratchet)"
@@ -36,11 +36,11 @@ echo "== go test -cover ./... (coverage ratchet)"
 echo "== perf regression gate (gated headline series vs committed BENCH_engine.json)"
 go run ./cmd/fssga-bench -perfgate
 
-echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings)"
-go test -race -cpu 1,2 ./internal/fssga/...
+echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings; the pool workers' ownership of their chunks)"
+go test -race -cpu 1,2 -timeout 5m ./internal/fssga/...
 
 echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette, the ids and the frontier work set that every pool worker reads, and meets its helpers at an atomic barrier, panicking or not)"
-go test -race -cpu 2 -count=10 -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier|TestPoolLifecycle|TestSupervised.*|TestConcurrentRoundsGetDefinedError|TestDeterminismAcrossWorkerCountsWithFaults)$' ./internal/fssga/
+go test -race -cpu 2 -count=10 -timeout 5m -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier|TestPoolLifecycle|TestSupervised.*|TestConcurrentRoundsGetDefinedError|TestDeterminismAcrossWorkerCountsWithFaults)$' ./internal/fssga/
 
 echo "== go test -race -cpu 1,2 ./internal/algo/..."
 go test -race -cpu 1,2 ./internal/algo/...
