@@ -385,12 +385,14 @@ func BenchmarkViewDenseVsMap(b *testing.B) {
 
 // BenchmarkSyncRoundFrontier times frontier rounds two ways.
 //   - frontier and full re-probe a quiesced diffusion: the frontier round
-//     finds the change list empty and returns at once, versus a full
-//     view rebuild per node.
+//     finds the change list empty, so nothing marked, and returns at
+//     once, versus a full view rebuild per node.
 //   - wave/... solve a wave to quiescence from its initial states with
 //     frontier rounds, at one and two workers, as the end-to-end
-//     shortest-path and BFS workloads do, at a smaller n. ns/node is the
-//     solve's time over the node count.
+//     shortest-path and BFS workloads do, at a smaller n. Each solve
+//     starts from RestoreStates, so its first round steps every node;
+//     every later round steps what the workers of the round before it
+//     marked. ns/node is the solve's time over the node count.
 func BenchmarkSyncRoundFrontier(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(2048, 0.004, rng)

@@ -216,9 +216,9 @@ func collectPerf(seed int64, measure measureFunc) []perfResult {
 
 	// 5. Frontier mode on a quiesced diffusion: re-probing a converged
 	// shortest-path grid is O(1) for the serial and the parallel
-	// frontier round alike (the change list is empty, so the round
-	// returns before it marks or steps anything), versus a full view
-	// rebuild for SyncRound.
+	// frontier round alike (the last round changed nothing, so it marked
+	// nothing, and the round drains and steps nothing), versus a full
+	// view rebuild for SyncRound.
 	mkQuiesced := func() *fssga.Network[shortestpath.State] {
 		net, err := shortestpath.NewNetwork(graph.Grid(48, 48), []int{0}, 2304, seed)
 		if err != nil {

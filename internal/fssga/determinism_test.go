@@ -62,16 +62,16 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 				}
 
 				// run returns the final states and, per round, the kernel's
-				// change list, the frontier derived from it, the palette
-				// and the ids, each checked against a brute-force
+				// change list, the frontier its workers marked, the
+				// palette and the ids, each checked against a brute-force
 				// recomputation.
-				run := func(mode string, round func(net *Network[int])) ([]int, []roundTrace) {
+				run := func(mode string, frontier bool, round func(net *Network[int])) ([]int, []roundTrace) {
 					net := New[int](g0.Clone(), auto, init, seed)
 					var traces []roundTrace
 					for r := 1; r <= 10; r++ {
 						prev := append([]int(nil), net.States()...)
 						round(net)
-						traces = append(traces, checkRoundInvariants(t, fmt.Sprintf("seed %d %s round %d", seed, mode, r), net, prev))
+						traces = append(traces, checkRoundInvariants(t, fmt.Sprintf("seed %d %s round %d", seed, mode, r), net, prev, frontier))
 						faults(net.G, r)
 					}
 					out := make([]int, n)
@@ -79,7 +79,7 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 					return out, traces
 				}
 
-				ref, refTraces := run("serial", func(net *Network[int]) { net.SyncRound() })
+				ref, refTraces := run("serial", false, func(net *Network[int]) { net.SyncRound() })
 				check := func(mode string, got []int, gotTraces, wantTraces []roundTrace) {
 					t.Helper()
 					for v := range ref {
@@ -89,12 +89,12 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 						}
 					}
 					if wantTraces != nil && !reflect.DeepEqual(gotTraces, wantTraces) {
-						t.Fatalf("seed %d %s: change lists, frontiers, palettes or ids differ from the one-worker run", seed, mode)
+						t.Fatalf("seed %d %s: change lists, marks, palettes or ids differ from the one-worker run", seed, mode)
 					}
 				}
 				for _, w := range []int{1, 2, 4, 8} {
 					mode := "parallel w=" + strconv.Itoa(w)
-					got, traces := run(mode, func(net *Network[int]) { net.SyncRoundParallel(w) })
+					got, traces := run(mode, false, func(net *Network[int]) { net.SyncRoundParallel(w) })
 					check(mode, got, traces, refTraces)
 				}
 				// Frontier rounds are restricted to deterministic automata;
@@ -102,11 +102,11 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 				// faults and all, with the same change lists at every worker
 				// count.
 				if tc.det {
-					got, frontTraces := run("serial frontier", func(net *Network[int]) { net.SyncRoundFrontier() })
+					got, frontTraces := run("serial frontier", true, func(net *Network[int]) { net.SyncRoundFrontier() })
 					check("serial frontier", got, frontTraces, nil)
 					for _, w := range []int{1, 2, 4, 5, 8} {
 						mode := "frontier w=" + strconv.Itoa(w)
-						got, traces := run(mode, func(net *Network[int]) { net.SyncRoundParallelFrontier(w) })
+						got, traces := run(mode, true, func(net *Network[int]) { net.SyncRoundParallelFrontier(w) })
 						check(mode, got, traces, frontTraces)
 					}
 				}
@@ -116,8 +116,8 @@ func TestDeterminismAcrossWorkerCountsWithFaults(t *testing.T) {
 }
 
 // roundTrace is what one round leaves for the next: its change list,
-// flattened in chunk order, the frontier work set derived from it, and
-// the palette and ids it committed.
+// flattened in chunk order, the union of its workers' marks, and the
+// palette and ids it committed.
 type roundTrace struct {
 	changes []change[int]
 	work    []int32
@@ -127,14 +127,18 @@ type roundTrace struct {
 
 // checkRoundInvariants asserts the round kernel's invariants after one
 // round that started from the states prev: the change list is exactly
-// the snapshot diff, the derived frontier is exactly the set of nodes
-// that changed or have a changed neighbour, and the palette numbers
-// the states (checkPalette).
-func checkRoundInvariants(t *testing.T, what string, net *Network[int], prev []int) roundTrace {
+// the snapshot diff, the palette numbers the states (checkPalette), and
+// the workers' marks are valid on the round's snapshot and exactly the
+// set of nodes that changed or have a changed neighbour after a
+// frontier round, and absent and invalid after a full round.
+func checkRoundInvariants(t *testing.T, what string, net *Network[int], prev []int, frontier bool) roundTrace {
 	t.Helper()
 	c := net.topo()
-	if net.changedOn != c {
-		t.Fatalf("%s: change list not committed on the round's snapshot", what)
+	if frontier && net.markedOn != c {
+		t.Fatalf("%s: frontier marks not committed on the round's snapshot", what)
+	}
+	if !frontier && net.markedOn != nil {
+		t.Fatalf("%s: a full round left marks valid", what)
 	}
 	checkPalette(t, what, net)
 	tr := roundTrace{
@@ -161,6 +165,13 @@ func checkRoundInvariants(t *testing.T, what string, net *Network[int], prev []i
 		t.Fatalf("%s: change list %v, snapshot diff %v", what, listed, diff)
 	}
 
+	tr.work = marked(t, net)
+	if !frontier {
+		if len(tr.work) != 0 {
+			t.Fatalf("%s: a full round marked %v", what, tr.work)
+		}
+		return tr
+	}
 	changed := make([]bool, len(prev))
 	for _, v := range diff {
 		changed[v] = true
@@ -175,13 +186,11 @@ func checkRoundInvariants(t *testing.T, what string, net *Network[int], prev []i
 			want = append(want, v)
 		}
 	}
-	tr.work = append(tr.work, net.frontier(c)...)
 	for _, v := range tr.work {
 		got = append(got, int(v))
 	}
-	sort.Ints(got)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: derived frontier %v, want the changed nodes and their neighbours %v", what, got, want)
+		t.Fatalf("%s: marked %v, want the changed nodes and their neighbours %v", what, got, want)
 	}
 	return tr
 }

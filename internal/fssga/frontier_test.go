@@ -1,6 +1,7 @@
 package fssga
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -152,14 +153,24 @@ func TestFrontierInvalidatedBySetState(t *testing.T) {
 	}
 }
 
+// TestFrontierInvalidatedByFullRound: a full round marks nothing, so
+// the marks of the frontier round before it are stale. The frontier
+// round after it must discard them, step every node and mark afresh:
+// the round after that steps exactly the closed neighbourhood of its
+// changes, and mixing the round kinds loses no update.
 func TestFrontierInvalidatedByFullRound(t *testing.T) {
-	// Interleaving full rounds (which keep the change list but derive no
-	// work set from it) with frontier rounds must not lose updates.
 	g := graph.Path(8)
 	a := newMaxNet(g.Clone(), 1)
 	b := newMaxNet(g.Clone(), 1)
 	a.SyncRoundFrontier()
+	a.SyncRoundFrontier()
 	a.SyncRound()
+	a.SyncRoundFrontier()
+	want := closedNeighbourhood(a.topo(), changeList(a))
+	a.SyncRoundFrontier()
+	if !slices.Equal(a.work, want) {
+		t.Fatalf("after a full round and a frontier round, the next frontier round stepped %v, want %v", a.work, want)
+	}
 	a.RunSyncUntilQuiescent(100)
 	b.RunSyncUntilQuiescent(100)
 	for v := 0; v < 8; v++ {
@@ -180,6 +191,27 @@ func changeList[S comparable](net *Network[S]) []int32 {
 	return vs
 }
 
+// marked returns the union of the workers' mark sets in ascending node
+// order without draining them, and fails t if a summary bit disagrees
+// with its word.
+func marked[S comparable](t *testing.T, net *Network[S]) []int32 {
+	t.Helper()
+	var vs []int32
+	for w, sc := range net.workers {
+		m := sc.marks
+		for i, word := range m.words {
+			if (word != 0) != (m.summary[i>>6]&(1<<(i&63)) != 0) {
+				t.Fatalf("worker %d: mark word %d is %#x and its summary bit disagrees", w, i, word)
+			}
+			for ; word != 0; word &= word - 1 {
+				vs = append(vs, int32(i<<6|bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	slices.Sort(vs)
+	return slices.Compact(vs)
+}
+
 // closedNeighbourhood is the brute-force frontier of a change list on c:
 // every listed node and each of its neighbours, sorted and deduplicated.
 func closedNeighbourhood(c *graph.CSR, changed []int32) []int32 {
@@ -194,10 +226,11 @@ func closedNeighbourhood(c *graph.CSR, changed []int32) []int32 {
 
 // TestFrontierWorkSetIsClosedNeighbourhood pins the frontier contract on
 // random graphs under an edge-fault schedule, at one and two workers.
-// After every frontier round that derived its work set from a change
-// list, the work set is that list's closed neighbourhood in strictly
-// increasing node order; after every round, every word of the bitset is
-// zero and the committed change list ascends.
+// After every frontier round that drained its work set from valid marks,
+// the work set is the last change list's closed neighbourhood in
+// strictly increasing node order. Between rounds the committed change
+// list ascends, and the marks are exactly its closed neighbourhood, so
+// each drain also cleared the marks it read.
 func TestFrontierWorkSetIsClosedNeighbourhood(t *testing.T) {
 	testutil.NoLeak(t)
 	const n, labelCap = 300, 24
@@ -223,7 +256,7 @@ func TestFrontierWorkSetIsClosedNeighbourhood(t *testing.T) {
 					}
 				}
 				c := net.topo()
-				derived := net.changedOn == c
+				derived := net.markedOn == c
 				want := closedNeighbourhood(c, changeList(net))
 				net.mustRound(workers, true)
 				if derived {
@@ -241,19 +274,12 @@ func TestFrontierWorkSetIsClosedNeighbourhood(t *testing.T) {
 						}
 					}
 				}
-				for i, w := range net.front.words {
-					if w != 0 {
-						t.Errorf("seed %d w=%d round %d: bitset word %d is %#x between rounds", seed, workers, r, i, w)
-						return false
-					}
-				}
-				for i, w := range net.front.summary {
-					if w != 0 {
-						t.Errorf("seed %d w=%d round %d: summary word %d is %#x between rounds", seed, workers, r, i, w)
-						return false
-					}
-				}
 				changed := changeList(net)
+				if got, want := marked(t, net), closedNeighbourhood(c, changed); !slices.Equal(got, want) {
+					t.Errorf("seed %d w=%d round %d: marks %v between rounds, want the closed neighbourhood %v",
+						seed, workers, r, got, want)
+					return false
+				}
 				for i := 1; i < len(changed); i++ {
 					if changed[i-1] >= changed[i] {
 						t.Errorf("seed %d w=%d round %d: change list not ascending at %d: %d, %d",

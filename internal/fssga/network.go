@@ -59,16 +59,14 @@ type Network[S comparable] struct {
 	roundActive atomic.Bool
 
 	// Round kernel state (see round.go). changes is the last round's
-	// change list, one buffer per chunk in chunk order, which is
-	// ascending node order; changedOn is the snapshot it was committed
-	// on, nil after an out-of-band state change, which makes the next
-	// frontier round step every node. front is the bitset the frontier
-	// is marked in (every word zero between rounds), and work the work
-	// set drained from it in ascending node order.
-	changes   [][]change[S]
-	changedOn *graph.CSR
-	front     nodeSet
-	work      []int32
+	// change list, one buffer per chunk, in ascending node order. A
+	// frontier round's workers mark the next frontier in their own mark
+	// sets; markedOn is the snapshot it committed on, nil after a full
+	// round, an out-of-band state change or a failed round, which makes
+	// the next frontier round step every node. work is the drained marks.
+	changes  [][]change[S]
+	markedOn *graph.CSR
+	work     []int32
 
 	// Rounds counts completed synchronous rounds; Activations counts
 	// single-node asynchronous activations. Their sum is the epoch of
@@ -172,7 +170,7 @@ func (net *Network[S]) SetState(v int, s S) {
 	} else {
 		net.set(v, s, net.pal.intern(s))
 	}
-	net.changedOn = nil // out-of-band change: the change list no longer covers it
+	net.markedOn = nil // out-of-band change: the marks no longer cover it
 }
 
 // set writes node v's state s and its palette id, moving v's count
@@ -237,8 +235,8 @@ func (net *Network[S]) AggStats() AggStats { return AggStats{} }
 // e.g. from a checkpoint. The round counter also restores the random
 // streams: with no activations, a restored network draws exactly what
 // the checkpointed one would have. The slice length must equal the
-// network's node capacity. Frontier bookkeeping and the ids are
-// invalidated, and the next step renumbers them; the topology is NOT
+// network's node capacity. The frontier marks and the ids are
+// invalidated, and the next step renumbers the ids; the topology is NOT
 // restored — callers must reconstruct it (and any faults applied to it)
 // before restoring states, which internal/checkpoint verifies via the
 // topology content hash.
@@ -251,7 +249,7 @@ func (net *Network[S]) RestoreStates(states []S, rounds int) error {
 	}
 	copy(net.states, states)
 	net.Rounds = rounds
-	net.changedOn = nil
+	net.markedOn = nil
 	net.stale = true
 	return nil
 }
@@ -275,7 +273,7 @@ func (net *Network[S]) Activate(v int) {
 	s := net.step(sc, v, nbrs)
 	net.set(v, s, net.pal.intern(s))
 	net.Activations++
-	net.changedOn = nil
+	net.markedOn = nil
 }
 
 // beforeRound fires the pre-round hook with the upcoming round number.

@@ -6,8 +6,8 @@ import "math/rand"
 // Definition 3.10 needs numbered: each distinct state gets an id in
 // order of first sight, and ids[v] is the id of states[v]. A view is
 // built by id. buildView dedupes a node's neighbours through a slot
-// vector indexed by ids[u], and reads a neighbour's state only when its
-// id is first seen.
+// vector indexed by ids[u], and reads a first-seen id's state from the
+// small palette, not from the network-sized state vector.
 //
 // Ids never depend on the worker count. Pool workers only look a
 // successor up in the palette, which is frozen for the round; a miss
@@ -136,6 +136,8 @@ type viewScratch[S comparable] struct {
 	src keyedSource
 	rnd rand.Rand
 
+	marks nodeSet // the frontier this worker marked in a frontier round (round.go)
+
 	// A pool worker writes its scratch on every step. The pad keeps
 	// those writes off the cache lines of the next object in memory,
 	// such as another worker's scratch (TestViewScratchPad).
@@ -206,22 +208,22 @@ func (sc *viewScratch[S]) push(s S, i int32) {
 // buildView assembles a node's symmetric view of the neighbours listed
 // in nbrs (a CSR neighbour row) from the committed states into sc, in one
 // linear scan keyed by the neighbours' ids: a repeated state costs one
-// slot read and one increment, inline, and a neighbour's state is read
-// only when its id is first seen. The returned View aliases the scratch
-// buffers: it is valid only until the next buildView on the same
-// scratch, which is exactly the duration of one Step call.
+// slot read and one increment, inline, and a first-seen id's state is
+// read from its palette entry (network.go). The returned View aliases
+// the scratch buffers: it is valid only until the next buildView on the
+// same scratch, which is exactly the duration of one Step call.
 //
 //fssga:hotpath
 func (net *Network[S]) buildView(sc *viewScratch[S], nbrs []int32) *View[S] {
 	sc.reset()
 	v := &sc.view
-	ids, slot := net.ids, sc.slot
+	ids, slot, ent := net.ids, sc.slot, net.pal.ent
 	for _, u := range nbrs {
 		i := ids[u]
 		if k := slot[i]; k != 0 {
 			v.mult[k-1]++
 		} else {
-			sc.push(net.states[u], i)
+			sc.push(ent[i].s, i)
 		}
 	}
 	v.total = len(nbrs)

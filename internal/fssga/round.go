@@ -14,15 +14,17 @@ import (
 //
 //   - takes a work set in ascending node order: every node, or the
 //     frontier — the nodes the last committed change list touched, plus
-//     their neighbours, marked in a two-level bitset and drained from it;
+//     their neighbours — drained from the workers' mark sets;
 //   - cuts it into contiguous chunks and steps them under supervision
 //     (supervisor.go): inline on the round owner if there is one chunk,
 //     as at one worker, else on the shard pool (shard.go), each chunk
 //     appending its changes to its own buffer while σ stays untouched.
-//     A Step that keeps panicking fails the round with a *PanicError, at
-//     any worker count, so SyncRound too panics with one;
+//     A worker that finds a change in a frontier round marks the node
+//     and its row in its own bitset, while the row is in cache. A Step
+//     that keeps panicking fails the round with a *PanicError, at any
+//     worker count, so SyncRound too panics with one;
 //   - commits the buffers in chunk order, so in node order: states
-//     written back, the list kept as the next frontier.
+//     written back, the list and a frontier round's marks kept.
 //
 // For a deterministic automaton a node's successor can differ from its
 // state only if the node or a neighbour changed last round, so frontier
@@ -47,10 +49,12 @@ func (net *Network[S]) SyncRound() { net.mustRound(1, false) }
 // incremented and OnRound does not fire, so a run driven by
 // SyncRoundFrontier counts exactly the rounds a SyncRound loop guarded by
 // Quiescent would have executed. The round steps the frontier, the
-// changed nodes and their neighbours, in node order: deriving it costs
-// O(Σ deg(changed) + |frontier| + n/4096) and stepping it
-// O(Σ deg(frontier)), not a step of every node. A quiescent network
-// re-probes in O(1). Deterministic automata only.
+// changed nodes and their neighbours, in node order, as the last round
+// marked it: O(|frontier| + n/4096) to drain and O(Σ deg(frontier)) to
+// step, not a step of every node. A quiescent network re-probes in
+// O(1). After a full round, an out-of-band state change, a failed round
+// or a new snapshot, the round steps every node. Deterministic automata
+// only.
 //
 //fssga:hotpath
 func (net *Network[S]) SyncRoundFrontier() (changed bool) { return net.mustRound(1, true) }
@@ -98,7 +102,8 @@ func (net *Network[S]) RunSync(maxRounds int, done func(net *Network[S]) bool) (
 // RunSyncUntilQuiescent runs frontier rounds until one changes no state,
 // up to maxRounds. For deterministic automata only. The resulting states,
 // round counts and OnRound invocations are identical to a full-round loop
-// guarded by Quiescent.
+// guarded by Quiescent; the first round may step every node (see
+// SyncRoundFrontier).
 func (net *Network[S]) RunSyncUntilQuiescent(maxRounds int) (rounds int, finished bool) {
 	for r := 0; r < maxRounds; r++ {
 		if !net.SyncRoundFrontier() {
@@ -118,12 +123,13 @@ type change[S comparable] struct {
 }
 
 // round runs one synchronous round on workers workers, over every node
-// or (frontier) over the frontier of the last committed change list. A
-// full round always commits; a frontier round commits only if some state
-// changed, so a quiescent frontier round leaves Rounds alone and fires no
-// OnRound. It reports whether any state changed. Errors are those of the
-// supervisor (supervisor.go) and ErrConcurrentRound; on error no state
-// is committed and the next frontier round steps every node.
+// or (frontier) over the frontier the last committed round marked. A
+// full round always commits and marks nothing; a frontier round marks
+// its changes' closed neighbourhoods and commits only if some state
+// changed, so a quiescent frontier round leaves Rounds alone and fires
+// no OnRound. It reports whether any state changed. Errors are those of
+// the supervisor (supervisor.go) and ErrConcurrentRound; on error no
+// state is committed and the next frontier round steps every node.
 //
 //fssga:hotpath
 func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
@@ -138,11 +144,10 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 	c := net.topo()
 	size := c.Cap()
 	var work []int32 // nil: every node
-	if frontier && net.changedOn == c {
-		work = net.frontier(c)
-		size = len(work)
+	if frontier && net.drain(c) {
+		work, size = net.work, len(net.work)
 	}
-	net.changedOn = nil // the buffers are rewritten below and valid again only at commit
+	net.markedOn = nil // the buffers and marks are rewritten below and valid again only once stepped
 	net.sync()
 
 	span := size
@@ -156,11 +161,14 @@ func (net *Network[S]) round(workers int, frontier bool) (bool, error) {
 	bufs := net.chunkBuffers(chunks)
 	if chunks > 0 { // an empty frontier has nothing to step
 		//fssga:alloc(the shard pool and its bound body are made once per network, and again only when a round asks for more workers; a supervised round itself allocates nothing unless a Step panics)
-		if err := net.stepSupervised(workers, c, work, size, span, bufs); err != nil {
+		if err := net.stepSupervised(workers, c, work, size, span, bufs, frontier); err != nil {
 			return false, err
 		}
 	}
-	return net.commit(c, bufs, !frontier), nil
+	if frontier {
+		net.markedOn = c
+	}
+	return net.commit(bufs, !frontier), nil
 }
 
 // mustRound is round for the entry points that report errors by
@@ -187,14 +195,26 @@ func (net *Network[S]) step(sc *viewScratch[S], v int, nbrs []int32) S {
 	return net.auto.Step(net.states[v], view, sc.stream(v))
 }
 
-// stepChunk steps work-set positions [lo, hi) — node IDs themselves when
-// work is nil — and appends every node whose successor differs from its
-// state to out, with the successor's id in the frozen palette. Dead and
+// stepChunk steps chunk k of the published round (net.poolRound), whose
+// positions are node IDs themselves when the work set is nil. It writes
+// every node whose successor differs from its state to the chunk's
+// buffer, with the successor's id in the frozen palette, looked up only
+// when the last change's successor differs. A frontier round also marks
+// each such node and its row in the scratch's mark set. Dead and
 // isolated nodes (empty CSR rows) are frozen.
 //
 //fssga:hotpath
-func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32, lo, hi int, out []change[S]) []change[S] {
+func (net *Network[S]) stepChunk(sc *viewScratch[S], k int) {
+	r := &net.poolRound
+	c, work, frontier, lo := r.c, r.work, r.frontier, k*r.span
+	hi, out := min(lo+r.span, r.size), r.bufs[k][:0]
+	if frontier && len(sc.marks.words) == 0 {
+		//fssga:alloc(a worker's mark set is made by its first frontier round, then reused for the network's lifetime)
+		sc.marks = newNodeSet(c.Cap())
+	}
+	words, summary := sc.marks.words, sc.marks.summary
 	sc.src.epoch = net.epoch()
+	var id int32
 	for i := lo; i < hi; i++ {
 		v := i
 		if work != nil {
@@ -205,11 +225,20 @@ func (net *Network[S]) stepChunk(sc *viewScratch[S], c *graph.CSR, work []int32,
 			continue
 		}
 		if s := net.step(sc, v, nbrs); s != net.states[v] {
+			if n := len(out); n == 0 || out[n-1].s != s {
+				id = net.pal.lookup(s)
+			}
 			//fssga:alloc(a chunk's change buffer grows to its largest change count once, then is reused at capacity)
-			out = append(out, change[S]{v: int32(v), id: net.pal.lookup(s), s: s})
+			out = append(out, change[S]{v: int32(v), id: id, s: s})
+			if frontier {
+				mark(words, summary, int32(v))
+				for _, u := range nbrs {
+					mark(words, summary, u)
+				}
+			}
 		}
 	}
-	return out
+	r.bufs[k] = out
 }
 
 // chunkBuffers returns the round's per-chunk change buffers, keeping the
@@ -226,44 +255,45 @@ func (net *Network[S]) chunkBuffers(chunks int) [][]change[S] {
 	return net.changes[:chunks]
 }
 
-// frontier derives the work set of a frontier round from the last
-// committed change list: every changed node and each of its neighbours,
-// once, in ascending node order. An empty list returns at once, so a
-// quiesced network re-probes in O(1); otherwise the cost is
-// O(Σ deg(changed) + |frontier| + n/4096).
+// drain empties every worker's mark set into net.work, merged in
+// ascending node order, and reports whether the marks are the frontier
+// of snapshot c: made on c by the last committed round, a frontier round,
+// so that they are the closed neighbourhood of its change list. Marks
+// that are not are discarded. An empty change list marked nothing, so a
+// quiesced network drains in O(1).
 //
 //fssga:hotpath
-func (net *Network[S]) frontier(c *graph.CSR) []int32 {
+func (net *Network[S]) drain(c *graph.CSR) bool {
 	net.work = net.work[:0]
-	empty := true
+	quiet := net.markedOn == c
 	for _, buf := range net.changes {
-		empty = empty && len(buf) == 0
+		quiet = quiet && len(buf) == 0
 	}
-	if empty {
-		return net.work
+	if quiet {
+		return true
 	}
-	if len(net.front.words) != (c.Cap()+63)>>6 {
-		//fssga:alloc(the bitset is rebuilt once per topology size change, amortized over all rounds)
-		net.front = newNodeSet(c.Cap())
-	}
-	words, summary := net.front.words, net.front.summary
-	for _, buf := range net.changes {
-		for _, ch := range buf {
-			mark(words, summary, ch.v)
-			for _, u := range c.Neighbors(int(ch.v)) {
-				mark(words, summary, u)
-			}
+	var all *nodeSet
+	for _, sc := range net.workers {
+		switch {
+		case len(sc.marks.words) == 0:
+		case all == nil:
+			all = &sc.marks
+		default:
+			all.take(sc.marks)
 		}
 	}
-	net.work = net.front.drain(net.work)
-	return net.work
+	if all != nil {
+		net.work = all.drain(net.work)
+	}
+	return net.markedOn == c
 }
 
 // nodeSet is a two-level bitset over node ids, carved from one
 // allocation: bit v&63 of words[v>>6] marks node v, and bit i&63 of
-// summary[i>>6] is set whenever words[i] is nonzero. A mark is two ORs;
-// a drain reads the n/4096 summary words and then only the marked
-// words, and leaves every word zero.
+// summary[i>>6] is set whenever words[i] is nonzero. Each worker marks
+// the frontier it finds in its own set. A mark is two ORs; a take or a
+// drain reads the n/4096 summary words and then only the marked words,
+// and leaves every word of the set it empties zero.
 type nodeSet struct {
 	words   []uint64
 	summary []uint64
@@ -285,6 +315,24 @@ func newNodeSet(n int) nodeSet {
 func mark(words, summary []uint64, v int32) {
 	words[v>>6] |= 1 << (v & 63)
 	summary[v>>12] |= 1 << ((v >> 6) & 63)
+}
+
+// take moves t's marks into s, clearing each word of t it visits.
+//
+//fssga:hotpath
+func (s nodeSet) take(t nodeSet) {
+	for i, sum := range t.summary {
+		if sum == 0 {
+			continue
+		}
+		t.summary[i] = 0
+		s.summary[i] |= sum
+		for ; sum != 0; sum &= sum - 1 {
+			w := i<<6 | bits.TrailingZeros64(sum)
+			s.words[w] |= t.words[w]
+			t.words[w] = 0
+		}
+	}
 }
 
 // drain appends the marked nodes to out in ascending order and unmarks
@@ -315,11 +363,11 @@ func (s nodeSet) drain(out []int32) []int32 {
 // interning the successors the frozen palette lacked in that order. The
 // work set ascends and chunks cut it in order, so that is node order and
 // ids do not depend on the worker count. It keeps the buffers as the
-// change list the next frontier derives from. The round counts (Rounds,
-// OnRound) if it changed a state or always is set.
+// change list. The round counts (Rounds, OnRound) if it changed a state
+// or always is set.
 //
 //fssga:hotpath
-func (net *Network[S]) commit(c *graph.CSR, bufs [][]change[S], always bool) (changed bool) {
+func (net *Network[S]) commit(bufs [][]change[S], always bool) (changed bool) {
 	for _, buf := range bufs {
 		for _, ch := range buf {
 			id := ch.id
@@ -330,7 +378,7 @@ func (net *Network[S]) commit(c *graph.CSR, bufs [][]change[S], always bool) (ch
 		}
 		changed = changed || len(buf) > 0
 	}
-	net.changes, net.changedOn = bufs, c
+	net.changes = bufs
 	if !changed && !always {
 		return false
 	}

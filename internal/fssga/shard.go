@@ -230,21 +230,22 @@ func (net *Network[S]) ensurePool(workers int) *shardPool {
 func (net *Network[S]) Close() {}
 
 // poolRound is the supervised round being stepped: the snapshot's
-// topology, the work set (nil: every node), its size, the chunk span and
-// one change buffer per chunk.
+// topology, the work set (nil: every node), its size, the chunk span,
+// one change buffer per chunk and whether it is a frontier round.
 type poolRound[S comparable] struct {
 	c          *graph.CSR
 	work       []int32
 	size, span int
 	bufs       [][]change[S]
+	frontier   bool
 }
 
 // stepSupervised is the round kernel's multi-worker executor: it steps
 // the chunks of a size-position work set, span positions each, under
-// supervision, each chunk into its own buffer. The round is cleared once
-// stepped, so no slice of it outlives the round.
-func (net *Network[S]) stepSupervised(workers int, c *graph.CSR, work []int32, size, span int, bufs [][]change[S]) error {
-	net.poolRound = poolRound[S]{c: c, work: work, size: size, span: span, bufs: bufs}
+// supervision, each chunk into its own buffer, marking in a frontier
+// round. The round is cleared once stepped, so no slice of it outlives it.
+func (net *Network[S]) stepSupervised(workers int, c *graph.CSR, work []int32, size, span int, bufs [][]change[S], frontier bool) error {
+	net.poolRound = poolRound[S]{c: c, work: work, size: size, span: span, bufs: bufs, frontier: frontier}
 	err := net.runSupervised(workers)
 	net.poolRound = poolRound[S]{}
 	return err
@@ -255,8 +256,7 @@ func (net *Network[S]) stepSupervised(workers int, c *graph.CSR, work []int32, s
 // return one raised in the owner's share: as worker 0's.
 func (net *Network[S]) stepInline() (wp *workerPanic) {
 	defer func() { wp = recovered(0, recover()) }()
-	r := &net.poolRound
-	r.bufs[0] = net.stepChunk(net.serialScratch(), r.c, r.work, 0, r.size, r.bufs[0][:0])
+	net.stepChunk(net.serialScratch(), 0)
 	return nil
 }
 
@@ -272,8 +272,6 @@ func (net *Network[S]) stepChunks(pool *shardPool, w int) {
 		if k >= len(net.poolRound.bufs) {
 			return
 		}
-		lo := k * net.poolRound.span
-		hi := min(lo+net.poolRound.span, net.poolRound.size)
-		net.poolRound.bufs[k] = net.stepChunk(sc, net.poolRound.c, net.poolRound.work, lo, hi, net.poolRound.bufs[k][:0])
+		net.stepChunk(sc, k)
 	}
 }

@@ -189,7 +189,7 @@ func TestParallelFrontierQuiescenceSemantics(t *testing.T) {
 }
 
 // TestParallelFrontierAfterOutOfBandChange: SetState between frontier
-// rounds must invalidate the change list so the change propagates.
+// rounds must invalidate the marks so the change propagates.
 func TestParallelFrontierAfterOutOfBandChange(t *testing.T) {
 	testutil.NoLeak(t)
 	net := New[int](graph.Path(300), denseMax{1000}, func(v int) int { return 0 }, 1)

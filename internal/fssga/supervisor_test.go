@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,7 +98,10 @@ func TestSupervisedRewindsRNGOnRetry(t *testing.T) {
 
 // TestSupervisedFrontierRecoversPanic: the frontier engine gets the
 // same supervision; a transient panic mid-frontier-round retries and
-// converges identically to the serial frontier run.
+// converges identically to the serial frontier run. The failed attempt's
+// marks stay: the retry finds every change that attempt found, so every
+// round after the first, the retried one's successor included, steps
+// exactly the closed neighbourhood of the last committed change list.
 func TestSupervisedFrontierRecoversPanic(t *testing.T) {
 	testutil.NoLeak(t)
 	var budget atomic.Int64
@@ -110,7 +114,11 @@ func TestSupervisedFrontierRecoversPanic(t *testing.T) {
 		if r == 2 {
 			budget.Store(2)
 		}
+		want := closedNeighbourhood(net.topo(), changeList(net))
 		changed, err := net.round(4, true)
+		if r > 0 && !slices.Equal(net.work, want) {
+			t.Fatalf("round %d stepped %v, want the closed neighbourhood %v", r+1, net.work, want)
+		}
 		if err != nil {
 			t.Fatalf("round %d: %v", r+1, err)
 		}
@@ -290,10 +298,11 @@ func TestSupervisedOneChunkRounds(t *testing.T) {
 		init := func(v int) int { return 1 / (v + 1) } // 1 at node 0, else 0
 		net := New[int](g.Clone(), panicMax{&budget}, init, 1)
 		ref := New[int](g.Clone(), maxAutomaton{}, init, 1)
-		// A serial first round leaves two changed nodes, so every
-		// frontier after it is a handful of nodes: one chunk.
-		net.SyncRound()
-		ref.SyncRound()
+		// A serial first round steps every node and leaves two changed
+		// nodes, so every frontier after it is a handful of nodes: one
+		// chunk.
+		net.SyncRoundFrontier()
+		ref.SyncRoundFrontier()
 		for r := 1; r <= 4; r++ {
 			if r == 3 {
 				budget.Store(1)

@@ -39,8 +39,8 @@ go run ./cmd/fssga-bench -perfgate
 echo "== go test -race -cpu 1,2 ./internal/fssga/... (one- and two-core interleavings; the pool workers' ownership of their chunks)"
 go test -race -cpu 1,2 -timeout 5m ./internal/fssga/...
 
-echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette, the ids and the frontier work set that every pool worker reads, and meets its helpers at an atomic barrier, panicking or not)"
-go test -race -cpu 2 -count=10 -timeout 5m -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier|TestPoolLifecycle|TestSupervised.*|TestConcurrentRoundsGetDefinedError|TestDeterminismAcrossWorkerCountsWithFaults)$' ./internal/fssga/
+echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette and the ids that every pool worker reads; each worker writes its own frontier mark set, which the owner merges after the barrier; the owner meets its helpers at an atomic barrier, panicking or not)"
+go test -race -cpu 2 -count=10 -timeout 5m -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier|TestParallelFrontierAfterOutOfBandChange|TestParallelFrontierQuiescenceSemantics|TestPoolLifecycle|TestSupervised.*|TestConcurrentRoundsGetDefinedError|TestDeterminismAcrossWorkerCountsWithFaults)$' ./internal/fssga/
 
 echo "== go test -race -cpu 1,2 ./internal/algo/..."
 go test -race -cpu 1,2 ./internal/algo/...
