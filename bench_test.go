@@ -257,8 +257,9 @@ func BenchmarkSensitivity(b *testing.B) {
 //
 // The election/grid32 series is the round of the end-to-end benchmark's
 // election-grid workload: every one of 1,024 nodes steps every round, so
-// at w = 2 a round of about 200 µs carries the pool's hand-off to its
-// helper and the barrier behind it, and us/round shows what they cost.
+// at w = 2 a round of about 110 µs (155–185 µs at w = 1, on a 2-CPU
+// Intel Xeon) carries the pool's hand-off to its helper and the barrier
+// behind it, and us/round shows what they cost.
 func BenchmarkSyncRoundWorkers(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(4096, 0.002, rng)

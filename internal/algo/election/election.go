@@ -40,7 +40,7 @@ import (
 )
 
 // MStatus is the embedded Milgram-agent status.
-type MStatus int8
+type MStatus int16
 
 // Agent statuses (compare internal/algo/traversal).
 const (
@@ -52,7 +52,7 @@ const (
 )
 
 // MElect is the embedded election-tournament sub-state.
-type MElect int8
+type MElect int16
 
 // Tournament sub-states; EFresh is the one-round pause of a new hand.
 const (
@@ -71,13 +71,19 @@ const (
 const NoDist int8 = -1
 
 // NoColour marks a node that has not yet adopted a verification colour.
-const NoColour int8 = -1
+const NoColour int16 = -1
 
 // NoNP means the node is not currently broadcasting a new-phase signal.
 const NoNP int8 = -1
 
 // State is a node's complete election state. All fields have constant
 // range, so the state space is finite as the model requires.
+//
+// The last three fields are int16 so that State is 16 bytes with no
+// padding: on amd64 the compiler copies a 13-byte struct as two
+// overlapping 8-byte moves, and a read of such a copy stalls on the
+// stores before it (fssga.Automaton states the rule; the repository's
+// TestStateSizesCopyInWholeWords guards it).
 type State struct {
 	Started bool  // first activation performed (label drawn)
 	Remain  bool  // still a candidate
@@ -96,8 +102,8 @@ type State struct {
 	// epoch behind), and each epoch carries one root-chosen random
 	// colour that floods the cluster by adjacency — sound for a single
 	// cluster even when mod-3 distance labels are skew-twisted.
-	CEpoch  int8 // pulse counter mod 3
-	CColour int8 // NoColour, 0 or 1
+	CEpoch  int8  // pulse counter mod 3
+	CColour int16 // NoColour, 0 or 1
 
 	// Embedded Milgram verification agent.
 	MSt MStatus
@@ -253,8 +259,8 @@ type observation struct {
 	unlabeled bool // some neighbour is unlabelled
 
 	// colourStep.
-	gated bool // a neighbour is no participant, or a participant an epoch behind
-	adopt int8 // the least colour of a participant an epoch ahead, NoColour if none
+	gated bool  // a neighbour is no participant, or a participant an epoch behind
+	adopt int16 // the least colour of a participant an epoch ahead, NoColour if none
 
 	// agentStep.
 	byArm         bool   // a neighbour holds an arm
@@ -272,8 +278,8 @@ func observe(self State, view *fssga.View[State]) observation {
 	back, next := (self.CEpoch+2)%3, (self.CEpoch+1)%3
 	// Per-epoch colour bounds over self and the participants: an epoch
 	// clashes iff its least colour is below its greatest.
-	lo := [3]int8{math.MaxInt8, math.MaxInt8, math.MaxInt8}
-	hi := [3]int8{NoColour, NoColour, NoColour}
+	lo := [3]int16{math.MaxInt16, math.MaxInt16, math.MaxInt16}
+	hi := [3]int16{NoColour, NoColour, NoColour}
 	if self.CColour != NoColour {
 		lo[self.CEpoch], hi[self.CEpoch] = self.CColour, self.CColour
 	}
@@ -397,12 +403,12 @@ func inconsistent(self State, o *observation, noVerification bool) bool {
 func colourStep(self State, o *observation, rnd *rand.Rand, isRoot bool) State {
 	if isRoot {
 		if self.CColour == NoColour {
-			self.CColour = int8(rnd.Intn(2)) // epoch 0 colour
+			self.CColour = int16(rnd.Intn(2)) // epoch 0 colour
 			return self
 		}
 		if !o.gated {
 			self.CEpoch = (self.CEpoch + 1) % 3
-			self.CColour = int8(rnd.Intn(2))
+			self.CColour = int16(rnd.Intn(2))
 		}
 		return self
 	}
@@ -510,7 +516,6 @@ type Tracker struct {
 	// RemainingPerPhase[i] is the number of remaining nodes when phase i
 	// was first observed (index 0 = initial).
 	RemainingPerPhase []int
-	lastPhaseMark     int
 }
 
 // Auto returns the election transition function, for engines (like the
@@ -569,9 +574,9 @@ func (t *Tracker) Leaders() []int {
 	return ls
 }
 
-// maxPhaseSeen tracks cumulative phase advances at node 0's component by
-// watching any node's transitions; we count transitions at the node with
-// the smallest live ID.
+// probeNode returns the live node with the smallest ID, or -1 if none is
+// live. Round counts a phase change whenever this node's phase counter
+// moves.
 func (t *Tracker) probeNode() int {
 	c := t.Net.Topology()
 	for v := 0; v < c.Cap(); v++ {

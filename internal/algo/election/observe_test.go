@@ -46,7 +46,7 @@ func randomState(r *rand.Rand, base State, keep int) State {
 		s.CEpoch = int8(r.Intn(3))
 	}
 	if !kept() {
-		s.CColour = int8(r.Intn(3)) - 1
+		s.CColour = int16(r.Intn(3)) - 1
 	}
 	if !kept() {
 		s.MSt = MStatus(r.Intn(5))
