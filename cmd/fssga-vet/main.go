@@ -1,8 +1,9 @@
-// Command fssga-vet runs the repository's 11 determinism, symmetry,
-// hot-path and concurrency analyzers (detrand, maporder, viewpure,
-// seedplumb, globalwrite, symcontract, finstate, hotalloc,
-// chanprotocol, lockorder, atomicmix) over Go packages, and
-// reports the inferred mod-thresh footprints (-contracts). It has two
+// Command fssga-vet runs the repository's 8 determinism, symmetry,
+// model-contract and hot-path analyzers (detrand, maporder, viewpure,
+// seedplumb, globalwrite, symcontract, finstate, hotalloc) over Go
+// packages, and reports the inferred mod-thresh footprints
+// (-contracts). The concurrency contracts are checked by the race,
+// leak and handoff tests instead (see internal/analysis). It has two
 // modes:
 //
 // Standalone, over go package patterns (the default is ./...):

@@ -93,9 +93,8 @@ func TestJSONEmptyFindingsOnClean(t *testing.T) {
 // TestJSONGolden pins the -json envelope byte-for-byte: schemaVersion,
 // field names, ordering and indentation are all part of the tool's
 // contract with scripts/check.sh and any CI consumer. One golden per
-// envelope-shaping analyzer family: maporder for the determinism suite,
-// hotalloc for the hot-path gate, and the three concurrency analyzers
-// for the concurrency gate.
+// envelope-shaping analyzer family: maporder for the determinism suite
+// and hotalloc for the hot-path gate.
 func TestJSONGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -103,9 +102,6 @@ func TestJSONGolden(t *testing.T) {
 	}{
 		{"maporder.golden.json", []string{"-json", "-fixtures", fixtureRoot, "maporder"}},
 		{"hotalloc.golden.json", []string{"-json", "-analyzers", "hotalloc", "-fixtures", fixtureRoot, "hotalloc"}},
-		{"chanprotocol.golden.json", []string{"-json", "-analyzers", "chanprotocol", "-fixtures", fixtureRoot, "chanprotocol"}},
-		{"lockorder.golden.json", []string{"-json", "-analyzers", "lockorder", "-fixtures", fixtureRoot, "lockorder"}},
-		{"atomicmix.golden.json", []string{"-json", "-analyzers", "atomicmix", "-fixtures", fixtureRoot, "atomicmix"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out, errb bytes.Buffer

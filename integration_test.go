@@ -11,7 +11,6 @@ import (
 	"repro/internal/algo/election"
 	"repro/internal/algo/shortestpath"
 	"repro/internal/algo/traversal"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/sensitivity"
@@ -24,13 +23,13 @@ func TestPipelineCensusThenElection(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.RandomConnectedGNP(24, 0.15, rng)
 
-	cres, err := core.RunCensus(g, 1)
-	if err != nil || !cres.OK {
+	cres, err := census.Run(g, census.Config{Bits: 14, Sketches: 8, Seed: 1}, 20*g.NumNodes()+40)
+	if err != nil || !cres.Converged {
 		t.Fatalf("census: %+v err=%v", cres, err)
 	}
-	eres, err := core.RunElection(g, 2)
-	if err != nil || !eres.OK {
-		t.Fatalf("election: %+v err=%v", eres, err)
+	tr := election.New(g, 2)
+	if _, ok := tr.Run(100000*g.NumNodes(), 3*g.NumNodes()+10); !ok {
+		t.Fatalf("election: no leader (remaining=%d phases=%d)", tr.Remaining(), tr.Phases)
 	}
 }
 
@@ -106,8 +105,8 @@ func TestPipelineTraversalValidatesCensusGroundTruth(t *testing.T) {
 		t.Fatalf("visited %d of 16", mt.VisitedCount())
 	}
 
-	res, err := core.RunCensus(g, 5)
-	if err != nil || !res.OK {
+	res, err := census.Run(g, census.Config{Bits: 14, Sketches: 8, Seed: 5}, 20*g.NumNodes()+40)
+	if err != nil || !res.Converged {
 		t.Fatalf("census on traversed graph: %+v err=%v", res, err)
 	}
 }
@@ -128,9 +127,15 @@ func TestSensitivityHarnessAgreesWithDirectRun(t *testing.T) {
 	// Direct run on the post-fault graph gives the same labels.
 	gDirect := g.Clone()
 	gDirect.RemoveNode(13)
-	res, err := core.RunShortestPaths(gDirect, []int{0}, 7)
-	if err != nil || !res.OK {
+	res, err := shortestpath.Run(gDirect, []int{0}, 20*gDirect.NumNodes()+40, 7)
+	if err != nil || !res.Converged {
 		t.Fatalf("direct: %+v err=%v", res, err)
+	}
+	want := gDirect.BFSDistances(0)
+	for v := 0; v < gDirect.Cap(); v++ {
+		if gDirect.Alive(v) && res.Labels[v] != want[v] {
+			t.Fatalf("direct: label[%d] = %d, want %d", v, res.Labels[v], want[v])
+		}
 	}
 }
 

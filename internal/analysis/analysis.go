@@ -1,8 +1,8 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// in the spirit of golang.org/x/tools/go/analysis, together with the 11
-// fssga-vet analyzers that prove this repository's determinism, model,
-// hot-path and concurrency contracts at the source level. Five guard
-// determinism and symmetry:
+// in the spirit of golang.org/x/tools/go/analysis, together with the 8
+// fssga-vet analyzers that prove this repository's determinism, model
+// and hot-path contracts at the source level. Five guard determinism and
+// symmetry:
 //
 //   - detrand: no wall-clock or process-global randomness in
 //     determinism-critical packages (replay digests depend on it);
@@ -41,8 +41,8 @@
 // export data with a source-importer fallback), so it runs in hermetic
 // build environments where golang.org/x/tools is unavailable. Every
 // analyzer over a unit reads one index of the unit's facts (index.go):
-// its declarations, Step-shaped functions, static call graph and
-// directive lines, built once on first use.
+// its non-test files, declarations, Step-shaped functions and directive
+// lines, built once on first use.
 //
 // A hot-path analyzer extends the suite beyond determinism to the
 // engine's performance contract:
@@ -56,20 +56,12 @@
 // buffers and never the committed states is checked dynamically, by the
 // worker-count differentials run under the race detector.
 //
-// Three concurrency analyzers prove the scheduler's side of the model
-// (Def 3.11: fair scheduling, constant work per activation). The first
-// two read the conc.go effect layer (spawns, channel operations and
-// select arms); that the pool's goroutines stop is checked dynamically,
-// by testutil.NoLeak:
-//
-//   - chanprotocol: close-at-most-once, no send-after-close, wake-channel
-//     sends are non-blocking select/default, buffered capacities are
-//     named constants;
-//   - lockorder: every Lock is followed directly by a deferred Unlock,
-//     and a function holding a lock takes no other lock, does no
-//     blocking channel operation and calls nothing that may;
-//   - atomicmix: non-test code calls no sync/atomic function, so the
-//     typed atomics make mixed atomic and plain access unrepresentable.
+// The scheduler's side of the model (Def 3.11: fair scheduling,
+// constant work per activation) has no static rule either. The race
+// detector at one and two CPUs checks the pool's atomics, testutil.NoLeak
+// that its goroutines stop, internal/fssga's TestWakeHandoffNeverBlocks
+// that the round owner never parks on a wake channel, and
+// internal/checkpoint's TestFSConcurrentUse the filesystems' mutexes.
 //
 // A diagnostic at a call site that has been audited and found safe is
 // suppressed by a directive comment placed on the flagged line or the
@@ -77,15 +69,13 @@
 //
 //	//fssga:nondet <reason>
 //	//fssga:alloc(<reason>)
-//	//fssga:conc(<reason>)
 //
 // Each analyzer honours exactly one directive kind (//fssga:nondet by
-// default, //fssga:alloc for hotalloc, //fssga:conc for the concurrency
-// analyzers), so an allocation cannot be waved through by a determinism
-// audit or vice versa. The reason is mandatory free text: it should
-// say why the site cannot desynchronize a replay (nondet), why the
-// allocation is acceptable on a hot path (alloc), or why the
-// concurrency contract holds anyway (conc).
+// default, //fssga:alloc for hotalloc), so an allocation cannot be
+// waved through by a determinism audit or vice versa. The reason is
+// mandatory free text: it should say why the site cannot desynchronize
+// a replay (nondet) or why the allocation is acceptable on a hot path
+// (alloc).
 package analysis
 
 import (
@@ -258,9 +248,9 @@ func sortFindings(findings []Finding) {
 
 // RunAnalyzers executes the analyzers over the units, honouring each
 // analyzer's AppliesTo filter and its suppression directive
-// (//fssga:nondet by default, //fssga:alloc for hotalloc, //fssga:conc
-// for the concurrency analyzers — a finding is absorbed only by the
-// directive its analyzer honours), and returns all surviving findings
+// (//fssga:nondet by default, //fssga:alloc for hotalloc — a finding is
+// absorbed only by the directive its analyzer honours), and returns all
+// surviving findings
 // sorted by file, line, column, analyzer, message.
 func RunAnalyzers(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 	findings, err := collectFindings(units, analyzers, true)
@@ -275,7 +265,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Detrand, Maporder, Viewpure, Seedplumb, Globalwrite,
 		Symcontract, Finstate, Hotalloc,
-		Chanprotocol, Lockorder, Atomicmix,
 	}
 }
 

@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -30,20 +29,6 @@ func TestCapinfer(t *testing.T) { analysistest.Run(t, analysis.Symcontract, "cap
 
 func TestHotalloc(t *testing.T) { analysistest.Run(t, analysis.Hotalloc, "hotalloc") }
 
-func TestChanprotocol(t *testing.T) { analysistest.Run(t, analysis.Chanprotocol, "chanprotocol") }
-
-func TestLockorder(t *testing.T) { analysistest.Run(t, analysis.Lockorder, "lockorder") }
-
-func TestAtomicmix(t *testing.T) { analysistest.Run(t, analysis.Atomicmix, "atomicmix") }
-
-// A call that only spawns a goroutine returns at once: it cannot block
-// while its caller holds a lock, whatever the spawned code does.
-func TestLockorderInFrameCalls(t *testing.T) { analysistest.Run(t, analysis.Lockorder, "lockframe") }
-
-// Effects propagate more than one call deep, from a helper declared
-// after its caller whose effect sits behind a leading branch.
-func TestLockorderMultiHop(t *testing.T) { analysistest.Run(t, analysis.Lockorder, "lockdeep") }
-
 func TestHotallocMultiHop(t *testing.T) { analysistest.Run(t, analysis.Hotalloc, "hotdeep") }
 
 // loadFixture loads one fixture package as a unit.
@@ -56,30 +41,6 @@ func loadFixture(t *testing.T, name string) *analysis.Unit {
 		t.Fatalf("loading fixture %q: %v", name, err)
 	}
 	return unit
-}
-
-// TestLockorderNamesAreDeterministic runs lockorder repeatedly over one
-// lock written through seven receiver names: every run must report the
-// same findings, each naming the lock as written at its own acquisition.
-func TestLockorderNamesAreDeterministic(t *testing.T) {
-	analysistest.Run(t, analysis.Lockorder, "lockname")
-	unit := loadFixture(t, "lockname")
-	var first []string
-	for run := 0; run < 50; run++ {
-		findings, err := analysis.RunAnalyzers([]*analysis.Unit{unit}, []*analysis.Analyzer{analysis.Lockorder})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, f := range findings {
-			got = append(got, f.String())
-		}
-		if run == 0 {
-			first = got
-		} else if !reflect.DeepEqual(got, first) {
-			t.Fatalf("run %d reported %q, run 0 reported %q", run, got, first)
-		}
-	}
 }
 
 // TestHotpathReportCycle pins transitive verdicts under recursion: a

@@ -1,8 +1,7 @@
 package analysis
 
-// audit.go inventories the suppression directives (//fssga:nondet,
-// //fssga:alloc and //fssga:conc). Each directive is an audited
-// exception to a contract;
+// audit.go inventories the suppression directives (//fssga:nondet and
+// //fssga:alloc). Each directive is an audited exception to a contract;
 // the audit re-runs the analyzers without suppression and attributes
 // every absorbed diagnostic back to its directive, so a directive left
 // behind after the offending code was fixed (or moved off its line)
@@ -22,8 +21,8 @@ import (
 type Directive struct {
 	File string `json:"file"`
 	Line int    `json:"line"`
-	// Kind is the directive comment itself: //fssga:nondet, //fssga:alloc
-	// or //fssga:conc. A directive only absorbs diagnostics of analyzers
+	// Kind is the directive comment itself: //fssga:nondet or
+	// //fssga:alloc. A directive only absorbs diagnostics of analyzers
 	// honouring its kind.
 	Kind   string `json:"directive"`
 	Reason string `json:"reason"`
@@ -51,7 +50,7 @@ func (d Directive) String() string {
 // directive only when the analyzer honours that directive kind.
 // Directives are returned sorted by file, line and kind.
 func AuditDirectives(units []*Unit, analyzers []*Analyzer) ([]Directive, error) {
-	kinds := []string{NondetDirective, AllocDirective, ConcDirective}
+	kinds := []string{NondetDirective, AllocDirective}
 	type key struct {
 		file string
 		line int

@@ -11,8 +11,8 @@ import (
 
 func TestLookup(t *testing.T) {
 	all, err := analysis.Lookup("")
-	if err != nil || len(all) != 11 {
-		t.Fatalf("Lookup(\"\") = %d analyzers, err %v; want 11, nil", len(all), err)
+	if err != nil || len(all) != 8 {
+		t.Fatalf("Lookup(\"\") = %d analyzers, err %v; want 8, nil", len(all), err)
 	}
 	subset, err := analysis.Lookup("maporder, detrand")
 	if err != nil {

@@ -3,19 +3,20 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
 // Globalwrite flags writes to package-level variables in code reachable
 // from the parallel engine's worker entry points: transition functions
-// (the Automaton.Step signature) and function literals launched with
-// `go`. SyncRoundParallel invokes Step concurrently from multiple
-// workers, so such a write is a data race the race detector only
-// catches on the schedules it happens to see; this pass rejects the
-// pattern on every schedule. Reachability is a static, intra-package
-// over-approximation: direct calls are followed, dynamic dispatch is
-// not (interface Step implementations are themselves roots).
+// (the Automaton.Step signature) and the bodies `go` statements spawn.
+// SyncRoundParallel invokes Step concurrently from multiple workers, so
+// such a write is a data race the race detector only catches on the
+// schedules it happens to see; this pass rejects the pattern on every
+// schedule. Reachability is a static, intra-package
+// over-approximation: every call to a function declared in the unit's
+// non-test files is followed, wherever in a reachable body it sits;
+// dynamic dispatch is not (interface Step implementations are
+// themselves roots).
 var Globalwrite = &Analyzer{
 	Name:      "globalwrite",
 	Doc:       "no package-level variable writes reachable from Step or goroutine worker bodies",
@@ -31,26 +32,32 @@ func runGlobalwrite(pass *Pass) error {
 	type root struct {
 		pos  token.Pos
 		body *ast.BlockStmt
-		fn   *types.Func // nil for a literal
 		why  string
 	}
 	var roots []root
 	for _, s := range x.steps {
 		if s.decl != nil && !s.test {
-			roots = append(roots, root{s.decl.Pos(), s.decl.Body, s.fn, "transition function " + s.fn.Name()})
+			roots = append(roots, root{s.decl.Pos(), s.decl.Body, "transition function " + s.fn.Name()})
 		}
 	}
-	for _, sp := range pass.conc().spawns {
-		if lit, ok := unparen(sp.stmt.Call.Fun).(*ast.FuncLit); ok {
-			roots = append(roots, root{sp.stmt.Pos(), lit.Body, nil, "goroutine body"})
-		} else if fn := staticCallee(pass.Info, sp.stmt.Call); fn != nil && x.inUnit(fn) && x.decls[fn].Body != nil {
-			roots = append(roots, root{sp.stmt.Pos(), x.decls[fn].Body, fn, "goroutine " + fn.Name()})
-		}
+	for _, f := range x.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			if lit, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
+				roots = append(roots, root{g.Pos(), lit.Body, "goroutine body"})
+			} else if fn := x.callee(g.Call); fn != nil && x.decls[fn].Body != nil {
+				roots = append(roots, root{g.Pos(), x.decls[fn].Body, "goroutine " + fn.Name()})
+			}
+			return true
+		})
 	}
 	sort.SliceStable(roots, func(i, j int) bool { return roots[i].pos < roots[j].pos })
 
-	// Breadth-first reachability over the static call graph: every
-	// edge, in-frame or not, runs on some worker.
+	// Breadth-first reachability over the calls in each reachable body,
+	// in order of first call.
 	visited := make(map[*ast.BlockStmt]bool)
 	var queue []root
 	enqueue := func(r root) {
@@ -64,22 +71,12 @@ func runGlobalwrite(pass *Pass) error {
 	}
 	for i := 0; i < len(queue); i++ {
 		r := queue[i]
-		follow := func(callee *types.Func) {
-			if body := x.decls[callee].Body; body != nil {
-				enqueue(root{body: body, fn: callee, why: r.why + " -> " + callee.Name()})
+		ast.Inspect(r.body, func(n ast.Node) bool {
+			if callee := x.callee(n); callee != nil && x.decls[callee].Body != nil {
+				enqueue(root{body: x.decls[callee].Body, why: r.why + " -> " + callee.Name()})
 			}
-		}
-		if r.fn != nil {
-			for _, e := range x.calls[r.fn] {
-				follow(e.callee)
-			}
-		} else {
-			x.walkFrames(r.body, func(n ast.Node, _ bool) {
-				if callee := x.callee(n); callee != nil {
-					follow(callee)
-				}
-			})
-		}
+			return true
+		})
 	}
 
 	// Flag package-level writes in every reachable body.

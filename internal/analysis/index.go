@@ -4,20 +4,11 @@ package analysis
 // reads. The index is built once, on the unit's first use, and every
 // analyzer and report builder running over the unit shares it:
 //
-//   - the non-test files, and one parent map over them;
+//   - the non-test files;
 //   - every function declaration, with test-file declarations marked;
 //   - the Step-shaped functions (declarations and literals), in source
 //     order;
-//   - the same-unit static call graph over the non-test declarations,
-//     each edge marked in-frame when the call runs in the caller's own
-//     frame — not inside a `go` statement, and not inside a function
-//     literal that is not invoked on the spot;
-//   - the lines that carry each directive;
-//   - the unit's one concurrency context (conc.go), built on its own
-//     first use.
-//
-// Test files are excluded from the call graph wholesale: the contracts
-// govern production code, not the test harnesses around it.
+//   - the lines that carry each directive.
 
 import (
 	"go/ast"
@@ -29,8 +20,7 @@ import (
 // safe for concurrent use.
 type unitIndex struct {
 	*Unit
-	files   []*ast.File // non-test files only
-	parents map[ast.Node]ast.Node
+	files []*ast.File // non-test files only
 
 	// decls maps every declared function of the unit to its declaration;
 	// funcs lists them in source order, and test marks the ones declared
@@ -41,20 +31,7 @@ type unitIndex struct {
 
 	steps []*stepFunc
 
-	// calls lists each non-test declaration's distinct same-unit callees
-	// in order of first call.
-	calls map[*types.Func][]callEdge
-
 	directives map[string]map[string]map[int]bool // kind -> file -> lines
-	concCtx    *concCtx
-}
-
-// A callEdge is one caller-to-callee edge of the static call graph.
-// inFrame is set when at least one of the calls runs in the caller's own
-// frame.
-type callEdge struct {
-	callee  *types.Func
-	inFrame bool
 }
 
 // A stepFunc is one function with the Automaton.Step signature: a
@@ -77,15 +54,6 @@ func (u *Unit) index() *unitIndex {
 	return u.idx
 }
 
-// conc returns the unit's concurrency context, building it on first use.
-func (u *Unit) conc() *concCtx {
-	x := u.index()
-	if x.concCtx == nil {
-		x.concCtx = newConcCtx(x)
-	}
-	return x.concCtx
-}
-
 // directiveAt reports whether the line of pos, or the line above it,
 // carries the directive: the placement that suppresses a diagnostic or
 // marks a function literal.
@@ -98,23 +66,17 @@ func (u *Unit) directiveAt(pos token.Pos, directive string) bool {
 func newUnitIndex(u *Unit) *unitIndex {
 	x := &unitIndex{
 		Unit:       u,
-		parents:    make(map[ast.Node]ast.Node),
 		decls:      make(map[*types.Func]*ast.FuncDecl),
 		test:       make(map[*types.Func]bool),
-		calls:      make(map[*types.Func][]callEdge),
 		directives: make(map[string]map[string]map[int]bool),
 	}
 	for _, f := range u.Files {
 		test := IsTestFile(u.Fset, f.Pos())
 		if !test {
 			x.files = append(x.files, f)
-			for n, p := range parentMap(f) {
-				x.parents[n] = p
-			}
 		}
 		x.collectFuncs(f, test)
 	}
-	x.buildCallGraph()
 	return x
 }
 
@@ -143,36 +105,6 @@ func (x *unitIndex) collectFuncs(f *ast.File, test bool) {
 	})
 }
 
-// buildCallGraph records the static calls between non-test
-// declarations; calls inside literals attribute to the enclosing
-// declaration.
-func (x *unitIndex) buildCallGraph() {
-	for _, fn := range x.funcs {
-		if x.test[fn] {
-			continue
-		}
-		body := x.decls[fn].Body
-		if body == nil {
-			continue
-		}
-		at := make(map[*types.Func]int)
-		var edges []callEdge
-		x.walkFrames(body, func(n ast.Node, inFrame bool) {
-			callee := x.callee(n)
-			if callee == nil {
-				return
-			}
-			if i, ok := at[callee]; ok {
-				edges[i].inFrame = edges[i].inFrame || inFrame
-				return
-			}
-			at[callee] = len(edges)
-			edges = append(edges, callEdge{callee, inFrame})
-		})
-		x.calls[fn] = edges
-	}
-}
-
 // inUnit reports whether fn is declared in the unit's non-test files.
 func (x *unitIndex) inUnit(fn *types.Func) bool {
 	_, ok := x.decls[fn]
@@ -188,51 +120,6 @@ func (x *unitIndex) callee(n ast.Node) *types.Func {
 		}
 	}
 	return nil
-}
-
-// walkFrames visits every node under root in source order, with whether
-// it runs in the frame root belongs to: a `go` statement's call runs on
-// a new goroutine, and a function literal's body runs in the caller's
-// frame only when the literal is invoked on the spot.
-func (x *unitIndex) walkFrames(root ast.Node, visit func(n ast.Node, inFrame bool)) {
-	var walk func(n ast.Node, inFrame bool)
-	walk = func(n ast.Node, inFrame bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			if m == nil {
-				return true
-			}
-			visit(m, inFrame)
-			switch m := m.(type) {
-			case *ast.GoStmt:
-				if inFrame {
-					walk(m.Call, false)
-					return false
-				}
-			case *ast.FuncLit:
-				if call, ok := x.callParent(m); inFrame && (!ok || unparen(call.Fun) != ast.Expr(m)) {
-					walk(m.Body, false)
-					return false
-				}
-			}
-			return true
-		})
-	}
-	walk(root, true)
-}
-
-// callParent returns the call expression whose subtree directly holds n
-// (through parens), if any.
-func (x *unitIndex) callParent(n ast.Node) (*ast.CallExpr, bool) {
-	p := x.parents[n]
-	for {
-		pe, ok := p.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		p = x.parents[pe]
-	}
-	call, ok := p.(*ast.CallExpr)
-	return call, ok
 }
 
 // directiveLines maps each file of the unit to the lines carrying the

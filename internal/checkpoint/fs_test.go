@@ -1,9 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/testutil"
@@ -109,5 +112,57 @@ func TestFaultFSPassThrough(t *testing.T) {
 	}
 	if _, err := ffs.ReadFile("a"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash read: %v", err)
+	}
+}
+
+// TestFSConcurrentUse holds MemFS, and FaultFS over a MemFS, to the
+// promise in their doc comments: every method is safe for concurrent
+// use. Four goroutines each write, rename, read, list and remove their
+// own files on one FS; under the race detector, dropping either mutex
+// fails the test.
+func TestFSConcurrentUse(t *testing.T) {
+	testutil.NoLeak(t)
+	const goroutines, iters = 4, 50
+	fault := NewFaultFS(NewMemFS())
+	for _, fs := range []FS{NewMemFS(), fault} {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				name, tmp := fmt.Sprintf("f%d", g), fmt.Sprintf("f%d.tmp", g)
+				for i := 0; i < iters; i++ {
+					data := []byte{byte(g), byte(i)}
+					if err := fs.WriteFile(tmp, data); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := fs.Rename(tmp, name); err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := fs.ReadFile(name); err != nil || !bytes.Equal(got, data) {
+						t.Errorf("%T: read %s = %v, %v; want %v", fs, name, got, err, data)
+						return
+					}
+					if _, err := fs.List(); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := fs.Remove(name); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if names, err := fs.List(); err != nil || len(names) != 0 {
+			t.Errorf("%T: files left = %v, %v; want none", fs, names, err)
+		}
+	}
+	// A write is 3 crash units, a rename and a remove 1 each.
+	if got, want := fault.Units(), int64(goroutines*iters*5); got != want {
+		t.Errorf("FaultFS counted %d mutation units, want %d", got, want)
 	}
 }

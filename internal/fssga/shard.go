@@ -177,9 +177,9 @@ func (p *shardPool) round(body func(pool *shardPool, worker int)) *workerPanic {
 	for _, ch := range p.wake {
 		// A spinning helper sees the generation without the token, and
 		// its buffer may still hold the token of a round it caught that
-		// way; the default branch drops the new token then. The select
-		// keeps the send non-blocking as a checkable fact (chanprotocol):
-		// the round owner can never park on a helper's wake channel.
+		// way; the default branch drops the new token then, so the round
+		// owner never parks on a helper's wake channel
+		// (TestWakeHandoffNeverBlocks).
 		select {
 		case ch <- struct{}{}:
 		default:

@@ -323,6 +323,37 @@ func TestIdlePoolParks(t *testing.T) {
 	runtime.KeepAlive(nets)
 }
 
+// TestWakeHandoffNeverBlocks: round() offers each helper its wake token
+// without waiting for a receiver. A helper that caught the last round by
+// spinning left that round's token in its one-slot buffer, and it may
+// catch the next round by spinning too, so nothing drains the buffer
+// while the owner offers the next token: a blocking send would park the
+// owner there.
+func TestWakeHandoffNeverBlocks(t *testing.T) {
+	testutil.NoLeak(t)
+	p := &shardPool{workers: 2, wake: []chan struct{}{make(chan struct{}, wakeChanCap)}}
+	// The helper caught the last round by spinning, which left that
+	// round's token in its buffer, and it catches this one the same way.
+	p.wake[0] <- struct{}{}
+	go func() {
+		for p.gen.Load() == 0 {
+			runtime.Gosched()
+		}
+		p.share(1)
+		p.busy.Add(-1)
+	}()
+	done := make(chan *workerPanic, 1)
+	go func() { done <- p.round(func(*shardPool, int) {}) }()
+	select {
+	case wp := <-done:
+		if wp != nil {
+			t.Fatalf("round panicked: %v", wp.value)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("round() is still offering a wake token to a helper whose buffer is full")
+	}
+}
+
 // TestDroppedNetworkIsCollected: a network that ran a parallel round is
 // freed once its caller drops it, and its runtime cleanup stops the
 // pool's workers (NoLeak). Each node's lazy source points back into the

@@ -4,7 +4,9 @@
 # coverage ratchet, the race detector over the execution engine and the
 # algorithm layer — the packages with goroutine-parallel rounds and the
 # serial/parallel determinism invariant — and over the graph and
-# checkpoint packages (a lazily computed, shared topology hash), a short
+# checkpoint packages (a lazily computed, shared topology hash, and the
+# filesystems' mutexes), each race step under a 5-minute timeout so a
+# deadlock fails fast, a short
 # fuzz of the checkpoint decoder, the chaos and model-checker smoke
 # gates, and the end-to-end benchmark's own tests.
 set -eu
@@ -24,7 +26,7 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== fssga-vet (all 11 analyzers: determinism, symmetry, model-contract, hot-path, concurrency)"
+echo "== fssga-vet (all 8 analyzers: determinism, symmetry, model-contract, hot-path)"
 go run ./cmd/fssga-vet repro/...
 
 echo "== fssga-vet -audit (no stale directives, suppression ratchet)"
@@ -43,13 +45,13 @@ echo "== go test -race -cpu 2 -count=10 (the round owner writes the palette and 
 go test -race -cpu 2 -count=10 -timeout 5m -run '^(TestAggDifferential|TestDenseIDsTrackStates|TestFrontierWorkSetIsClosedNeighbourhood|TestParallelFrontierMatchesSerialFrontier|TestParallelFrontierAfterOutOfBandChange|TestParallelFrontierQuiescenceSemantics|TestPoolLifecycle|TestSupervised.*|TestConcurrentRoundsGetDefinedError|TestDeterminismAcrossWorkerCountsWithFaults)$' ./internal/fssga/
 
 echo "== go test -race -cpu 1,2 ./internal/algo/..."
-go test -race -cpu 1,2 ./internal/algo/...
+go test -race -cpu 1,2 -timeout 5m ./internal/algo/...
 
 echo "== go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/..."
-go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/...
+go test -race -cpu 1,2 -timeout 5m ./internal/chaos/... ./internal/faults/...
 
-echo "== go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/... (the memoized topology hash)"
-go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/...
+echo "== go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/... (the memoized topology hash; the filesystems' mutexes)"
+go test -race -cpu 1,2 -timeout 5m ./internal/graph/... ./internal/checkpoint/...
 
 echo "== checkpoint decoder fuzz (10 s)"
 go test -run '^$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint/
