@@ -17,20 +17,21 @@ test:
 cover:
 	./scripts/coverage.sh
 
-# Determinism, symmetry, model-contract and hot-path static analyzers
-# (internal/analysis) via the fssga-vet multichecker, 8 in all:
-# detrand, maporder, viewpure, seedplumb, globalwrite, symcontract,
-# finstate, hotalloc. Exit 1 on any finding not carrying an audited
-# //fssga:nondet or //fssga:alloc directive. The concurrency contracts
-# are checked dynamically, by the race targets below.
+# Model-contract and hot-path static analyzers (internal/analysis) via
+# the fssga-vet multichecker, 5 in all: viewpure, globalwrite,
+# symcontract, finstate, hotalloc. Exit 1 on any finding not carrying an
+# audited //fssga:nondet or //fssga:alloc directive. Seed determinism
+# and the concurrency contracts are checked dynamically, by the
+# differential and replay tests and the race targets below.
 lint:
 	$(GO) run ./cmd/fssga-vet repro/...
 	$(GO) run ./cmd/fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/... > /dev/null
 
-# Inventory the //fssga:nondet and //fssga:alloc suppression directives
-# with the analyzers each one absorbs; exit 1 if any directive is stale
-# or a per-analyzer count exceeds its scripts/suppression_ratchet.txt
-# ceiling.
+# Inventory the suppression directives with the analyzers each one
+# absorbs: //fssga:nondet for symcontract, finstate, viewpure and
+# globalwrite, //fssga:alloc for hotalloc. Exit 1 if any directive is
+# stale or a per-analyzer count exceeds its
+# scripts/suppression_ratchet.txt ceiling.
 audit:
 	$(GO) run ./cmd/fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/...
 

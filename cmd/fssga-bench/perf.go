@@ -531,6 +531,5 @@ func benchTimestamp() string {
 			return time.Unix(sec, 0).UTC().Format(time.RFC3339)
 		}
 	}
-	//fssga:nondet artifact metadata only; replay and digests never read the report timestamp
 	return time.Now().UTC().Format(time.RFC3339)
 }

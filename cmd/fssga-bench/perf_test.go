@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,15 @@ func TestBenchTimestampReproducible(t *testing.T) {
 	t.Setenv("SOURCE_DATE_EPOCH", "not-a-number")
 	if benchTimestamp() == "" {
 		t.Fatal("malformed SOURCE_DATE_EPOCH must fall back, not return empty")
+	}
+}
+
+// The perf gate rebuilds the headline workload with latticeNet alone, so
+// the network it measures must be a function of (seed, n).
+func TestLatticeNetRepeats(t *testing.T) {
+	a, b := latticeNet(5, 512), latticeNet(5, 512)
+	if !reflect.DeepEqual(a.G.Edges(), b.G.Edges()) || !reflect.DeepEqual(a.States(), b.States()) {
+		t.Fatal("two latticeNet(5, 512) calls built different networks")
 	}
 }
 

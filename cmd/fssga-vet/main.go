@@ -1,15 +1,14 @@
-// Command fssga-vet runs the repository's 8 determinism, symmetry,
-// model-contract and hot-path analyzers (detrand, maporder, viewpure,
-// seedplumb, globalwrite, symcontract, finstate, hotalloc) over Go
-// packages, and reports the inferred mod-thresh footprints
-// (-contracts). The concurrency contracts are checked by the race,
-// leak and handoff tests instead (see internal/analysis). It has two
-// modes:
+// Command fssga-vet runs the repository's 5 model-contract and hot-path
+// analyzers (viewpure, globalwrite, symcontract, finstate, hotalloc)
+// over Go packages, and reports the inferred mod-thresh footprints
+// (-contracts). Seed determinism and the concurrency contracts are
+// checked by the differential, replay, race, leak and handoff tests
+// instead (see internal/analysis). It has two modes:
 //
 // Standalone, over go package patterns (the default is ./...):
 //
-//	fssga-vet [-json] [-analyzers detrand,maporder] [patterns...]
-//	fssga-vet -fixtures internal/analysis/testdata/src detrand
+//	fssga-vet [-json] [-analyzers viewpure,hotalloc] [patterns...]
+//	fssga-vet -fixtures internal/analysis/testdata/src globalwrite
 //	fssga-vet -audit repro/...     # inventory suppression directives
 //	fssga-vet -audit -ratchet scripts/suppression_ratchet.txt repro/...
 //	fssga-vet -contracts repro/... # inferred mod-thresh footprints
@@ -38,7 +37,6 @@ import (
 	"go/token"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -116,13 +114,9 @@ func checkRatchet(path string, counts map[string]int, stderr io.Writer) int {
 		}
 		ceilings[fields[0]] = n
 	}
-	names := make([]string, 0, len(counts))
-	for name := range counts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	over := 0
-	for _, name := range names {
+	for _, a := range analysis.All() {
+		name := a.Name
 		switch c, ceil := counts[name], ceilings[name]; {
 		case c > ceil:
 			fmt.Fprintf(stderr, "%s: %d live %s suppression(s) exceed the ceiling of %d in %s: fix the diagnostics or raise the ceiling with a written justification\n",

@@ -27,18 +27,19 @@ func TestCleanTreeExitsZero(t *testing.T) {
 
 func TestKnownBadFixtureExitsOne(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-fixtures", fixtureRoot, "detrand"}, &out, &errb)
+	code := run([]string{"-fixtures", fixtureRoot, "globalwrite"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "detrand: time.Now reads the wall clock") {
-		t.Fatalf("findings missing detrand diagnostic:\n%s", out.String())
+	if !strings.Contains(out.String(), `globalwrite: write to package-level variable "counter"`) {
+		t.Fatalf("findings missing globalwrite diagnostic:\n%s", out.String())
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-json", "-fixtures", fixtureRoot, "maporder"}, &out, &errb)
+	// finstate also flags the fixture; the filter keeps one analyzer.
+	code := run([]string{"-json", "-analyzers", "globalwrite", "-fixtures", fixtureRoot, "globalwrite"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, errb.String())
 	}
@@ -53,7 +54,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatal("-json produced an empty findings array for a known-bad fixture")
 	}
 	for _, f := range env.Findings {
-		if f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Analyzer != "maporder" || f.Message == "" {
+		if f.File == "" || f.Line <= 0 || f.Col <= 0 || f.Analyzer != "globalwrite" || f.Message == "" {
 			t.Fatalf("incomplete finding: %+v", f)
 		}
 	}
@@ -79,9 +80,9 @@ func TestJSONOutput(t *testing.T) {
 
 func TestJSONEmptyFindingsOnClean(t *testing.T) {
 	var out, errb bytes.Buffer
-	// The detrand fixture is clean under maporder, so the filter must
+	// The globalwrite fixture is clean under hotalloc, so the filter must
 	// yield exit 0 and an empty findings array, not null.
-	code := run([]string{"-json", "-analyzers", "maporder", "-fixtures", fixtureRoot, "detrand"}, &out, &errb)
+	code := run([]string{"-json", "-analyzers", "hotalloc", "-fixtures", fixtureRoot, "globalwrite"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -92,15 +93,14 @@ func TestJSONEmptyFindingsOnClean(t *testing.T) {
 
 // TestJSONGolden pins the -json envelope byte-for-byte: schemaVersion,
 // field names, ordering and indentation are all part of the tool's
-// contract with scripts/check.sh and any CI consumer. One golden per
-// envelope-shaping analyzer family: maporder for the determinism suite
-// and hotalloc for the hot-path gate.
+// contract with scripts/check.sh and any CI consumer. One golden covers
+// every analyzer, since the envelope's shape does not depend on which
+// analyzer reported a finding.
 func TestJSONGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		args   []string
 	}{
-		{"maporder.golden.json", []string{"-json", "-fixtures", fixtureRoot, "maporder"}},
 		{"hotalloc.golden.json", []string{"-json", "-analyzers", "hotalloc", "-fixtures", fixtureRoot, "hotalloc"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {

@@ -105,6 +105,11 @@ func coin(rnd *rand.Rand) State {
 	return Tails
 }
 
+// Auto returns the walk's transition function, for engines that
+// evaluate activations outside a Network. It is randomized: the
+// tournament's coins are drawn from the supplied RNG.
+func Auto() fssga.Automaton[State] { return automaton{} }
+
 // Tracker runs the walk and maintains the walker's position and move
 // statistics — global bookkeeping the finite-state nodes cannot hold.
 type Tracker struct {

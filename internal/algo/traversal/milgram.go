@@ -188,6 +188,11 @@ func coinElect(rnd *rand.Rand) Elect {
 	return ETails
 }
 
+// MilgramAuto returns the traversal's transition function, for engines
+// that evaluate activations outside a Network. It is randomized: the
+// next-hop election's coins are drawn from the supplied RNG.
+func MilgramAuto() fssga.Automaton[MilgramState] { return milgramAutomaton{} }
+
 // MilgramTracker runs the traversal and maintains global bookkeeping: the
 // hand's position, its move count, and the visit set.
 type MilgramTracker struct {

@@ -1,18 +1,12 @@
 // Package analysis is a small, dependency-free static-analysis framework
-// in the spirit of golang.org/x/tools/go/analysis, together with the 8
-// fssga-vet analyzers that prove this repository's determinism, model
-// and hot-path contracts at the source level. Five guard determinism and
-// symmetry:
+// in the spirit of golang.org/x/tools/go/analysis, together with the 5
+// fssga-vet analyzers that prove this repository's model and hot-path
+// contracts at the source level. Two guard what a transition function
+// may touch:
 //
-//   - detrand: no wall-clock or process-global randomness in
-//     determinism-critical packages (replay digests depend on it);
-//   - maporder: no map-iteration order leaking into slices, writers or
-//     digests without an intervening sort;
 //   - viewpure: FSSGA transition functions treat their View as a
 //     read-only, non-retainable observation ("nodes read neighbour
 //     states, write only their own", Pritchard & Vempala Section 2);
-//   - seedplumb: test files pin their randomness (testing/quick configs
-//     come from internal/testutil, no time-seeded or global RNGs);
 //   - globalwrite: no writes to package-level variables reachable from
 //     the parallel engine's worker entry points (Automaton.Step and `go`
 //     bodies), which would race under SyncRoundParallel.
@@ -44,13 +38,22 @@
 // its non-test files, declarations, Step-shaped functions and directive
 // lines, built once on first use.
 //
-// A hot-path analyzer extends the suite beyond determinism to the
+// A hot-path analyzer extends the suite beyond the model to the
 // engine's performance contract:
 //
 //   - hotalloc: functions marked //fssga:hotpath must be provably free
 //     of heap allocation — no append growth, interface boxing, escaping
 //     composite literals, closures or map/slice/string conversions —
 //     with audited exceptions carried by //fssga:alloc(reason).
+//
+// That a run is a function of its seed has no static rule. Each
+// activation draws from a stream keyed by (seed, node, epoch), and the
+// dynamic suite checks the outcome: internal/fssga's engine differential
+// steps the randomized automata against a linear-scan reference,
+// election's trajectories are pinned, internal/chaos runs every replay
+// cell twice and replays it, and the outputs built from maps
+// (chaos.TargetNames, checkpoint.MemFS.List, exp.IDs) have sortedness
+// tests.
 //
 // That shard-pool workers write only their claimed chunks' change
 // buffers and never the committed states is checked dynamically, by the
@@ -72,9 +75,9 @@
 //
 // Each analyzer honours exactly one directive kind (//fssga:nondet by
 // default, //fssga:alloc for hotalloc), so an allocation cannot be
-// waved through by a determinism audit or vice versa. The reason is
-// mandatory free text: it should say why the site cannot desynchronize
-// a replay (nondet) or why the allocation is acceptable on a hot path
+// waved through by a model-contract audit or vice versa. The reason is
+// mandatory free text: it should say why the site keeps the model
+// contract (nondet) or why the allocation is acceptable on a hot path
 // (alloc).
 package analysis
 
@@ -92,11 +95,6 @@ type Analyzer struct {
 
 	// Doc is a one-paragraph description of the contract the pass proves.
 	Doc string
-
-	// AppliesTo, if non-nil, restricts the packages the driver runs this
-	// pass over (it receives the unit's import path). analysistest
-	// bypasses the filter so fixtures exercise passes directly.
-	AppliesTo func(pkgPath string) bool
 
 	// Directive, if non-empty, is the suppression directive comment this
 	// analyzer honours instead of the default //fssga:nondet. Analyzers
@@ -155,7 +153,9 @@ func (f Finding) String() string {
 }
 
 // NondetDirective is the default allowlist comment: it suppresses a
-// determinism-contract finding on its own line or the line below.
+// symmetry, finite-state, view-purity or global-write finding on its
+// own line or the line below. Its reason says why the site keeps the
+// model contract.
 const NondetDirective = "//fssga:nondet"
 
 // AllocDirective is the hot-path allowlist comment: //fssga:alloc(reason)
@@ -190,18 +190,14 @@ func directiveReason(text, prefix string) (reason string, ok bool) {
 	return reason, reason != "" || prefix == HotpathDirective
 }
 
-// collectFindings executes the analyzers over the units, honouring each
-// analyzer's AppliesTo filter, and returns the findings sorted. With
-// suppress set, a diagnostic on or below a line carrying the directive
-// its analyzer honours is dropped; the audit layer runs without it, to
-// tell live directives from stale ones.
+// collectFindings executes the analyzers over the units and returns the
+// findings sorted. With suppress set, a diagnostic on or below a line
+// carrying the directive its analyzer honours is dropped; the audit
+// layer runs without it, to tell live directives from stale ones.
 func collectFindings(units []*Unit, analyzers []*Analyzer, suppress bool) ([]Finding, error) {
 	var findings []Finding
 	for _, u := range units {
 		for _, a := range analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(u.Path) {
-				continue
-			}
 			pass := &Pass{Analyzer: a, Unit: u}
 			pass.Report = func(d Diagnostic) {
 				if suppress && u.directiveAt(d.Pos, a.directive()) {
@@ -247,10 +243,9 @@ func sortFindings(findings []Finding) {
 }
 
 // RunAnalyzers executes the analyzers over the units, honouring each
-// analyzer's AppliesTo filter and its suppression directive
-// (//fssga:nondet by default, //fssga:alloc for hotalloc — a finding is
-// absorbed only by the directive its analyzer honours), and returns all
-// surviving findings
+// analyzer's suppression directive (//fssga:nondet by default,
+// //fssga:alloc for hotalloc — a finding is absorbed only by the
+// directive its analyzer honours), and returns all surviving findings
 // sorted by file, line, column, analyzer, message.
 func RunAnalyzers(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 	findings, err := collectFindings(units, analyzers, true)
@@ -263,12 +258,11 @@ func RunAnalyzers(units []*Unit, analyzers []*Analyzer) ([]Finding, error) {
 // All returns the full fssga-vet suite in a fixed order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Detrand, Maporder, Viewpure, Seedplumb, Globalwrite,
-		Symcontract, Finstate, Hotalloc,
+		Viewpure, Globalwrite, Symcontract, Finstate, Hotalloc,
 	}
 }
 
-// Lookup resolves a comma-separated analyzer list ("detrand,maporder")
+// Lookup resolves a comma-separated analyzer list ("viewpure,hotalloc")
 // against the suite, preserving suite order.
 func Lookup(names string) ([]*Analyzer, error) {
 	if names == "" {
@@ -298,27 +292,6 @@ func Lookup(names string) ([]*Analyzer, error) {
 		return nil, fmt.Errorf("analysis: unknown analyzer(s) %s", strings.Join(unknown, ", "))
 	}
 	return out, nil
-}
-
-// DeterminismCritical reports whether a package participates in the
-// determinism contract: everything in the module except the examples.
-// The replay-critical core (internal/fssga,
-// internal/mc, internal/chaos, internal/trace, internal/algo/...) is the
-// motivating set; the remaining library and cmd packages feed artifacts
-// and logs that replay verification also consumes, so they are held to
-// the same standard.
-func DeterminismCritical(path string) bool {
-	// Canonicalize the unit variants the go vet driver presents:
-	// "pkg [pkg.test]" (test build of pkg) and "pkg_test" (external test
-	// package) are governed by pkg's classification.
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	path = strings.TrimSuffix(path, "_test")
-	if !strings.HasPrefix(path, "repro") {
-		return true // fixtures and external callers opt in wholesale
-	}
-	return path != "repro/examples" && !strings.HasPrefix(path, "repro/examples/")
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go file.

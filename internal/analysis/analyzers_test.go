@@ -7,15 +7,9 @@ import (
 	"repro/internal/analysis/analysistest"
 )
 
-func TestDetrand(t *testing.T) { analysistest.Run(t, analysis.Detrand, "detrand") }
-
-func TestMaporder(t *testing.T) { analysistest.Run(t, analysis.Maporder, "maporder") }
-
 func TestViewpure(t *testing.T) {
 	analysistest.Run(t, analysis.Viewpure, "viewpure", "viewpure_real")
 }
-
-func TestSeedplumb(t *testing.T) { analysistest.Run(t, analysis.Seedplumb, "seedplumb") }
 
 func TestGlobalwrite(t *testing.T) { analysistest.Run(t, analysis.Globalwrite, "globalwrite") }
 

@@ -36,10 +36,9 @@ import (
 )
 
 var Finstate = &Analyzer{
-	Name:      "finstate",
-	Doc:       "transition functions keep the reachable state space finite: no unbounded arithmetic on state, no n-sized state payloads",
-	AppliesTo: DeterminismCritical,
-	Run:       runFinstate,
+	Name: "finstate",
+	Doc:  "transition functions keep the reachable state space finite: no unbounded arithmetic on state, no n-sized state payloads",
+	Run:  runFinstate,
 }
 
 // Lattice levels for one variable.

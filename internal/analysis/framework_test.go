@@ -11,17 +11,17 @@ import (
 
 func TestLookup(t *testing.T) {
 	all, err := analysis.Lookup("")
-	if err != nil || len(all) != 8 {
-		t.Fatalf("Lookup(\"\") = %d analyzers, err %v; want 8, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("Lookup(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
-	subset, err := analysis.Lookup("maporder, detrand")
+	subset, err := analysis.Lookup("hotalloc, viewpure")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subset) != 2 || subset[0].Name != "detrand" || subset[1].Name != "maporder" {
+	if len(subset) != 2 || subset[0].Name != "viewpure" || subset[1].Name != "hotalloc" {
 		t.Fatalf("Lookup preserves suite order: got %v", names(subset))
 	}
-	if _, err := analysis.Lookup("detrand,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if _, err := analysis.Lookup("viewpure,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("Lookup with unknown name: err = %v, want mention of bogus", err)
 	}
 }
@@ -34,27 +34,9 @@ func names(as []*analysis.Analyzer) []string {
 	return out
 }
 
-func TestDeterminismCritical(t *testing.T) {
-	for path, want := range map[string]bool{
-		"repro/internal/fssga":                             true,
-		"repro/internal/mc":                                true,
-		"repro/cmd/fssga-bench":                            true,
-		"repro/internal/analysis":                          true,
-		"repro/internal/analysis/analysistest":             true,
-		"repro/internal/analysis_test":                     true, // external test package variant
-		"repro/examples/basic":                             false,
-		"repro/internal/fssga [repro/internal/fssga.test]": true, // go vet test build
-		"detrand": true, // fixtures opt in wholesale
-	} {
-		if got := analysis.DeterminismCritical(path); got != want {
-			t.Errorf("DeterminismCritical(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
 func TestFindingString(t *testing.T) {
-	f := analysis.Finding{File: "a/b.go", Line: 3, Col: 7, Analyzer: "detrand", Message: "m"}
-	if got, want := f.String(), "a/b.go:3:7: detrand: m"; got != want {
+	f := analysis.Finding{File: "a/b.go", Line: 3, Col: 7, Analyzer: "globalwrite", Message: "m"}
+	if got, want := f.String(), "a/b.go:3:7: globalwrite: m"; got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
 	}
 }

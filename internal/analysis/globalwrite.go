@@ -18,10 +18,9 @@ import (
 // dynamic dispatch is not (interface Step implementations are
 // themselves roots).
 var Globalwrite = &Analyzer{
-	Name:      "globalwrite",
-	Doc:       "no package-level variable writes reachable from Step or goroutine worker bodies",
-	AppliesTo: DeterminismCritical,
-	Run:       runGlobalwrite,
+	Name: "globalwrite",
+	Doc:  "no package-level variable writes reachable from Step or goroutine worker bodies",
+	Run:  runGlobalwrite,
 }
 
 func runGlobalwrite(pass *Pass) error {

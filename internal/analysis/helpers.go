@@ -237,18 +237,3 @@ func containsObject(info *types.Info, root ast.Node, obj types.Object) bool {
 	})
 	return found
 }
-
-// containsCallTo reports whether the subtree contains a call to a
-// package-level function of pkgPath named name.
-func containsCallTo(info *types.Info, root ast.Node, pkgPath, name string) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn, p := pkgLevelFunc(info, call); fn != nil && p == pkgPath && fn.Name() == name {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}

@@ -34,7 +34,7 @@ package analysis
 //
 // An audited exception is recorded as //fssga:alloc(reason) on the
 // flagged line or the line above — the analyzer's own directive, so a
-// determinism audit can never wave an allocation through. The
+// model-contract audit can never wave an allocation through. The
 // testing.AllocsPerRun harness in internal/fssga cross-checks the
 // verdicts: statically proven functions must measure zero allocations
 // (static dominates dynamic, exactly as capinfer's footprints must

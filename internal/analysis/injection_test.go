@@ -37,56 +37,6 @@ func checkSynthetic(t *testing.T, importPath, src string) *analysis.Unit {
 	return unit
 }
 
-// Acceptance pin: a bare time.Now() added to internal/fssga must fail
-// the lint gate.
-func TestInjectedTimeNowInFssgaIsFlagged(t *testing.T) {
-	findings := analyzeSynthetic(t, "repro/internal/fssga", `package fssga
-
-import "time"
-
-func stamp() int64 { return time.Now().UnixNano() }
-`)
-	if len(findings) != 1 || findings[0].Analyzer != "detrand" {
-		t.Fatalf("findings = %v, want exactly one detrand diagnostic", findings)
-	}
-}
-
-// Acceptance pin: removing the sort after a map-range accumulation must
-// fail the lint gate, while the sorted original stays clean (the
-// false-positive guard).
-func TestSortRemovalBeforeMapRangeIsFlagged(t *testing.T) {
-	const sorted = `package fssga
-
-import "sort"
-
-func keys(m map[int]int) []int {
-	var ks []int
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
-}
-`
-	if findings := analyzeSynthetic(t, "repro/internal/fssga", sorted); len(findings) != 0 {
-		t.Fatalf("sorted map-range wrongly flagged: %v", findings)
-	}
-	const unsorted = `package fssga
-
-func keys(m map[int]int) []int {
-	var ks []int
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
-}
-`
-	findings := analyzeSynthetic(t, "repro/internal/fssga", unsorted)
-	if len(findings) != 1 || findings[0].Analyzer != "maporder" {
-		t.Fatalf("findings = %v, want exactly one maporder diagnostic", findings)
-	}
-}
-
 // byAnalyzer filters findings to one analyzer's.
 func byAnalyzer(findings []analysis.Finding, name string) []analysis.Finding {
 	var out []analysis.Finding
@@ -202,13 +152,18 @@ func label(id int) string {
 	return fmt.Sprintf("node-%d", id)
 }
 `},
-		{"detrand", `package fssga
+		{"globalwrite", `package fssga
 
-import "time"
+import "math/rand"
 
-func stamp() int64 {
+type View[S any] struct{ states []S }
+
+var epoch int
+
+func step(self int, view *View[int], rnd *rand.Rand) int {
 	//fssga:nondet
-	return time.Now().UnixNano()
+	epoch++
+	return self
 }
 `},
 	} {

@@ -25,10 +25,9 @@ import (
 //     locals: nodes are anonymous, so behaviour must not vary with
 //     any per-instantiation identity smuggled in through a closure.
 var Symcontract = &Analyzer{
-	Name:      "symcontract",
-	Doc:       "transition functions observe the View as a multiset: order-invariant folds, constant caps, no identity capture",
-	AppliesTo: DeterminismCritical,
-	Run:       runSymcontract,
+	Name: "symcontract",
+	Doc:  "transition functions observe the View as a multiset: order-invariant folds, constant caps, no identity capture",
+	Run:  runSymcontract,
 }
 
 // observationCapArg maps each View observation method to the index of
@@ -379,4 +378,58 @@ func (fc *foldChecker) referencesAny(e ast.Expr, set map[types.Object]bool) bool
 
 func (fc *foldChecker) report(pos token.Pos, format string, args ...any) {
 	fc.pass.Reportf(pos, format, args...)
+}
+
+// orderedSinkMethods are method names that emit data in call order.
+var orderedSinkMethods = map[string]bool{
+	"Write":       true,
+	"WriteString": true,
+	"WriteByte":   true,
+	"WriteRune":   true,
+	"Encode":      true,
+}
+
+// recvName renders the receiver expression of a method call for the
+// diagnostic ("buf" in buf.Write), falling back to "receiver".
+func recvName(call *ast.CallExpr) string {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if id := rootIdent(sel.X); id != nil {
+			return id.Name
+		}
+	}
+	return "receiver"
+}
+
+// insideNode reports whether pos lies within n.
+func insideNode(n ast.Node, pos token.Pos) bool {
+	return n.Pos() <= pos && pos < n.End()
+}
+
+// sortedAfterPos reports whether encl calls into package sort or slices
+// at or after pos with obj among the call's arguments (sort.Ints(xs),
+// sort.Slice(xs, less), slices.Sort(xs)): the collect-then-sort idiom
+// the fold checker sanctions for ForEach accumulators.
+func sortedAfterPos(info *types.Info, encl ast.Node, pos token.Pos, obj types.Object) bool {
+	found := false
+	ast.Inspect(encl, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < pos {
+			return true
+		}
+		fn, pkg := pkgLevelFunc(info, call)
+		if fn == nil || (pkg != "sort" && pkg != "slices") {
+			return true
+		}
+		for _, arg := range call.Args {
+			if containsObject(info, arg, obj) {
+				found = true
+				break
+			}
+		}
+		return !found
+	})
+	return found
 }

@@ -17,10 +17,9 @@ import (
 // recycled after every Step call, so a retained view is not merely a
 // model violation — it aliases memory the next activation overwrites.
 var Viewpure = &Analyzer{
-	Name:      "viewpure",
-	Doc:       "transition functions must treat their View as read-only and non-retainable",
-	AppliesTo: DeterminismCritical,
-	Run:       runViewpure,
+	Name: "viewpure",
+	Doc:  "transition functions must treat their View as read-only and non-retainable",
+	Run:  runViewpure,
 }
 
 func runViewpure(pass *Pass) error {

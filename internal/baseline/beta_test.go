@@ -132,13 +132,19 @@ func TestNonTreeEdgeFailureHarmless(t *testing.T) {
 	}
 }
 
-// CriticalNodes accumulates from a map; its output must be sorted and
-// identical across rebuilds (fresh maps iterate in different orders).
-// Pins the sort.Ints fix demanded by the fssga-vet maporder pass.
+// CriticalNodes collects the tree's internal nodes in a map; it must
+// return them in ascending order, identical across rebuilds, since Go
+// iterates each new map in its own order.
 func TestCriticalNodesCanonical(t *testing.T) {
-	want := []int{0, 1, 2, 3, 4} // path 0-..-5 rooted at 0: every parent
+	// Path 0-..-19 rooted at 0: every node but the last is a parent.
+	// Nineteen keys, because a map of five often iterates in sorted
+	// order, and a dropped sort could then pass all five rebuilds.
+	want := make([]int, 19)
+	for v := range want {
+		want[v] = v
+	}
 	for i := 0; i < 5; i++ {
-		b, err := NewBeta(graph.Path(6), 0)
+		b, err := NewBeta(graph.Path(20), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -99,24 +100,44 @@ func TestRunRejectsUnknowns(t *testing.T) {
 	}
 }
 
-// Record/replay is bit-identical: re-delivering the recorded events on a
-// rebuilt topology reproduces the violation, the round it struck, and
-// every per-round state digest.
+// A run is a function of its config, and record/replay is
+// bit-identical: a second run of the same config writes the same log,
+// and re-delivering the recorded events on a rebuilt topology
+// reproduces the violation, the round it struck, and every per-round
+// state digest. Replay never runs an adversary, so only the second run
+// checks the adversaries' streams.
 func TestReplayBitIdentical(t *testing.T) {
 	testutil.NoLeak(t)
-	for _, cell := range []struct{ target, adv string }{
-		{"beta", "chi"},
-		{"census", "burst"},
-		{"shortestpath", "cut"},
-		{"bfs", "random"},
+	for _, cell := range []struct {
+		target, adv string
+		graph       trace.GraphSpec
+	}{
+		{"beta", "chi", gnp24(9)},
+		// β's first lost critical node ends the run, so two runs whose
+		// χ streams differ can still pick the same node. Every inner
+		// node of a path is critical, so here the pick is among 254.
+		{"beta", "chi", trace.GraphSpec{Gen: "path", N: 256, Seed: 9}},
+		{"census", "burst", gnp24(9)},
+		{"shortestpath", "cut", gnp24(9)},
+		// Every edge of a tree is a bridge, so the cut adversary's
+		// stream chooses among several.
+		{"shortestpath", "cut", trace.GraphSpec{Gen: "tree", N: 24, Seed: 9}},
+		{"bfs", "random", gnp24(9)},
 	} {
-		cfg := Config{Target: cell.target, Adversary: cell.adv, Graph: gnp24(9), Seed: 13}
+		cfg := Config{Target: cell.target, Adversary: cell.adv, Graph: cell.graph, Seed: 13}
 		log, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s × %s: %v", cell.target, cell.adv, err)
+			t.Fatalf("%s × %s on %s: %v", cell.target, cell.adv, cell.graph.Gen, err)
+		}
+		again, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s × %s on %s: second run: %v", cell.target, cell.adv, cell.graph.Gen, err)
+		}
+		if !reflect.DeepEqual(again, log) {
+			t.Errorf("%s × %s on %s: a second run of the same config wrote a different log", cell.target, cell.adv, cell.graph.Gen)
 		}
 		if _, err := VerifyReplay(log); err != nil {
-			t.Errorf("%s × %s: %v", cell.target, cell.adv, err)
+			t.Errorf("%s × %s on %s: %v", cell.target, cell.adv, cell.graph.Gen, err)
 		}
 	}
 }
@@ -189,6 +210,10 @@ func TestTargetRegistry(t *testing.T) {
 	names := TargetNames()
 	if len(names) < 5 {
 		t.Fatalf("registry too small: %v", names)
+	}
+	// The names set fssga-chaos's default -targets order.
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("TargetNames() = %v, want sorted", names)
 	}
 	for _, n := range names {
 		b, err := LookupTarget(n)

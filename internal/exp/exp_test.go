@@ -112,6 +112,10 @@ func TestE13SensitivityShape(t *testing.T) {
 	}
 }
 
+// TestRunAllProducesAllTables also holds every experiment to Options'
+// promise that a fixed seed reproduces its table exactly: RunAll's
+// output must hold each table as a second run on the same seed prints
+// it.
 func TestRunAllProducesAllTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
@@ -122,6 +126,11 @@ func TestRunAllProducesAllTables(t *testing.T) {
 	for _, id := range IDs() {
 		if !strings.Contains(out, "== "+id+":") {
 			t.Fatalf("missing table %s", id)
+		}
+		var again bytes.Buffer
+		Registry[id](quickOpts()).Print(&again)
+		if !strings.Contains(out, again.String()) {
+			t.Fatalf("a second run of %s on the same seed printed a different table:\n%s", id, again.String())
 		}
 	}
 }

@@ -21,7 +21,9 @@ import (
 	"repro/internal/algo/bfs"
 	"repro/internal/algo/census"
 	"repro/internal/algo/election"
+	"repro/internal/algo/randomwalk"
 	"repro/internal/algo/shortestpath"
+	"repro/internal/algo/traversal"
 	"repro/internal/algo/twocolor"
 	"repro/internal/checkpoint"
 	"repro/internal/faults"
@@ -252,10 +254,29 @@ func TestAggDifferential(t *testing.T) {
 			return net
 		})
 	})
-	// Election is randomized: no frontier engines.
+	// Election, the random walk and the Milgram traversal are
+	// randomized: no frontier engines.
 	t.Run("election", func(t *testing.T) {
 		runDiff(t, false, election.Auto(), func(g *graph.Graph, seed int64) *fssga.Network[election.State] {
 			return election.New(g, seed).Net
+		})
+	})
+	t.Run("randomwalk", func(t *testing.T) {
+		runDiff(t, false, randomwalk.Auto(), func(g *graph.Graph, seed int64) *fssga.Network[randomwalk.State] {
+			tr, err := randomwalk.New(g, 0, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr.Net
+		})
+	})
+	t.Run("milgram", func(t *testing.T) {
+		runDiff(t, false, traversal.MilgramAuto(), func(g *graph.Graph, seed int64) *fssga.Network[traversal.MilgramState] {
+			tr, err := traversal.NewMilgram(g, 0, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr.Net
 		})
 	})
 	t.Run("parity", func(t *testing.T) {

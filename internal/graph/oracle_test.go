@@ -288,11 +288,11 @@ func TestSpanningTree(t *testing.T) {
 	}
 }
 
-// The oracle traversals must not depend on map iteration order: two
-// structurally identical graphs built independently (fresh adjacency
-// maps, so Go randomizes their iteration differently) must produce
-// identical results. Pins the sorted-neighbour traversal that the
-// fssga-vet maporder pass demanded.
+// The oracle traversals are functions of the graph alone: two
+// structurally identical graphs built independently, with the same
+// nodes removed, must give identical connectivity, components,
+// component of a node and BFS distances, and each component lists its
+// nodes in ascending order.
 func TestOracleDeterministicAcrossRebuilds(t *testing.T) {
 	build := func() *Graph {
 		rng := rand.New(rand.NewSource(99))

@@ -2,6 +2,7 @@ package iwa
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fssga"
@@ -146,14 +147,28 @@ func TestCondRules(t *testing.T) {
 
 func TestFSSGASimulatorMatchesDirectRun(t *testing.T) {
 	// The FSSGA simulation of the marker machine must mark the whole
-	// cycle and halt, exactly like the direct run.
+	// cycle and halt, exactly like the direct run. A twin on the same
+	// seed must hold the same states after every round: the agent's
+	// coins come from the network's keyed streams alone.
 	g := graph.Cycle(8)
 	sim, err := NewSimulator(markerMachine(), g, zeroLabels(g), 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sim.RunToHalt(20000) {
-		t.Fatal("simulation did not halt")
+	twin, err := NewSimulator(markerMachine(), graph.Cycle(8), zeroLabels(g), 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; !sim.Halted(); r++ {
+		if r > 20000 {
+			t.Fatal("simulation did not halt")
+		}
+		if !sim.Round() || !twin.Round() {
+			t.Fatalf("round %d: agent lost", r)
+		}
+		if !reflect.DeepEqual(sim.Net.States(), twin.Net.States()) {
+			t.Fatalf("round %d: twin on the same seed diverged", r)
+		}
 	}
 	for v, l := range sim.Labels() {
 		if l != 1 {

@@ -143,30 +143,6 @@ func SemiLogXFit(xs, ys []float64) Fit {
 	return LinearFit(lx, ys)
 }
 
-// Counter accumulates named integer counts; used for event tracing.
-type Counter struct {
-	counts map[string]int64
-}
-
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
-
-// Add increments the named count by delta.
-func (c *Counter) Add(name string, delta int64) { c.counts[name] += delta }
-
-// Get returns the named count (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // KSStatistic computes the two-sample Kolmogorov–Smirnov statistic
 // sup |F_a - F_b| between the empirical distributions of a and b. Both
 // samples must be nonempty. Used by E7 to compare the FSSGA walk law with

@@ -148,20 +148,6 @@ func TestLinearFitNoisyProperty(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Add("moves", 3)
-	c.Add("moves", 2)
-	c.Add("rounds", 1)
-	if c.Get("moves") != 5 || c.Get("rounds") != 1 || c.Get("absent") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "moves" || names[1] != "rounds" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestKSStatisticIdentical(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	if d := KSStatistic(a, a); d != 0 {

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Tier-1 verification for the repo (see ROADMAP.md): build, vet, the
-# fssga-vet determinism/symmetry analyzers, full tests under the
-# coverage ratchet, the race detector over the execution engine and the
-# algorithm layer — the packages with goroutine-parallel rounds and the
-# serial/parallel determinism invariant — and over the graph and
-# checkpoint packages (a lazily computed, shared topology hash, and the
-# filesystems' mutexes), each race step under a 5-minute timeout so a
-# deadlock fails fast, a short
+# fssga-vet model-contract and hot-path analyzers, full tests under the
+# coverage ratchet (among them the determinism checks: a run is a
+# function of its seed, and outputs built from maps are sorted), the
+# race detector over the execution engine and the algorithm layer — the
+# packages with goroutine-parallel rounds and the serial/parallel
+# determinism invariant — and over the graph and checkpoint packages (a
+# lazily computed, shared topology hash, and the filesystems' mutexes),
+# each race step under a 5-minute timeout so a deadlock fails fast, a short
 # fuzz of the checkpoint decoder, the chaos and model-checker smoke
 # gates, and the end-to-end benchmark's own tests.
 set -eu
@@ -26,7 +27,7 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== fssga-vet (all 8 analyzers: determinism, symmetry, model-contract, hot-path)"
+echo "== fssga-vet (all 5 analyzers: view purity, global writes, symmetry, finite state, hot-path allocation)"
 go run ./cmd/fssga-vet repro/...
 
 echo "== fssga-vet -audit (no stale directives, suppression ratchet)"
