@@ -354,17 +354,16 @@ func (d denseMaxAuto) Step(self int, view *fssga.View[int], rnd *rand.Rand) int 
 	return best
 }
 
-// BenchmarkViewDenseVsMap isolates the view-engine cost: identical
+// BenchmarkViewDirectVsStepFunc isolates the view-engine cost: identical
 // max-diffusion rounds on the same graph, the automaton called directly
-// ("dense") and through a StepFunc ("map"). Both build views on the one
-// palette path and must report 0 allocs/op; the names are those of the
-// two view paths there were.
-func BenchmarkViewDenseVsMap(b *testing.B) {
+// ("direct") and the same automaton behind a StepFunc ("stepfunc"). Both
+// build views on the one palette path and must report 0 allocs/op.
+func BenchmarkViewDirectVsStepFunc(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnectedGNP(2048, 0.004, rng)
 	const k = 16
 	init := func(v int) int { return v % k }
-	b.Run("dense", func(b *testing.B) {
+	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()
 		net := fssga.New[int](g.Clone(), denseMaxAuto{k}, init, 1)
 		net.SyncRound()
@@ -373,7 +372,7 @@ func BenchmarkViewDenseVsMap(b *testing.B) {
 			net.SyncRound()
 		}
 	})
-	b.Run("map", func(b *testing.B) {
+	b.Run("stepfunc", func(b *testing.B) {
 		b.ReportAllocs()
 		net := fssga.New[int](g.Clone(), fssga.StepFunc[int](denseMaxAuto{k}.Step), init, 1)
 		net.SyncRound()

@@ -13,8 +13,8 @@ import (
 // It is the execution engine's read path — one contiguous array walk per
 // round instead of per-node method calls and neighbour-slice copies —
 // and the form the streaming generators write. The mutable Graph of a
-// regular topology is carved from one such snapshot (fromCSR), whose
-// rows it then edits under faults.
+// regular topology is a view of one such snapshot (fromCSR) until its
+// first fault, which gives it rows of its own to edit.
 //
 // Invariants (shared with Graph.Validate): per-node neighbour lists are
 // strictly increasing, dead nodes have empty lists, adjacency is
@@ -133,49 +133,41 @@ func (g *Graph) CSR() *CSR {
 	if g.csr != nil && g.csrVersion == g.version {
 		return g.csr
 	}
+	n := len(g.alive)
 	c := &CSR{
-		offsets: make([]int32, len(g.adj)+1),
-		alive:   make([]bool, len(g.alive)),
+		offsets: make([]int32, n+1),
+		alive:   slices.Clone(g.alive),
 		nAlive:  g.nAlive,
 		mAlive:  g.mAlive,
 	}
-	copy(c.alive, g.alive)
 	half := 0
-	for _, ns := range g.adj {
-		half += len(ns)
+	for v := 0; v < n; v++ {
+		half += len(g.row(v))
 	}
 	c.neighbors = make([]int32, half)
 	pos := int32(0)
-	for v, ns := range g.adj {
+	for v := 0; v < n; v++ {
 		c.offsets[v] = pos
-		pos += int32(copy(c.neighbors[pos:], ns))
+		pos += int32(copy(c.neighbors[pos:], g.row(v)))
 	}
-	c.offsets[len(g.adj)] = pos
+	c.offsets[n] = pos
 	g.csr, g.csrVersion = c, g.version
 	return c
 }
 
-// fromCSR returns a mutable graph with c's topology, built in one pass:
-// it clones c's neighbour array once and carves every row out of the
-// clone, and it keeps c as its cached snapshot, so its first CSR() call
-// costs nothing. The clone keeps c immutable while RemoveEdge and
-// RemoveNode edit rows in place; each row's capacity is clipped at its
-// own end, so a later AddEdge reallocates that row alone instead of
-// overwriting the next.
+// fromCSR returns a mutable graph with c's topology that copies
+// nothing: it reads its rows and its alive mask from c until its first
+// mutation carves rows of its own (Graph.own), and it keeps c as its
+// cached snapshot, so its first CSR() call costs nothing. c stays
+// immutable either way.
 func fromCSR(c *CSR) *Graph {
-	back := slices.Clone(c.neighbors)
-	g := &Graph{
-		adj:    make([][]int32, len(c.alive)),
-		alive:  slices.Clone(c.alive),
+	return &Graph{
+		base:   c,
+		alive:  c.alive,
 		nAlive: c.nAlive,
 		mAlive: c.mAlive,
 		csr:    c,
 	}
-	for v := range g.adj {
-		lo, hi := c.offsets[v], c.offsets[v+1]
-		g.adj[v] = back[lo:hi:hi]
-	}
-	return g
 }
 
 // The streaming generators below write CSR snapshots for the regular

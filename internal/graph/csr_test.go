@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -332,6 +334,7 @@ func TestCSRContentHashPinned(t *testing.T) {
 		{"Grid(3,3).CSR()", Grid(3, 3).CSR(), 0xcb5981fd97ae0be8},
 		{"TorusCSR(1024,1024)", TorusCSR(1024, 1024), 0xe4c426eafe21f92a},
 		{"HypercubeCSR(4)", HypercubeCSR(4), 0x0a837dce0cf0fb68},
+		{"PLawCSR(1024,4,4,1)", PLawCSR(1024, 4, 4, 1), 0xe3e714d8634f4810},
 	} {
 		for i := 0; i < 2; i++ { // computed, then memoized
 			if got := tc.c.ContentHash(); got != tc.want {
@@ -464,10 +467,253 @@ func TestBulkGeneratorsAllocateO1(t *testing.T) {
 		}
 	}
 	stream := testing.AllocsPerRun(5, func() { csrSink = PLawCSR(256, 4, 4, 1) })
-	bulk := testing.AllocsPerRun(5, func() { csrSink = PLaw(256, 4, 4, 1).CSR() })
-	if bulk > stream+8 {
-		t.Errorf("PLaw(256,4,4,1).CSR(): %v allocations, want at most 8 more than PLawCSR's %v", bulk, stream)
+	if stream > 12 {
+		t.Errorf("PLawCSR(256,4,4,1): %v allocations, want at most 12", stream)
 	}
+	bulk := testing.AllocsPerRun(5, func() { csrSink = PLaw(256, 4, 4, 1).CSR() })
+	if bulk > stream+2 {
+		t.Errorf("PLaw(256,4,4,1).CSR(): %v allocations, want at most 2 more than PLawCSR's %v", bulk, stream)
+	}
+}
+
+// allocatedBytes returns the fewest bytes that f allocated in three
+// runs, as runtime.MemStats.TotalAlloc counts them.
+func allocatedBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+var graphSink *Graph
+
+// TestCarvedGraphSharesItsSnapshot: a graph carved from a snapshot is a
+// view of it until its first mutation. Its generator allocates no more
+// than writing the snapshot does, plus the graph's own header; the first
+// RemoveEdge carves rows of its own; and the snapshot keeps its hash.
+func TestCarvedGraphSharesItsSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		carved func() *Graph
+		stream func() *CSR
+	}{
+		{"Cycle(4096)", func() *Graph { return Cycle(4096) }, func() *CSR { return CycleCSR(4096) }},
+		{"Torus(64,64)", func() *Graph { return Torus(64, 64) }, func() *CSR { return TorusCSR(64, 64) }},
+		{"Hypercube(12)", func() *Graph { return Hypercube(12) }, func() *CSR { return HypercubeCSR(12) }},
+		{"PLaw(1024,4,4,1)", func() *Graph { return PLaw(1024, 4, 4, 1) }, func() *CSR { return PLawCSR(1024, 4, 4, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The race detector's instrumentation perturbs allocations.
+			if !raceEnabled {
+				carved := allocatedBytes(func() { graphSink = tc.carved() })
+				stream := allocatedBytes(func() { csrSink = tc.stream() })
+				if carved > stream+1024 {
+					t.Errorf("the generator allocates %d bytes, writing its snapshot %d", carved, stream)
+				}
+			}
+			g := tc.carved()
+			first := g.CSR()
+			if g.base != first || g.adj != nil {
+				t.Fatal("a fresh carved graph keeps rows of its own")
+			}
+			want := first.contentHash()
+			e := g.Edges()[0]
+			if !g.RemoveEdge(e.U, e.V) {
+				t.Fatalf("RemoveEdge(%d, %d) removed nothing", e.U, e.V)
+			}
+			if g.base != nil || len(g.adj) != g.Cap() {
+				t.Fatal("the first RemoveEdge left the graph reading its snapshot")
+			}
+			if got := first.contentHash(); got != want || first.ContentHash() != want {
+				t.Fatalf("first snapshot hashes %016x after RemoveEdge, %016x before", got, want)
+			}
+			if g.HasEdge(e.U, e.V) || !first.Alive(e.U) || !csrHasEdge(first, e.U, e.V) {
+				t.Fatal("RemoveEdge edited the snapshot instead of the graph's own rows")
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// absentEdge returns the first pair u < v of live nodes that g does not
+// join.
+func absentEdge(g *Graph) (int, int) {
+	live := g.Nodes(nil)
+	for i, u := range live {
+		for _, v := range live[i+1:] {
+			if !g.HasEdge(u, v) {
+				return u, v
+			}
+		}
+	}
+	panic("graph: no absent edge")
+}
+
+// assertSameReads checks every read of g against the same read of twin.
+func assertSameReads(t *testing.T, g, twin *Graph) {
+	t.Helper()
+	if g.Cap() != twin.Cap() || g.NumNodes() != twin.NumNodes() || g.NumEdges() != twin.NumEdges() {
+		t.Fatalf("counts %v, twin's %v", g, twin)
+	}
+	for v := -1; v <= g.Cap(); v++ {
+		if g.Alive(v) != twin.Alive(v) || g.Degree(v) != twin.Degree(v) {
+			t.Fatalf("node %d: alive %v degree %d, twin's %v %d", v, g.Alive(v), g.Degree(v), twin.Alive(v), twin.Degree(v))
+		}
+		if got, want := g.SortedNeighbors(v, nil), twin.SortedNeighbors(v, nil); !slices.Equal(got, want) {
+			t.Fatalf("node %d: neighbours %v, twin's %v", v, got, want)
+		}
+		for u := -1; u <= g.Cap(); u++ {
+			if g.HasEdge(u, v) != twin.HasEdge(u, v) {
+				t.Fatalf("HasEdge(%d, %d) = %v, twin's %v", u, v, g.HasEdge(u, v), twin.HasEdge(u, v))
+			}
+		}
+		if g.Alive(v) && !slices.Equal(g.BFSDistances(v), twin.BFSDistances(v)) {
+			t.Fatalf("BFSDistances(%d) differ from the twin's", v)
+		}
+	}
+	if !slices.Equal(g.Nodes(nil), twin.Nodes(nil)) || !slices.Equal(g.Edges(), twin.Edges()) {
+		t.Fatalf("nodes or edges differ from the twin's: %v against %v", g.Edges(), twin.Edges())
+	}
+	if g.MaxDegree() != twin.MaxDegree() || g.String() != twin.String() {
+		t.Fatalf("MaxDegree %d, %s; twin's %d, %s", g.MaxDegree(), g, twin.MaxDegree(), twin)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Connected() != twin.Connected() || g.Diameter() != twin.Diameter() {
+		t.Fatalf("Connected %v Diameter %d, twin's %v %d", g.Connected(), g.Diameter(), twin.Connected(), twin.Diameter())
+	}
+	if got, want := g.Components(), twin.Components(); !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("components %v, twin's %v", got, want)
+	}
+	if got, want := g.Bridges(), twin.Bridges(); !slices.Equal(got, want) {
+		t.Fatalf("bridges %v, twin's %v", got, want)
+	}
+	gc, gok := g.TwoColor()
+	wc, wok := twin.TwoColor()
+	if gok != wok || !slices.Equal(gc, wc) {
+		t.Fatalf("TwoColor %v %v, twin's %v %v", gc, gok, wc, wok)
+	}
+}
+
+// TestCarvedGraphReadsMatchTwins: each read of a carved graph agrees
+// with its twin built edge by edge, while it reads its snapshot (and
+// through a clone that shares the snapshot), after mutations that change
+// nothing, which must leave it reading the snapshot, and after one
+// mutation of each kind, which carves its rows.
+func TestCarvedGraphReadsMatchTwins(t *testing.T) {
+	gens := []struct {
+		name         string
+		carved, twin func() *Graph
+	}{
+		{"Cycle(9)", func() *Graph { return Cycle(9) }, func() *Graph { return cycleByEdges(9) }},
+		{"Torus(4,5)", func() *Graph { return Torus(4, 5) }, func() *Graph { return torusByEdges(4, 5) }},
+		{"Hypercube(4)", func() *Graph { return Hypercube(4) }, func() *Graph { return hypercubeByEdges(4) }},
+		{"PLaw(16,3,2,1)", func() *Graph { return PLaw(16, 3, 2, 1) }, func() *Graph { return plawByEdges(16, 3, 2, 1) }},
+	}
+	mutations := []struct {
+		name   string
+		mutate func(g, twin *Graph)
+	}{
+		{"AddEdge", func(g, twin *Graph) {
+			u, v := absentEdge(twin)
+			g.AddEdge(u, v)
+			twin.AddEdge(u, v)
+		}},
+		{"RemoveEdge", func(g, twin *Graph) {
+			e := twin.Edges()[twin.NumEdges()/2]
+			g.RemoveEdge(e.U, e.V)
+			twin.RemoveEdge(e.U, e.V)
+		}},
+		{"RemoveNode", func(g, twin *Graph) {
+			v := twin.Cap() / 2
+			g.RemoveNode(v)
+			twin.RemoveNode(v)
+		}},
+	}
+	for _, gen := range gens {
+		for _, m := range mutations {
+			t.Run(gen.name+"/"+m.name, func(t *testing.T) {
+				g, twin := gen.carved(), gen.twin()
+				assertSameReads(t, g, twin)
+				cl := g.Clone()
+				if cl.base != g.base || cl.CSR() == g.CSR() {
+					t.Fatal("the clone of a carved graph does not share its snapshot, or shares its cache")
+				}
+				assertSameReads(t, cl, twin)
+				e := g.Edges()[0]
+				u, v := absentEdge(g)
+				g.AddEdge(e.U, e.V)
+				g.RemoveEdge(u, v)
+				g.RemoveNode(-1)
+				g.RemoveNode(g.Cap())
+				if g.base == nil {
+					t.Fatal("a mutation that changed nothing carved the rows")
+				}
+				m.mutate(g, twin)
+				if g.base != nil {
+					t.Fatalf("%s left the graph reading its snapshot", m.name)
+				}
+				assertSameReads(t, g, twin)
+			})
+		}
+	}
+}
+
+// TestCarvedGraphConcurrentReaders: eight goroutines read one unmutated
+// carved graph at once, and each clones it and mutates its clone. Reads
+// never write the shared graph or its snapshot, which -race checks.
+func TestCarvedGraphConcurrentReaders(t *testing.T) {
+	g, twin := Torus(16, 16), torusByEdges(16, 16)
+	first := g.CSR()
+	hash := first.ContentHash()
+	const readers = 8
+	rows := make([][]int, readers)
+	dists := make([][]int, readers)
+	for i := range rows {
+		rows[i] = twin.SortedNeighbors(i*31, nil)
+		dists[i] = twin.BFSDistances(i * 31)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := i * 31
+			if got := g.SortedNeighbors(v, nil); !slices.Equal(got, rows[i]) {
+				t.Errorf("reader %d: neighbours of %d %v, want %v", i, v, got, rows[i])
+			}
+			if !slices.Equal(g.BFSDistances(v), dists[i]) {
+				t.Errorf("reader %d: BFSDistances(%d) differ from the twin's", i, v)
+			}
+			if g.CSR() != first {
+				t.Errorf("reader %d: CSR() built a new snapshot", i)
+			}
+			cl := g.Clone()
+			if h := cl.CSR().ContentHash(); h != hash {
+				t.Errorf("reader %d: the clone's snapshot hashes %016x, want %016x", i, h, hash)
+			}
+			cl.RemoveNode(v)
+			if err := cl.Validate(); err != nil {
+				t.Errorf("reader %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if g.base != first || g.adj != nil || g.CSR() != first {
+		t.Fatal("concurrent reads carved or replaced the graph's rows")
+	}
+	if got := first.contentHash(); got != hash {
+		t.Fatalf("the snapshot hashes %016x after the reads, %016x before", got, hash)
+	}
+	assertSameReads(t, g, twin)
 }
 
 // TestBulkGraphSnapshotImmutable: a graph carved from a snapshot edits
@@ -487,6 +733,14 @@ func TestBulkGraphSnapshotImmutable(t *testing.T) {
 			g, twin := tc.g, tc.twin
 			first := g.CSR()
 			want := first.contentHash()
+			cl := g.Clone()
+			e := cl.Edges()[0]
+			cl.RemoveEdge(e.U, e.V)
+			cl.AddEdge(absentEdge(cl))
+			cl.RemoveNode(cl.Nodes(nil)[1])
+			if g.CSR() != first || first.contentHash() != want || !slices.Equal(g.Edges(), twin.Edges()) {
+				t.Fatal("mutating a clone changed the original or its snapshot")
+			}
 			rng := rand.New(rand.NewSource(1))
 			for step := 0; step < 15; step++ {
 				switch step % 3 {

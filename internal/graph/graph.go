@@ -23,10 +23,15 @@ type Graph struct {
 	// slices make every traversal deterministic by construction (no map
 	// iteration anywhere on the simulation path) and keep membership
 	// tests O(log d) via binary search. Rows hold int32 IDs, as CSR
-	// snapshots do; a graph built by fromCSR carves them all out of one
-	// array.
+	// snapshots do. Every read of a row goes through row.
+	//
+	// A graph built by fromCSR is a view of that snapshot until its
+	// first mutation: base is set, adj is nil, and alive is base's mask,
+	// so set-up copies nothing. The first mutation that changes the
+	// graph carves rows and a mask of its own (own) and clears base.
+	base   *CSR
 	adj    [][]int32
-	alive  []bool
+	alive  []bool // len Cap(); while base is set, base's own mask
 	nAlive int
 	mAlive int
 	sealed bool
@@ -61,7 +66,7 @@ func New(n int) *Graph {
 
 // Cap returns the number of node slots ever allocated, including dead nodes.
 // Valid node IDs are 0..Cap()-1.
-func (g *Graph) Cap() int { return len(g.adj) }
+func (g *Graph) Cap() int { return len(g.alive) }
 
 // NumNodes returns the number of live nodes.
 func (g *Graph) NumNodes() int { return g.nAlive }
@@ -88,6 +93,12 @@ func (g *Graph) AddEdge(u, v int) {
 	if !g.Alive(u) || !g.Alive(v) {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with dead or out-of-range endpoint", u, v))
 	}
+	if g.base != nil {
+		if g.HasEdge(u, v) {
+			return
+		}
+		g.own()
+	}
 	var inserted bool
 	if g.adj[u], inserted = insertSorted(g.adj[u], int32(v)); !inserted {
 		return
@@ -109,7 +120,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if !g.Alive(u) || !g.Alive(v) {
 		return false
 	}
-	_, found := slices.BinarySearch(g.adj[u], int32(v))
+	_, found := slices.BinarySearch(g.row(u), int32(v))
 	return found
 }
 
@@ -118,6 +129,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 func (g *Graph) RemoveEdge(u, v int) bool {
 	if !g.HasEdge(u, v) {
 		return false
+	}
+	if g.base != nil {
+		g.own()
 	}
 	g.adj[u] = removeSorted(g.adj[u], int32(v))
 	g.adj[v] = removeSorted(g.adj[v], int32(u))
@@ -131,6 +145,9 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 func (g *Graph) RemoveNode(v int) bool {
 	if !g.Alive(v) {
 		return false
+	}
+	if g.base != nil {
+		g.own()
 	}
 	for _, u := range g.adj[v] {
 		g.adj[u] = removeSorted(g.adj[u], int32(v))
@@ -148,15 +165,42 @@ func (g *Graph) Degree(v int) int {
 	if !g.Alive(v) {
 		return 0
 	}
-	return len(g.adj[v])
+	return len(g.row(v))
+}
+
+// row returns v's live neighbours in increasing order: a row of the
+// snapshot the graph is still a view of, or one of its own. Callers
+// must not modify it.
+func (g *Graph) row(v int) []int32 {
+	if g.base != nil {
+		return g.base.Neighbors(v)
+	}
+	return g.adj[v]
+}
+
+// own gives a view rows and an alive mask of its own, before its first
+// mutation edits them. It clones base's neighbour array once and carves
+// every row out of the clone, each with its capacity clipped at its own
+// end, so a later AddEdge reallocates that row alone instead of
+// overwriting the next.
+func (g *Graph) own() {
+	c := g.base
+	back := slices.Clone(c.neighbors)
+	g.adj = make([][]int32, len(c.alive))
+	for v := range g.adj {
+		lo, hi := c.offsets[v], c.offsets[v+1]
+		g.adj[v] = back[lo:hi:hi]
+	}
+	g.alive = slices.Clone(c.alive)
+	g.base = nil
 }
 
 // MaxDegree returns the maximum degree over live nodes (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
-	for v := range g.adj {
-		if g.alive[v] && len(g.adj[v]) > max {
-			max = len(g.adj[v])
+	for v, a := range g.alive {
+		if d := len(g.row(v)); a && d > max {
+			max = d
 		}
 	}
 	return max
@@ -170,7 +214,7 @@ func (g *Graph) SortedNeighbors(v int, buf []int) []int {
 	if !g.Alive(v) {
 		return buf
 	}
-	for _, u := range g.adj[v] {
+	for _, u := range g.row(v) {
 		buf = append(buf, int(u))
 	}
 	return buf
@@ -178,8 +222,8 @@ func (g *Graph) SortedNeighbors(v int, buf []int) []int {
 
 // Nodes appends the IDs of all live nodes, in increasing order, to buf.
 func (g *Graph) Nodes(buf []int) []int {
-	for v := range g.adj {
-		if g.alive[v] {
+	for v, a := range g.alive {
+		if a {
 			buf = append(buf, v)
 		}
 	}
@@ -201,14 +245,14 @@ func NormEdge(u, v int) Edge {
 
 // Edges returns all live edges in canonical, sorted order.
 func (g *Graph) Edges() []Edge {
-	// Ascending v over ascending adj[v] yields canonical sorted order
+	// Ascending v over ascending rows yields canonical sorted order
 	// directly; no sort needed.
 	es := make([]Edge, 0, g.mAlive)
-	for v := range g.adj {
-		if !g.alive[v] {
+	for v, a := range g.alive {
+		if !a {
 			continue
 		}
-		for _, u := range g.adj[v] {
+		for _, u := range g.row(v) {
 			if v < int(u) {
 				es = append(es, Edge{v, int(u)})
 			}
@@ -218,15 +262,21 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Clone returns a deep copy, preserving dead nodes and the sealed flag.
+// The clone of a view shares its snapshot, which neither graph ever
+// writes; the clone's CSR cache starts cold all the same.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		adj:    make([][]int32, len(g.adj)),
-		alive:  make([]bool, len(g.alive)),
+		base:   g.base,
+		alive:  g.alive,
 		nAlive: g.nAlive,
 		mAlive: g.mAlive,
 		sealed: g.sealed,
 	}
-	copy(c.alive, g.alive)
+	if g.base != nil {
+		return c
+	}
+	c.adj = make([][]int32, len(g.adj))
+	c.alive = slices.Clone(g.alive)
 	for v, ns := range g.adj {
 		if len(ns) > 0 {
 			c.adj[v] = slices.Clone(ns)
@@ -240,8 +290,9 @@ func (g *Graph) Clone() *Graph {
 // violation found, or nil. It is used by property-based tests.
 func (g *Graph) Validate() error {
 	m2 := 0
-	for v, ns := range g.adj {
-		if !g.alive[v] && len(ns) != 0 {
+	for v, a := range g.alive {
+		ns := g.row(v)
+		if !a && len(ns) != 0 {
 			return fmt.Errorf("graph: dead node %d has %d neighbours", v, len(ns))
 		}
 		for i, u := range ns {
@@ -251,7 +302,7 @@ func (g *Graph) Validate() error {
 			if int(u) == v {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}
-			if u < 0 || int(u) >= len(g.adj) {
+			if u < 0 || int(u) >= len(g.alive) {
 				return fmt.Errorf("graph: node %d adjacent to out-of-range %d", v, u)
 			}
 			if !g.alive[u] {
@@ -280,12 +331,12 @@ func (g *Graph) Validate() error {
 
 // String returns a short human-readable summary.
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph{n=%d m=%d cap=%d}", g.nAlive, g.mAlive, len(g.adj))
+	return fmt.Sprintf("graph{n=%d m=%d cap=%d}", g.nAlive, g.mAlive, len(g.alive))
 }
 
 // insertSorted inserts x into sorted slice ns, reporting whether it was
-// absent (and therefore inserted). A row carved by fromCSR has its
-// capacity clipped at its own end, so a full row reallocates instead of
+// absent (and therefore inserted). A row carved by own has its capacity
+// clipped at its own end, so a full row reallocates instead of
 // overwriting the next row.
 func insertSorted(ns []int32, x int32) ([]int32, bool) {
 	i, found := slices.BinarySearch(ns, x)

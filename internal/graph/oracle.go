@@ -17,8 +17,8 @@ const Unreachable = -1
 // The empty graph and single-node graphs count as connected.
 func (g *Graph) Connected() bool {
 	start := -1
-	for v := range g.adj {
-		if g.alive[v] {
+	for v, a := range g.alive {
+		if a {
 			start = v
 			break
 		}
@@ -27,17 +27,17 @@ func (g *Graph) Connected() bool {
 		return true
 	}
 	seen := 0
-	visited := make([]bool, len(g.adj))
+	visited := make([]bool, len(g.alive))
 	queue := []int{start}
 	visited[start] = true
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		seen++
-		for _, u := range g.SortedNeighbors(v, nil) {
+		for _, u := range g.row(v) {
 			if !visited[u] {
 				visited[u] = true
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -48,9 +48,9 @@ func (g *Graph) Connected() bool {
 // a sorted slice of node IDs, ordered by their smallest element.
 func (g *Graph) Components() [][]int {
 	var comps [][]int
-	visited := make([]bool, len(g.adj))
-	for s := range g.adj {
-		if !g.alive[s] || visited[s] {
+	visited := make([]bool, len(g.alive))
+	for s, a := range g.alive {
+		if !a || visited[s] {
 			continue
 		}
 		var comp []int
@@ -60,10 +60,10 @@ func (g *Graph) Components() [][]int {
 			v := queue[0]
 			queue = queue[1:]
 			comp = append(comp, v)
-			for _, u := range g.SortedNeighbors(v, nil) {
+			for _, u := range g.row(v) {
 				if !visited[u] {
 					visited[u] = true
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				}
 			}
 		}
@@ -80,7 +80,7 @@ func (g *Graph) ComponentOf(v int) []int {
 	if !g.Alive(v) {
 		return nil
 	}
-	visited := make([]bool, len(g.adj))
+	visited := make([]bool, len(g.alive))
 	var comp []int
 	queue := []int{v}
 	visited[v] = true
@@ -88,10 +88,10 @@ func (g *Graph) ComponentOf(v int) []int {
 		w := queue[0]
 		queue = queue[1:]
 		comp = append(comp, w)
-		for _, u := range g.SortedNeighbors(w, nil) {
+		for _, u := range g.row(w) {
 			if !visited[u] {
 				visited[u] = true
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -103,7 +103,7 @@ func (g *Graph) ComponentOf(v int) []int {
 // nearest source, or Unreachable. Dead sources are ignored; dead nodes get
 // Unreachable.
 func (g *Graph) BFSDistances(sources ...int) []int {
-	dist := make([]int, len(g.adj))
+	dist := make([]int, len(g.alive))
 	for i := range dist {
 		dist[i] = Unreachable
 	}
@@ -117,10 +117,10 @@ func (g *Graph) BFSDistances(sources ...int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.SortedNeighbors(v, nil) {
+		for _, u := range g.row(v) {
 			if dist[u] == Unreachable {
 				dist[u] = dist[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -149,8 +149,8 @@ func (g *Graph) Diameter() int {
 		return Unreachable
 	}
 	diam := 0
-	for v := range g.adj {
-		if !g.alive[v] {
+	for v, a := range g.alive {
+		if !a {
 			continue
 		}
 		if e := g.Eccentricity(v); e > diam {
@@ -164,7 +164,7 @@ func (g *Graph) Diameter() int {
 // sorted order, using an iterative Tarjan lowlink DFS. This is the oracle
 // for the random-walk bridge-finding experiment (E2).
 func (g *Graph) Bridges() []Edge {
-	n := len(g.adj)
+	n := len(g.alive)
 	disc := make([]int, n)   // discovery time, 0 = unvisited
 	low := make([]int, n)    // lowlink
 	parent := make([]int, n) // DFS parent, -1 at roots
@@ -176,7 +176,7 @@ func (g *Graph) Bridges() []Edge {
 
 	type frame struct {
 		v     int
-		iter  []int // remaining neighbours to process
+		iter  []int32 // v's row; neighbours from index on remain
 		index int
 	}
 
@@ -187,18 +187,18 @@ func (g *Graph) Bridges() []Edge {
 		timer++
 		disc[root] = timer
 		low[root] = timer
-		stack := []frame{{v: root, iter: g.SortedNeighbors(root, nil)}}
+		stack := []frame{{v: root, iter: g.row(root)}}
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.index < len(f.iter) {
-				u := f.iter[f.index]
+				u := int(f.iter[f.index])
 				f.index++
 				if disc[u] == 0 {
 					parent[u] = f.v
 					timer++
 					disc[u] = timer
 					low[u] = timer
-					stack = append(stack, frame{v: u, iter: g.SortedNeighbors(u, nil)})
+					stack = append(stack, frame{v: u, iter: g.row(u)})
 				} else if u != parent[f.v] {
 					if disc[u] < low[f.v] {
 						low[f.v] = disc[u]
@@ -254,12 +254,12 @@ func (g *Graph) IsBridge(u, v int) bool {
 // with colors[v] in {0, 1} (Unreachable for dead nodes) if the graph is
 // bipartite, or (nil, false) otherwise. This is the oracle for E4.
 func (g *Graph) TwoColor() ([]int, bool) {
-	colors := make([]int, len(g.adj))
+	colors := make([]int, len(g.alive))
 	for i := range colors {
 		colors[i] = Unreachable
 	}
-	for s := range g.adj {
-		if !g.alive[s] || colors[s] != Unreachable {
+	for s, a := range g.alive {
+		if !a || colors[s] != Unreachable {
 			continue
 		}
 		colors[s] = 0
@@ -267,10 +267,10 @@ func (g *Graph) TwoColor() ([]int, bool) {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for _, u := range g.SortedNeighbors(v, nil) {
+			for _, u := range g.row(v) {
 				if colors[u] == Unreachable {
 					colors[u] = 1 - colors[v]
-					queue = append(queue, u)
+					queue = append(queue, int(u))
 				} else if colors[u] == colors[v] {
 					return nil, false
 				}
@@ -290,7 +290,7 @@ func (g *Graph) IsBipartite() bool {
 // root (parent[root] = root; Unreachable for nodes outside root's
 // component). Used by the β synchronizer baseline.
 func (g *Graph) SpanningTree(root int) []int {
-	parent := make([]int, len(g.adj))
+	parent := make([]int, len(g.alive))
 	for i := range parent {
 		parent[i] = Unreachable
 	}
@@ -302,10 +302,10 @@ func (g *Graph) SpanningTree(root int) []int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range g.SortedNeighbors(v, nil) {
+		for _, u := range g.row(v) {
 			if parent[u] == Unreachable {
 				parent[u] = v
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}

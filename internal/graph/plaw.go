@@ -14,23 +14,18 @@ import (
 // first epn+1 seed nodes, then each node v attaches to epn distinct
 // earlier nodes sampled proportionally to degree (classic endpoint-list
 // sampling), giving the power-law degree tail whose early nodes are the
-// hubs. Rows are returned sorted. Deterministic in (block, epn, seed).
+// hubs. Rows are returned sorted, carved from one array. Deterministic
+// in (block, epn, seed).
 func plawBase(block, epn int, seed int64) [][]int32 {
 	if epn < 1 || block < epn+2 {
 		panic(fmt.Sprintf("graph: power-law block needs epn >= 1 and block >= epn+2, got block=%d epn=%d", block, epn))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	adj := make([][]int32, block)
-	// Endpoint list: every half-edge appends its endpoint, so sampling a
+	// Endpoint list: every edge appends its two endpoints, so sampling a
 	// uniform entry samples a node proportionally to its degree.
 	endpoints := make([]int32, 0, 2*epn*block)
-	link := func(u, v int32) {
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-		endpoints = append(endpoints, u, v)
-	}
 	for v := 1; v <= epn; v++ {
-		link(int32(v-1), int32(v))
+		endpoints = append(endpoints, int32(v-1), int32(v))
 	}
 	targets := make([]int32, 0, epn)
 	for v := epn + 1; v < block; v++ {
@@ -49,8 +44,26 @@ func plawBase(block, epn int, seed int64) [][]int32 {
 			}
 		}
 		for _, t := range targets {
-			link(t, int32(v))
+			endpoints = append(endpoints, t, int32(v))
 		}
+	}
+	// A node's degree is its count in the endpoint list: size each row
+	// from it, then fill the rows from the edges within those capacities.
+	deg := make([]int32, block)
+	for _, u := range endpoints {
+		deg[u]++
+	}
+	back := make([]int32, len(endpoints))
+	adj := make([][]int32, block)
+	lo := int32(0)
+	for v, d := range deg {
+		adj[v] = back[lo : lo : lo+d]
+		lo += d
+	}
+	for i := 0; i < len(endpoints); i += 2 {
+		u, v := endpoints[i], endpoints[i+1]
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
 	}
 	for _, row := range adj {
 		slices.Sort(row)

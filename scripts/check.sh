@@ -6,7 +6,8 @@
 # race detector over the execution engine and the algorithm layer — the
 # packages with goroutine-parallel rounds and the serial/parallel
 # determinism invariant — and over the graph and checkpoint packages (a
-# lazily computed, shared topology hash, and the filesystems' mutexes),
+# lazily computed, shared topology hash; an unmutated carved graph is
+# read concurrently through its snapshot; and the filesystems' mutexes),
 # each race step under a 5-minute timeout so a deadlock fails fast, a short
 # fuzz of the checkpoint decoder, the chaos and model-checker smoke
 # gates, and the end-to-end benchmark's own tests.
@@ -51,7 +52,7 @@ go test -race -cpu 1,2 -timeout 5m ./internal/algo/...
 echo "== go test -race -cpu 1,2 ./internal/chaos/... ./internal/faults/..."
 go test -race -cpu 1,2 -timeout 5m ./internal/chaos/... ./internal/faults/...
 
-echo "== go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/... (the memoized topology hash; the filesystems' mutexes)"
+echo "== go test -race -cpu 1,2 ./internal/graph/... ./internal/checkpoint/... (the memoized topology hash; an unmutated carved graph is read concurrently through its snapshot; the filesystems' mutexes)"
 go test -race -cpu 1,2 -timeout 5m ./internal/graph/... ./internal/checkpoint/...
 
 echo "== checkpoint decoder fuzz (10 s)"
